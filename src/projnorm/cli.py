@@ -14,14 +14,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from importlib import resources
+from typing import Callable, NamedTuple
 
 from .chern import ChernVector
 from .exactalg import (
     DEFAULT_SEED,
     DataError,
-    ParityError,
     SolverError,
     binom,
     parse_rational,
@@ -80,6 +81,14 @@ def _verdict_row(v):
     )
 
 
+def _acm_rows(acm) -> list:
+    """The ACM-criterion verdict followed by its degeneracy-locus data, in field order."""
+    deg = acm.degeneracy
+    return [_verdict_row(acm.verdict)] + [
+        _value_row(f"degeneracy_{f.name}", getattr(deg, f.name)) for f in fields(deg)
+    ]
+
+
 def _check_report(title: str, provenance: str, rows) -> ScanReport:
     return ScanReport.build(
         title=title,
@@ -128,20 +137,7 @@ def check_surface_hyp(d: int, r: int) -> ScanReport:
         _verdict_row(v3),
     ]
     if r >= 2 and h0 >= r + 3:
-        acm = surface_acm_criterion(h0, r, c1sq, c1k, c2)
-        deg = acm.degeneracy
-        rows.extend(
-            [
-                _verdict_row(acm.verdict),
-                _value_row("degeneracy_sections", deg.sections),
-                _value_row("degeneracy_z_length", deg.z_length),
-                _value_row("degeneracy_curve_multiple", deg.curve_multiple),
-                _value_row("degeneracy_curve_genus", deg.curve_genus),
-                _value_row("degeneracy_h0_lower", deg.h0_lower),
-                _value_row("degeneracy_h1_lower", deg.h1_lower),
-                _value_row("degeneracy_h1_lower_rr", deg.h1_lower_rr),
-            ]
-        )
+        rows.extend(_acm_rows(surface_acm_criterion(h0, r, c1sq, c1k, c2)))
     else:
         rows.append(_value_row("acm_criterion_note", "skipped: needs rank >= 2 and h0 >= r+3"))
     rows.append(_verdict_row(sectional_curve_criterion(S, E)))
@@ -250,21 +246,8 @@ def check_surface(args) -> ScanReport:
         _value_row("c2", args.c2),
         _value_row("casnati_c2_reference", casnati_c2(c1sq, c1k, args.r, degree, S.chi_o)),
     ]
-    acm = surface_acm_criterion(h0, args.r, c1sq, c1k, args.c2)
-    deg = acm.degeneracy
-    rows.extend(
-        [
-            _verdict_row(acm.verdict),
-            _value_row("degeneracy_sections", deg.sections),
-            _value_row("degeneracy_z_length", deg.z_length),
-            _value_row("degeneracy_curve_multiple", deg.curve_multiple),
-            _value_row("degeneracy_curve_genus", deg.curve_genus),
-            _value_row("degeneracy_h0_lower", deg.h0_lower),
-            _value_row("degeneracy_h1_lower", deg.h1_lower),
-            _value_row("degeneracy_h1_lower_rr", deg.h1_lower_rr),
-            _verdict_row(sectional_curve_criterion(S, E)),
-        ]
-    )
+    rows.extend(_acm_rows(surface_acm_criterion(h0, args.r, c1sq, c1k, args.c2)))
+    rows.append(_verdict_row(sectional_curve_criterion(S, E)))
     return _check_report(
         "general surface check",
         "normality.surface_acm_criterion; normality.sectional_curve_criterion",
@@ -421,71 +404,130 @@ def kko_audit_report() -> ScanReport:
 # argument parsing and dispatch
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # --format is accepted both before and after the subcommand; the
-    # trailing occurrence wins
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("table", "json", "csv"), dest="format_leaf", default=None)
+class Leaf(NamedTuple):
+    """A command that runs: its ``add_argument`` specs and what it does."""
 
+    arguments: tuple  # (name or flag, add_argument keyword arguments) pairs
+    run: Callable  # parsed namespace -> (report, exit code)
+    help: str | None = None
+
+
+class Group(NamedTuple):
+    """A command that takes a subcommand, stored under ``dest``."""
+
+    dest: str
+    commands: dict
+    help: str | None = None
+
+
+def _verify_formulas(args) -> tuple:
+    seed = args.seed if args.seed is not None else _default_seed()
+    report, ok = formula_suite(_parse_ranks(args.ranks), args.trials, seed)
+    return report, 0 if ok else 3
+
+
+_FORMATS = ("table", "json", "csv")
+_INT = dict(type=int, required=True)
+_RATIONAL = dict(type=parse_rational, required=True)
+_D_R = (("--d", _INT), ("--r", _INT))
+
+#: The command tree, written down once: ``build_parser`` builds parsers
+#: from it and ``dispatch`` runs the leaf that a parsed argv selects.
+COMMANDS = {
+    "verify-formulas": Leaf(
+        (
+            ("--ranks", dict(default="1..6", help="rank range, e.g. 1..6")),
+            ("--trials", dict(type=int, default=20)),
+            ("--seed", dict(type=int, default=None)),
+        ),
+        _verify_formulas,
+        "run the splitting-principle and Riemann-Roch self-checks",
+    ),
+    "check": Group(
+        "target",
+        {
+            "curve": Leaf(
+                (
+                    ("--g", _INT),
+                    ("--d", _INT),
+                    ("--r", dict(type=int, default=1)),
+                    ("--p", dict(type=int, action="append", help="syzygy level(s) p >= 2, repeatable")),
+                    ("--cliff", dict(type=int, default=None, help="Clifford index of the curve, if known")),
+                    ("--general", dict(action="store_true", help="treat curve and bundle as general")),
+                    ("--very-ample", dict(action="store_true", dest="very_ample")),
+                ),
+                lambda a: (check_curve(a), 0),
+            ),
+            "surface-hyp": Leaf(_D_R, lambda a: (check_surface_hyp(a.d, a.r), 0)),
+            "threefold-hyp": Leaf(_D_R, lambda a: (check_threefold_hyp(a.d, a.r), 0)),
+            "surface": Leaf(
+                (
+                    ("--h2", _RATIONAL),
+                    ("--hk", _RATIONAL),
+                    ("--k2", _RATIONAL),
+                    ("--chi", _RATIONAL),
+                    ("--r", _INT),
+                    ("--c1", dict(required=True, help="divisor 'a' (a*H) or 'a,b' (a*H + b*K)")),
+                    ("--c2", _RATIONAL),
+                    ("--h", dict(type=int, default=None, help="h^0(E); defaults to r*H^2")),
+                ),
+                lambda a: (check_surface(a), 0),
+            ),
+            "preset": Leaf(
+                (("name", {}), ("--r", dict(type=int, default=2))),
+                lambda a: (check_preset(a.name, a.r), 0),
+            ),
+        },
+        "single-case verdicts",
+    ),
+    "scan": Group(
+        "grid",
+        {
+            "ci": Leaf((("--rmax", _INT),), lambda a: (ci_example_scan(a.rmax), 0)),
+            "p3": Leaf((("--dmax", _INT), ("--rmax", _INT)), lambda a: (scan_p3(a.dmax, a.rmax), 0)),
+            "p4": Leaf((("--dmax", _INT), ("--rmax", _INT)), lambda a: (scan_p4(a.dmax, a.rmax), 0)),
+            "curve": Leaf((("--gmax", _INT), ("--dmax", _INT)), lambda a: (scan_curve(a.gmax, a.dmax), 0)),
+        },
+        "grid scans",
+    ),
+    "kko-audit": Leaf((), lambda a: (kko_audit_report(), 0), "audit the special line-bundle locus dimension bounds"),
+}
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The argparse tree of ``COMMANDS``, with real parsers only for the
+    commands named in ``argv``.
+
+    One invocation parses one path, so building the other parsers is
+    wasted work; every other command is registered by name and help
+    alone, which keeps help, usage and invalid-choice errors unchanged.
+    ``--format`` is accepted both before and after the subcommand; the
+    trailing occurrence wins.
+    """
     parser = argparse.ArgumentParser(
         prog="projnorm",
         description="Exact projective-normality checks for Ulrich bundles on curves, surfaces and low-dimensional hypersurfaces.",
     )
-    parser.add_argument("--format", choices=("table", "json", "csv"), dest="format_root", default=None)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    vf = sub.add_parser("verify-formulas", parents=[fmt], help="run the splitting-principle and Riemann-Roch self-checks")
-    vf.add_argument("--ranks", default="1..6", help="rank range, e.g. 1..6")
-    vf.add_argument("--trials", type=int, default=20)
-    vf.add_argument("--seed", type=int, default=None)
-
-    check = sub.add_parser("check", help="single-case verdicts")
-    check_sub = check.add_subparsers(dest="target", required=True)
-
-    curve = check_sub.add_parser("curve", parents=[fmt])
-    curve.add_argument("--g", type=int, required=True)
-    curve.add_argument("--d", type=int, required=True)
-    curve.add_argument("--r", type=int, default=1)
-    curve.add_argument("--p", type=int, action="append", help="syzygy level(s) p >= 2, repeatable")
-    curve.add_argument("--cliff", type=int, default=None, help="Clifford index of the curve, if known")
-    curve.add_argument("--general", action="store_true", help="treat curve and bundle as general")
-    curve.add_argument("--very-ample", action="store_true", dest="very_ample")
-
-    for name in ("surface-hyp", "threefold-hyp"):
-        p = check_sub.add_parser(name, parents=[fmt])
-        p.add_argument("--d", type=int, required=True)
-        p.add_argument("--r", type=int, required=True)
-
-    surf = check_sub.add_parser("surface", parents=[fmt])
-    surf.add_argument("--h2", type=parse_rational, required=True)
-    surf.add_argument("--hk", type=parse_rational, required=True)
-    surf.add_argument("--k2", type=parse_rational, required=True)
-    surf.add_argument("--chi", type=parse_rational, required=True)
-    surf.add_argument("--r", type=int, required=True)
-    surf.add_argument("--c1", required=True, help="divisor 'a' (a*H) or 'a,b' (a*H + b*K)")
-    surf.add_argument("--c2", type=parse_rational, required=True)
-    surf.add_argument("--h", type=int, default=None, help="h^0(E); defaults to r*H^2")
-
-    preset = check_sub.add_parser("preset", parents=[fmt])
-    preset.add_argument("name")
-    preset.add_argument("--r", type=int, default=2)
-
-    scan = sub.add_parser("scan", help="grid scans")
-    scan_sub = scan.add_subparsers(dest="grid", required=True)
-    ci = scan_sub.add_parser("ci", parents=[fmt])
-    ci.add_argument("--rmax", type=int, required=True)
-    p3 = scan_sub.add_parser("p3", parents=[fmt])
-    p3.add_argument("--dmax", type=int, required=True)
-    p3.add_argument("--rmax", type=int, required=True)
-    p4 = scan_sub.add_parser("p4", parents=[fmt])
-    p4.add_argument("--dmax", type=int, required=True)
-    p4.add_argument("--rmax", type=int, required=True)
-    cscan = scan_sub.add_parser("curve", parents=[fmt])
-    cscan.add_argument("--gmax", type=int, required=True)
-    cscan.add_argument("--dmax", type=int, required=True)
-
-    sub.add_parser("kko-audit", parents=[fmt], help="audit the special line-bundle locus dimension bounds")
+    parser.add_argument("--format", choices=_FORMATS, dest="format_root", default=None)
+    _add_commands(parser, "command", COMMANDS, set(argv))
     return parser
+
+
+def _add_commands(parser, dest: str, commands: dict, selected: set) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, node in commands.items():
+        # an explicit help=None would still list the name under the choices
+        kwargs = {} if node.help is None else {"help": node.help}
+        if name not in selected:
+            sub.add_parser(name, add_help=False, **kwargs)
+            continue
+        child = sub.add_parser(name, **kwargs)
+        if isinstance(node, Group):
+            _add_commands(child, node.dest, node.commands, selected)
+            continue
+        child.add_argument("--format", choices=_FORMATS, dest="format_leaf", default=None)
+        for flag, spec in node.arguments:
+            child.add_argument(flag, **spec)
 
 
 def _parse_ranks(spec: str):
@@ -493,48 +535,26 @@ def _parse_ranks(spec: str):
     if not sep:
         value = int(spec)
         return range(value, value + 1)
-    return range(int(lo), int(hi) + 1)
+    ranks = range(int(lo), int(hi) + 1)
+    if not ranks:
+        raise ValueError(f"empty rank range {spec!r}")
+    return ranks
 
 
 def dispatch(args) -> tuple:
-    if args.command == "verify-formulas":
-        seed = args.seed if args.seed is not None else _default_seed()
-        report, ok = formula_suite(_parse_ranks(args.ranks), args.trials, seed)
-        return report, 0 if ok else 3
-    if args.command == "check":
-        if args.target == "curve":
-            return check_curve(args), 0
-        if args.target == "surface-hyp":
-            return check_surface_hyp(args.d, args.r), 0
-        if args.target == "threefold-hyp":
-            return check_threefold_hyp(args.d, args.r), 0
-        if args.target == "surface":
-            return check_surface(args), 0
-        if args.target == "preset":
-            return check_preset(args.name, args.r), 0
-    if args.command == "scan":
-        if args.grid == "ci":
-            return ci_example_scan(args.rmax), 0
-        if args.grid == "p3":
-            return scan_p3(args.dmax, args.rmax), 0
-        if args.grid == "p4":
-            return scan_p4(args.dmax, args.rmax), 0
-        if args.grid == "curve":
-            return scan_curve(args.gmax, args.dmax), 0
-    if args.command == "kko-audit":
-        return kko_audit_report(), 0
-    raise AssertionError("unhandled command")
+    node = COMMANDS[args.command]
+    while isinstance(node, Group):
+        node = node.commands[getattr(args, node.dest)]
+    return node.run(args)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    fmt = getattr(args, "format_leaf", None) or args.format_root or "table"
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
+    fmt = args.format_leaf or args.format_root or "table"
     try:
         report, code = dispatch(args)
-    except ParityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (DataError, SolverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -362,11 +362,6 @@ def h_power(ring: RankOneRing, codim: int, value: Scalar = 1) -> GradedClass:
     return GradedClass.of(ring, {codim: value})
 
 
-def codim2(ring: Ring, value: Scalar) -> GradedClass:
-    """A codimension-2 class (already integrated on surfaces)."""
-    return GradedClass.of(ring, {2: value})
-
-
 def ring_degree(ring: Ring, cls: GradedClass, codim: int) -> Fraction:
     """Intersection number of the codim-``codim`` part against the complementary H power.
 
@@ -387,11 +382,6 @@ def ring_degree(ring: Ring, cls: GradedClass, codim: int) -> Fraction:
         h = (Fraction(1),) + (Fraction(0),) * (len(ring.basis) - 1)
         return ring.pair(value, h)
     return value * ring.gram[0][0]
-
-
-def integral(cls: GradedClass) -> Fraction:
-    """Degree of the top-codimension part (full integration)."""
-    return ring_degree(cls.ring, cls, cls.ring.dim)
 
 
 def numerically_equal(a: GradedClass, b: GradedClass) -> bool:

@@ -163,9 +163,6 @@ class HypersurfaceP4:
         )
 
 
-VarietyModel = (Curve, Surface, HypersurfaceP3, HypersurfaceP4)
-
-
 def as_surface(V) -> Surface:
     """Coerce a surface-like model (Surface or HypersurfaceP3) to a Surface."""
     if isinstance(V, HypersurfaceP3):

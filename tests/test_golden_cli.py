@@ -1,0 +1,103 @@
+"""Golden lock on the CLI surface: help text, usage errors and exit codes.
+
+Each case in ``CASES`` has a file ``tests/golden/cli/<name>.txt`` holding
+the argv, the exit code, stdout and stderr of one in-process run with
+``COLUMNS=80``.  Regenerate them after an intended change with
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+
+and say why in CHANGES.md.
+"""
+
+import io
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from projnorm.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "cli"
+
+#: The files were taken on Python 3.11 and read the same on 3.10 and 3.12;
+#: 3.13 wraps long usage lines at other points.
+SAME_ARGPARSE_TEXT = (3, 10) <= sys.version_info[:2] <= (3, 12)
+
+_SURFACE = ["--h2", "4", "--hk", "0", "--k2", "0", "--chi", "2", "--r", "2", "--c1", "3", "--c2", "14"]
+
+CASES = {
+    # help at every level
+    "help_root": ["--help"],
+    "help_check": ["check", "--help"],
+    "help_scan": ["scan", "--help"],
+    "help_verify_formulas": ["verify-formulas", "--help"],
+    "help_kko_audit": ["kko-audit", "--help"],
+    "help_check_curve": ["check", "curve", "--help"],
+    "help_check_surface_hyp": ["check", "surface-hyp", "--help"],
+    "help_check_threefold_hyp": ["check", "threefold-hyp", "-h"],
+    "help_check_surface": ["check", "surface", "--help"],
+    "help_check_preset": ["check", "preset", "--help"],
+    "help_scan_ci": ["scan", "ci", "--help"],
+    "help_scan_p3": ["scan", "p3", "--help"],
+    "help_scan_p4": ["scan", "p4", "--help"],
+    "help_scan_curve": ["scan", "curve", "--help"],
+    # usage errors
+    "error_no_command": [],
+    "error_unknown_command": ["frobnicate"],
+    "error_unknown_check_target": ["check", "frobnicate"],
+    "error_unknown_scan_grid": ["scan", "p5", "--dmax", "3"],
+    "error_missing_check_target": ["check"],
+    "error_missing_scan_grid": ["--format", "json", "scan"],
+    "error_missing_required_flag": ["check", "surface-hyp", "--d", "4"],
+    "error_missing_preset_name": ["check", "preset"],
+    "error_invalid_int": ["check", "surface-hyp", "--d", "four", "--r", "2"],
+    "error_invalid_rational": ["check", "surface", "--h2", "x", *_SURFACE[2:]],
+    "error_root_format_xml": ["--format", "xml", "check", "surface-hyp", "--d", "4", "--r", "2"],
+    "error_leaf_format_xml": ["scan", "ci", "--rmax", "3", "--format", "xml"],
+    "error_unrecognized_argument": ["check", "curve", "--g", "3", "--d", "4", "--bogus"],
+    "error_leaf_option_before_command": ["--d", "4", "check", "surface-hyp", "--r", "2"],
+    "error_help_of_unknown_command": ["frobnicate", "--help"],
+    # --format placement and spelling
+    "format_root_abbrev": ["--form", "json", "check", "surface-hyp", "--d", "4", "--r", "2"],
+    "format_leaf_abbrev": ["check", "surface-hyp", "--d", "4", "--r", "2", "--form", "json"],
+    "format_equals": ["check", "preset", "quartic-k3", "--format=csv"],
+    "format_leaf_wins": ["--format", "json", "scan", "p3", "--dmax", "3", "--rmax", "2", "--format", "csv"],
+    "format_root_only": ["--format", "csv", "check", "surface", *_SURFACE],
+    "format_default_table": ["check", "curve", "--g", "3", "--d", "4", "--p", "2", "--p", "3"],
+}
+
+
+def run_case(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return (
+        f"argv: {' '.join(argv)}\n"
+        f"exit: {code}\n"
+        f"--- stdout\n{out.getvalue()}"
+        f"--- stderr\n{err.getvalue()}"
+    )
+
+
+@pytest.mark.skipif(not SAME_ARGPARSE_TEXT, reason="argparse wraps help text differently on this Python")
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_matches_golden(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert run_case(CASES[name]) == expected
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(path.stem for path in GOLDEN.glob("*.txt")) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    for name, argv in CASES.items():
+        (GOLDEN / f"{name}.txt").write_text(run_case(argv), encoding="utf-8")

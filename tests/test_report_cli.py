@@ -193,7 +193,7 @@ def test_cli_verification_failure_exit_code(monkeypatch):
 
 from fractions import Fraction as _F
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 _cells = st.one_of(
@@ -228,6 +228,49 @@ def test_cli_parse_ranks_single_value():
 
     assert list(_parse_ranks("4")) == [4]
     assert list(_parse_ranks("2..5")) == [2, 3, 4, 5]
+
+
+def test_cli_verify_formulas_rejects_empty_rank_range():
+    code, out, err = run_cli("verify-formulas", "--ranks", "3..1", "--trials", "2")
+    assert code == 2 and out == ""
+    assert err == "error: empty rank range '3..1'\n"
+
+
+_small = st.integers(-2, 7).map(str)
+_GRID_FLAGS = {"p3": ("--dmax", "--rmax"), "p4": ("--dmax", "--rmax"), "curve": ("--gmax", "--dmax")}
+_formats = st.sampled_from([(), ("--format", "json"), ("--format", "csv")])
+_bounded_argv = st.one_of(
+    st.tuples(st.sampled_from(["surface-hyp", "threefold-hyp"]), _small, _small).map(
+        lambda t: ["check", t[0], "--d", t[1], "--r", t[2]]
+    ),
+    st.tuples(
+        _small, _small, _small,
+        st.lists(st.sampled_from(["--p", "--cliff"]).flatmap(lambda f: _small.map(lambda v: [f, v])), max_size=2),
+        st.sets(st.sampled_from(["--general", "--very-ample"])),
+    ).map(lambda t: ["check", "curve", "--g", t[0], "--d", t[1], "--r", t[2], *sum(t[3], []), *sorted(t[4])]),
+    st.tuples(st.sampled_from(sorted(_GRID_FLAGS)), _small, _small).map(
+        lambda t: ["scan", t[0], _GRID_FLAGS[t[0]][0], t[1], _GRID_FLAGS[t[0]][1], t[2]]
+    ),
+    _small.map(lambda v: ["scan", "ci", "--rmax", v]),
+    st.tuples(st.integers(-1, 3), st.integers(-1, 3), st.booleans(), st.integers(0, 3)).map(
+        lambda t: ["verify-formulas", "--ranks", f"{t[0]}..{t[1]}" if t[2] else str(t[0]), "--trials", str(t[3]), "--seed", "1"]
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_formats, _bounded_argv)
+def test_cli_bounded_argv_exit_codes(fmt, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main([*fmt, *argv])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert "error:" in err.getvalue() and out.getvalue() == ""
 
 
 def test_cli_divisor_spec_error():

@@ -47,6 +47,7 @@ from .rr import (
     HypersurfaceP4,
     chi_surface,
     chi_threefold_hypersurface,
+    parity_ok,
     solve_ulrich_chern,
     surface_model,
 )
@@ -285,56 +286,74 @@ def check_preset(name: str, r: int) -> ScanReport:
 # scans
 
 
+def _span(values: range) -> str:
+    return f"{values.start}..{values.stop - 1}"
+
+
+def grid_scan(title, params, columns, provenance, a_range: range, b_range: range, cells) -> ScanReport:
+    """One row per grid point, ``cells(a, b)`` for a in ``a_range`` and b in
+    ``b_range``, so the rows come out in increasing parameter order."""
+    if not a_range or not b_range:
+        raise ValueError(f"empty grid: {params[0]} in {_span(a_range)}, {params[1]} in {_span(b_range)}")
+    rows = [((a, b), cells(a, b)) for a in a_range for b in b_range]
+    return ScanReport.build(title, params, columns, provenance, rows)
+
+
+def _count_cells(v) -> tuple:
+    """A count verdict's status and the two sides of its witness."""
+    return (v.status_label, v.witness.lhs, v.witness.rhs)
+
+
+def _p3_cells(d: int, r: int) -> tuple:
+    if not parity_ok(r, d):
+        return ("odd", None, None, None, None)
+    v2, v3 = classify_p3_hypersurface(d, r)
+    return ("ok", *_count_cells(v2), v3.value("slack3"))
+
+
+def _p4_cells(d: int, r: int) -> tuple:
+    if not parity_ok(r, d):
+        return ("odd", None, None, None, None, None, None)
+    strong, plain = classify_p4_hypersurface(d, r)
+    return ("ok", *_count_cells(strong), *_count_cells(plain))
+
+
+def _curve_cells(g: int, d: int) -> tuple:
+    case = CurveCase(
+        genus=g,
+        degree=d,
+        syzygy_levels=(2,),
+        very_ample=True,
+        curve_general=True,
+        bundle_general=True,
+    )
+    by_rule = {v.rule: v.fired for v in curve_thresholds(case)}
+    return (
+        by_rule["pn-degree"],
+        by_rule["n1-koszul-degree"],
+        by_rule["np-degree-p2"],
+        by_rule["general-sharp-degree"],
+        mrc_check(g, d).fired if g >= 3 else None,
+    )
+
+
 def scan_p3(dmax: int, rmax: int) -> ScanReport:
-    rows = []
-    for d in range(2, dmax + 1):
-        for r in range(1, rmax + 1):
-            if (r * (d - 1)) % 2:
-                rows.append(((d, r), ("odd", None, None, None, None)))
-                continue
-            v2, v3 = classify_p3_hypersurface(d, r)
-            rows.append(
-                (
-                    (d, r),
-                    ("ok", v2.status_label, v2.witness.lhs, v2.witness.rhs, v3.value("slack3")),
-                )
-            )
-    return ScanReport.build(
-        title=f"surface hypersurface scan (2 <= d <= {dmax}, r <= {rmax})",
-        params=("d", "r"),
-        columns=("parity", "status", "dim_sym2_h0", "h0_sym2", "slack3"),
-        provenance=("normality.classify_p3_hypersurface",) * 5,
-        rows=rows,
-        sort=True,
+    return grid_scan(
+        f"surface hypersurface scan (2 <= d <= {dmax}, r <= {rmax})",
+        ("d", "r"),
+        ("parity", "status", "dim_sym2_h0", "h0_sym2", "slack3"),
+        ("normality.classify_p3_hypersurface",) * 5,
+        range(2, dmax + 1),
+        range(1, rmax + 1),
+        _p3_cells,
     )
 
 
 def scan_p4(dmax: int, rmax: int) -> ScanReport:
-    rows = []
-    for d in range(4, dmax + 1):
-        for r in range(1, rmax + 1):
-            if (r * (d - 1)) % 2:
-                rows.append(((d, r), ("odd", None, None, None, None, None, None)))
-                continue
-            strong, plain = classify_p4_hypersurface(d, r)
-            rows.append(
-                (
-                    (d, r),
-                    (
-                        "ok",
-                        strong.status_label,
-                        strong.witness.lhs,
-                        strong.witness.rhs,
-                        plain.status_label,
-                        plain.witness.lhs,
-                        plain.witness.rhs,
-                    ),
-                )
-            )
-    return ScanReport.build(
-        title=f"threefold hypersurface scan (4 <= d <= {dmax}, r <= {rmax})",
-        params=("d", "r"),
-        columns=(
+    return grid_scan(
+        f"threefold hypersurface scan (4 <= d <= {dmax}, r <= {rmax})",
+        ("d", "r"),
+        (
             "parity",
             "strong_status",
             "dim_tensor2_h0",
@@ -343,45 +362,22 @@ def scan_p4(dmax: int, rmax: int) -> ScanReport:
             "dim_sym2_h0",
             "chi_sym2",
         ),
-        provenance=("normality.classify_p4_hypersurface",) * 7,
-        rows=rows,
-        sort=True,
+        ("normality.classify_p4_hypersurface",) * 7,
+        range(4, dmax + 1),
+        range(1, rmax + 1),
+        _p4_cells,
     )
 
 
 def scan_curve(gmax: int, dmax: int) -> ScanReport:
-    rows = []
-    for g in range(0, gmax + 1):
-        for d in range(1, dmax + 1):
-            case = CurveCase(
-                genus=g,
-                degree=d,
-                syzygy_levels=(2,),
-                very_ample=True,
-                curve_general=True,
-                bundle_general=True,
-            )
-            by_rule = {v.rule: v.fired for v in curve_thresholds(case)}
-            mrc = mrc_check(g, d).fired if g >= 3 else None
-            rows.append(
-                (
-                    (g, d),
-                    (
-                        by_rule["pn-degree"],
-                        by_rule["n1-koszul-degree"],
-                        by_rule["np-degree-p2"],
-                        by_rule["general-sharp-degree"],
-                        mrc,
-                    ),
-                )
-            )
-    return ScanReport.build(
-        title=f"curve threshold scan (g <= {gmax}, d <= {dmax}; generality flags assumed)",
-        params=("g", "d"),
-        columns=("pn", "n1_koszul", "np_p2", "general_sharp", "mrc"),
-        provenance=("normality.curve_thresholds",) * 4 + ("normality.mrc_check",),
-        rows=rows,
-        sort=True,
+    return grid_scan(
+        f"curve threshold scan (g <= {gmax}, d <= {dmax}; generality flags assumed)",
+        ("g", "d"),
+        ("pn", "n1_koszul", "np_p2", "general_sharp", "mrc"),
+        ("normality.curve_thresholds",) * 4 + ("normality.mrc_check",),
+        range(0, gmax + 1),
+        range(1, dmax + 1),
+        _curve_cells,
     )
 
 
@@ -396,7 +392,6 @@ def kko_audit_report() -> ScanReport:
         columns=("genus_floor", "bound", "ok"),
         provenance=("normality.kko_audit",) * 3,
         rows=rows,
-        sort=True,
     )
 
 

@@ -41,9 +41,6 @@ DEFAULT_SEED = 7
 ROOT_NUMERATOR_BOUND = 100
 ROOT_DENOMINATORS = (1, 2, 3, 5)
 
-#: Supported derived-bundle constructions for the splitting oracle.
-CONSTRUCTIONS = ("tensor_square", "sym2", "sym3", "wedge2", "tensor_line")
-
 
 class RingMismatchError(ValueError):
     """Two graded classes (or a class and a ring) live in different rings."""
@@ -451,6 +448,8 @@ def _triples_leq(xs: Sequence[Fraction]) -> list:
     ]
 
 
+#: The splitting oracle's constructions and their derived root multisets;
+#: the oracle handles ``tensor_line`` (a twist by one more root) itself.
 _DERIVED_ROOTS: Mapping[str, Callable] = {
     "tensor_square": _pairs_all,
     "sym2": _pairs_leq,
@@ -483,7 +482,7 @@ def splitting_oracle(
         raise ValueError("rank must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if construction not in CONSTRUCTIONS:
+    if construction != "tensor_line" and construction not in _DERIVED_ROOTS:
         raise ValueError(f"unsupported construction {construction!r}")
 
     # sym3 has no closed third Chern class, so it is checked in a

@@ -555,5 +555,4 @@ def ci_example_scan(r_max: int, d_max: int = 34) -> ScanReport:
         columns=("a", "r_min", "r_eval", "h0_sym2", "dim_sym2_h0", "feasible", "note"),
         provenance=("normality.ci_example_scan",) * 7,
         rows=rows,
-        sort=True,
     )

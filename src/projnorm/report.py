@@ -47,10 +47,8 @@ class ScanReport:
                 raise ValueError("row shape does not match the header")
 
     @staticmethod
-    def build(title, params, columns, provenance, rows, sort: bool = False) -> "ScanReport":
+    def build(title, params, columns, provenance, rows) -> "ScanReport":
         built = tuple(Row(tuple(p), tuple(v)) for p, v in rows)
-        if sort:
-            built = tuple(sorted(built, key=lambda row: row.params))
         return ScanReport(title, tuple(params), tuple(columns), tuple(provenance), built)
 
     # -- JSON -----------------------------------------------------------

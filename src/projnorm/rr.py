@@ -222,8 +222,13 @@ def chi_threefold_hypersurface(degree: int, E: ChernVector) -> Fraction:
 # Ulrich Chern data
 
 
+def parity_ok(r: int, d: int) -> bool:
+    """Whether c1 = (r/2)(d-1)H is integral, so rank-r Ulrich data exist in degree d."""
+    return (r * (d - 1)) % 2 == 0
+
+
 def require_even(r: int, d: int) -> None:
-    if (r * (d - 1)) % 2 != 0:
+    if not parity_ok(r, d):
         raise ParityError(f"r*(d-1) must be even (got r={r}, d={d})")
 
 

@@ -48,6 +48,7 @@ from .rr import (
     HypersurfaceP4,
     chi_surface,
     chi_threefold_hypersurface,
+    parity_ok,
     solve_ulrich_chern,
 )
 from .ulrich import chi_powers_p4_hypersurface, h0_powers_p3_hypersurface
@@ -61,36 +62,41 @@ _ORACLES = (
 )
 
 
-def _whitney_ok(rank: int, trials: int, rng: random.Random) -> bool:
-    ring = RankOneRing(3, Fraction(1))
-    for _ in range(trials):
-        E = bundle_from_roots(ring, [rand_rational(rng) for _ in range(rank)])
-        if direct_sum(sym2(E), wedge2(E)) != tensor_square(E):
-            return False
-    return True
-
-
-def _character_square_ok(rank: int, trials: int, rng: random.Random) -> bool:
-    ring = RankOneRing(3, Fraction(1))
-    for _ in range(trials):
-        E = bundle_from_roots(ring, [rand_rational(rng) for _ in range(rank)])
-        ch = chern_character(E)
-        if graded_product(ch, ch) != chern_character(tensor_square(E)):
-            return False
-    return True
-
-
-def _sym_k_c1_ok(rank: int, trials: int, rng: random.Random) -> bool:
+def _sampled_ok(check, rank: int, trials: int, rng: random.Random) -> bool:
+    """Whether ``check(bundle, roots)`` holds for ``trials`` bundles with
+    ``rank`` random roots each, drawn from ``rng``."""
     ring = RankOneRing(3, Fraction(1))
     for _ in range(trials):
         roots = [rand_rational(rng) for _ in range(rank)]
-        E = bundle_from_roots(ring, roots)
-        for k in range(1, 5):
-            derived = [sum(c, Fraction(0)) for c in combinations_with_replacement(roots, k)]
-            e1 = elementary_symmetric(derived, 1)[1]
-            if sym_k_c1(E, k).component(1) != e1:
-                return False
+        if not check(bundle_from_roots(ring, roots), roots):
+            return False
     return True
+
+
+def _whitney(E, roots) -> bool:
+    return direct_sum(sym2(E), wedge2(E)) == tensor_square(E)
+
+
+def _character_square(E, roots) -> bool:
+    ch = chern_character(E)
+    return graded_product(ch, ch) == chern_character(tensor_square(E))
+
+
+def _sym_k_c1(E, roots) -> bool:
+    for k in range(1, 5):
+        derived = [sum(c, Fraction(0)) for c in combinations_with_replacement(roots, k)]
+        e1 = elementary_symmetric(derived, 1)[1]
+        if sym_k_c1(E, k).component(1) != e1:
+            return False
+    return True
+
+
+#: Sampled algebraic checks: (row name, check, divisor of the trial count).
+_SAMPLED = (
+    ("whitney-tensor-square", _whitney, 1),
+    ("character-square", _character_square, 1),
+    ("sym-k-first-chern", _sym_k_c1, 4),
+)
 
 
 def _surface_counts_ok(d_range, r_range) -> bool:
@@ -98,7 +104,7 @@ def _surface_counts_ok(d_range, r_range) -> bool:
         V = HypersurfaceP3(d)
         S = V.surface()
         for r in r_range:
-            if (r * (d - 1)) % 2:
+            if not parity_ok(r, d):
                 continue
             E = solve_ulrich_chern(V, r)
             counts = h0_powers_p3_hypersurface(d, r)
@@ -116,7 +122,7 @@ def _threefold_counts_ok(d_range, r_range) -> bool:
     for d in d_range:
         V = HypersurfaceP4(d)
         for r in r_range:
-            if (r * (d - 1)) % 2:
+            if not parity_ok(r, d):
                 continue
             E = solve_ulrich_chern(V, r)
             data = chi_powers_p4_hypersurface(d, r)
@@ -163,15 +169,10 @@ def formula_suite(ranks=range(1, 7), trials: int = 20, seed: int = DEFAULT_SEED)
         for r in ranks:
             stream += 1
             add(name, f"r={r}", splitting_oracle(construction, r, closed_form, trials, seed + stream))
-    for r in ranks:
-        stream += 1
-        add("whitney-tensor-square", f"r={r}", _whitney_ok(r, trials, random.Random(seed + stream)))
-    for r in ranks:
-        stream += 1
-        add("character-square", f"r={r}", _character_square_ok(r, trials, random.Random(seed + stream)))
-    for r in ranks:
-        stream += 1
-        add("sym-k-first-chern", f"r={r}", _sym_k_c1_ok(r, max(1, trials // 4), random.Random(seed + stream)))
+    for name, check, thinning in _SAMPLED:
+        for r in ranks:
+            stream += 1
+            add(name, f"r={r}", _sampled_ok(check, r, max(1, trials // thinning), random.Random(seed + stream)))
 
     add("surface-count-paths", "d=2..6, r<=4", _surface_counts_ok(range(2, 7), range(1, 5)))
     add("threefold-count-paths", "d=2..6, r<=4", _threefold_counts_ok(range(2, 7), range(2, 5)))

@@ -72,6 +72,10 @@ REPORT_CASES = {
     "format_leaf_wins": ["--format", "json", "scan", "p3", "--dmax", "3", "--rmax", "2", "--format", "csv"],
     "format_root_only": ["--format", "csv", "check", "surface", *_SURFACE],
     "format_default_table": ["check", "curve", "--g", "3", "--d", "4", "--p", "2", "--p", "3"],
+    # an empty grid is the scanner's input error, not argparse's
+    "error_empty_scan_grid_p3": ["scan", "p3", "--dmax", "5", "--rmax", "0"],
+    "error_empty_scan_grid_p4": ["scan", "p4", "--dmax", "2", "--rmax", "3"],
+    "error_empty_scan_grid_curve": ["scan", "curve", "--gmax", "-1", "--dmax", "3"],
 }
 
 # grid scans with odd-parity cells, genus below 3 and both sides of d > g+1,

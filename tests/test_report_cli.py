@@ -44,10 +44,6 @@ def test_report_rejects_fraction_lookalike_strings():
 
 
 def test_report_sorting_and_shape_checks():
-    report = ScanReport.build(
-        "t", ("a",), ("b",), ("p",), [((2,), (1,)), ((1,), (2,))], sort=True
-    )
-    assert [row.params for row in report.rows] == [(1,), (2,)]
     with pytest.raises(ValueError):
         ScanReport("t", ("a",), ("b",), (), (Row((1,), (2,)),))
     with pytest.raises(ValueError):
@@ -168,7 +164,7 @@ def test_cli_scans_sorted_and_deterministic():
         assert first == second and first[0] == 0
         doc = json.loads(first[1])
         params = [tuple(row["params"].values()) for row in doc["rows"]]
-        assert params == sorted(params)
+        assert all(a < b for a, b in zip(params, params[1:]))
 
 
 def test_cli_csv_format():

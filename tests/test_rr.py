@@ -13,6 +13,8 @@ from projnorm.rr import (
     chi_curve,
     chi_surface,
     chi_threefold_hypersurface,
+    parity_ok,
+    require_even,
     solve_ulrich_chern,
     surface_model,
 )
@@ -126,6 +128,17 @@ def test_solver_parity_errors():
         solve_ulrich_chern(HypersurfaceP3(4), 3)
     with pytest.raises(ParityError):
         solve_ulrich_chern(HypersurfaceP4(6), 5)
+
+
+def test_require_even_raises_exactly_where_parity_fails():
+    for d in range(1, 8):
+        for r in range(1, 6):
+            assert parity_ok(r, d) == (r * (d - 1) % 2 == 0)
+            if parity_ok(r, d):
+                require_even(r, d)
+            else:
+                with pytest.raises(ParityError):
+                    require_even(r, d)
 
 
 def test_solver_rejects_general_surfaces():

@@ -76,6 +76,17 @@ REPORT_CASES = {
     "error_empty_scan_grid_p3": ["scan", "p3", "--dmax", "5", "--rmax", "0"],
     "error_empty_scan_grid_p4": ["scan", "p4", "--dmax", "2", "--rmax", "3"],
     "error_empty_scan_grid_curve": ["scan", "curve", "--gmax", "-1", "--dmax", "3"],
+    # the Ulrich solver on P^4 and P^3, and c1.K != 0 on surfaces
+    "check_threefold_hyp_d5_r3": ["check", "threefold-hyp", "--d", "5", "--r", "3"],
+    "check_threefold_hyp_d6_r2": ["check", "threefold-hyp", "--d", "6", "--r", "2"],
+    "check_surface_hyp_d5_r2": ["check", "surface-hyp", "--d", "5", "--r", "2"],
+    "check_surface_c1_with_k": [
+        "check", "surface", "--h2", "3", "--hk", "-3", "--k2", "3", "--chi", "1",
+        "--r", "2", "--c1", "2,-1", "--c2", "4",
+    ],
+    # the formula suite: class-ring products, closed forms and the oracle
+    "verify_formulas_default": ["verify-formulas"],
+    "verify_formulas_ranks_1_2_seed_5": ["verify-formulas", "--ranks", "1..2", "--trials", "3", "--seed", "5"],
 }
 
 # grid scans with odd-parity cells, genus below 3 and both sides of d > g+1,

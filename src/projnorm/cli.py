@@ -553,12 +553,30 @@ def main(argv=None) -> int:
     except (DataError, SolverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(report.render(fmt))
+    try:
+        sys.stdout.write(report.render(fmt))
+    except BrokenPipeError:
+        _stdout_to_devnull()
     return code
 
 
+def _stdout_to_devnull() -> None:
+    """Send the rest of stdout to devnull once its reader is gone (``| head``).
+
+    This is Python's recipe for SIGPIPE: later writes and the flush at exit
+    can no longer raise, so the run still ends with its own exit code.
+    """
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def entry() -> None:
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    finally:
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _stdout_to_devnull()
 
 
 if __name__ == "__main__":

@@ -10,9 +10,10 @@ downstream:
   above codimension ``n``, and ``H^n`` integrates to ``d``.
 
 * :class:`SurfaceLattice`: divisor classes are rational combinations of
-  named generators (``H`` and ``K`` by convention) paired through a
-  symmetric intersection matrix, while codimension-2 classes are stored
-  as already-integrated rationals.
+  named generators (``H`` and ``K`` by convention), stored as a
+  :class:`DivisorVector` and paired through a symmetric intersection
+  matrix, while codimension-2 classes are stored as already-integrated
+  rationals.
 
 The module also houses the randomized splitting-principle oracle used to
 validate every closed-form Chern-class construction: formal Chern roots
@@ -164,50 +165,54 @@ class SurfaceLattice:
                     total += ui * self.gram[i][j] * vj
         return total
 
+    def generator(self, i: int) -> "DivisorVector":
+        """Coefficient vector of the ``i``-th generator (H for ``i = 0``)."""
+        return DivisorVector(Fraction(int(j == i)) for j in range(len(self.basis)))
+
     def __repr__(self) -> str:
         return f"SurfaceLattice(basis={self.basis})"
 
 
+class DivisorVector(tuple):
+    """Divisor coefficients on a surface lattice, with vector arithmetic.
+
+    ``+``, unary ``-`` and scalar ``*`` act coefficientwise; a vector is
+    true when some coefficient is nonzero.  Equality and hashing are the
+    tuple's.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other: "DivisorVector") -> "DivisorVector":
+        return DivisorVector(x + y for x, y in zip(self, other))
+
+    def __neg__(self) -> "DivisorVector":
+        return DivisorVector(-x for x in self)
+
+    def __mul__(self, scalar) -> "DivisorVector":
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        return DivisorVector(x * scalar for x in self)
+
+    __rmul__ = __mul__
+
+    def __bool__(self) -> bool:
+        return any(self)
+
+
 Ring = Union[RankOneRing, SurfaceLattice]
-
-
-def _zero_component(ring: Ring, codim: int):
-    if isinstance(ring, SurfaceLattice) and codim == 1:
-        return (Fraction(0),) * len(ring.basis)
-    return Fraction(0)
 
 
 def _coerce_component(ring: Ring, codim: int, value):
     if isinstance(ring, SurfaceLattice) and codim == 1:
         if isinstance(value, (int, Fraction)):
             # scalar shorthand: a multiple of the first generator (H)
-            vec = [as_fraction(value)] + [Fraction(0)] * (len(ring.basis) - 1)
-            return tuple(vec)
-        vec = tuple(as_fraction(v) for v in value)
+            return ring.generator(0) * as_fraction(value)
+        vec = DivisorVector(as_fraction(v) for v in value)
         if len(vec) != len(ring.basis):
             raise ValueError("divisor coefficient vector does not match lattice basis")
         return vec
     return as_fraction(value)
-
-
-def _component_is_zero(value) -> bool:
-    if isinstance(value, tuple):
-        return all(v == 0 for v in value)
-    return value == 0
-
-
-def _scale_component(value, scalar: Fraction):
-    if isinstance(value, tuple):
-        return tuple(scalar * v for v in value)
-    return scalar * value
-
-
-def _add_components(a, b):
-    if a is None:
-        return b
-    if isinstance(a, tuple):
-        return tuple(x + y for x, y in zip(a, b))
-    return a + b
 
 
 @dataclass(frozen=True)
@@ -231,7 +236,7 @@ class GradedClass:
             if codim > ring.dim:
                 continue  # truncation
             value = _coerce_component(ring, codim, components[codim])
-            if not _component_is_zero(value):
+            if value:
                 parts.append((codim, value))
         return GradedClass(ring, tuple(parts))
 
@@ -243,7 +248,7 @@ class GradedClass:
         for k, value in self.parts:
             if k == codim:
                 return value
-        return _zero_component(self.ring, codim)
+        return _coerce_component(self.ring, codim, 0)
 
     def grades(self) -> tuple:
         return tuple(k for k, _ in self.parts)
@@ -267,13 +272,13 @@ class GradedClass:
         if not isinstance(other, GradedClass):
             return NotImplemented
         self._check_ring(other)
-        acc = {k: v for k, v in self.parts}
+        acc = dict(self.parts)
         for k, v in other.parts:
-            acc[k] = _add_components(acc.get(k), v)
+            acc[k] = acc[k] + v if k in acc else v
         return GradedClass.of(self.ring, acc)
 
     def __neg__(self) -> "GradedClass":
-        return GradedClass(self.ring, tuple((k, _scale_component(v, Fraction(-1))) for k, v in self.parts))
+        return GradedClass(self.ring, tuple((k, -v) for k, v in self.parts))
 
     def __sub__(self, other: "GradedClass") -> "GradedClass":
         return self + (-other)
@@ -281,19 +286,23 @@ class GradedClass:
     def __mul__(self, other):
         if isinstance(other, GradedClass):
             self._check_ring(other)
+            ring = self.ring
+            # two divisors on a surface lattice pair through the Gram matrix
+            pair = ring.pair if isinstance(ring, SurfaceLattice) else None
             acc: dict = {}
             for i, a in self.parts:
                 for j, b in other.parts:
                     k = i + j
-                    if k > self.ring.dim:
+                    if k > ring.dim:
                         continue
-                    acc[k] = _add_components(acc.get(k), _cup(self.ring, i, j, a, b))
-            return GradedClass.of(self.ring, acc)
+                    c = pair(a, b) if pair and i == j == 1 else a * b
+                    acc[k] = acc[k] + c if k in acc else c
+            return GradedClass.of(ring, acc)
         if isinstance(other, (int, Fraction)):
             q = as_fraction(other)
             if q == 0:
                 return GradedClass.zero(self.ring)
-            return GradedClass(self.ring, tuple((k, _scale_component(v, q)) for k, v in self.parts))
+            return GradedClass(self.ring, tuple((k, v * q) for k, v in self.parts))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -307,24 +316,7 @@ class GradedClass:
         return NotImplemented
 
     def __repr__(self) -> str:
-        if self.is_zero:
-            return "0"
-        chunks = []
-        for k, v in self.parts:
-            chunks.append(_format_component(self.ring, k, v))
-        return " + ".join(chunks)
-
-
-def _cup(ring: Ring, i: int, j: int, a, b):
-    if isinstance(ring, RankOneRing):
-        return a * b
-    if i == 0:
-        return _scale_component(b, a)
-    if j == 0:
-        return _scale_component(a, b)
-    if i == 1 and j == 1:
-        return ring.pair(a, b)
-    raise AssertionError("unreachable: surface products above codim 2 are truncated")
+        return " + ".join(_format_component(self.ring, k, v) for k, v in self.parts) or "0"
 
 
 def _format_component(ring: Ring, codim: int, value) -> str:
@@ -376,8 +368,7 @@ def ring_degree(ring: Ring, cls: GradedClass, codim: int) -> Fraction:
     if codim == 2:
         return value
     if codim == 1:
-        h = (Fraction(1),) + (Fraction(0),) * (len(ring.basis) - 1)
-        return ring.pair(value, h)
+        return ring.pair(value, ring.generator(0))
     return value * ring.gram[0][0]
 
 
@@ -396,11 +387,8 @@ def numerically_equal(a: GradedClass, b: GradedClass) -> bool:
     ring = a.ring
     for k, comp in (a - b).parts:
         if k == 1 and isinstance(ring, SurfaceLattice):
-            n = len(ring.basis)
-            for i in range(n):
-                e = tuple(Fraction(1 if j == i else 0) for j in range(n))
-                if ring.pair(comp, e) != 0:
-                    return False
+            if any(ring.pair(comp, ring.generator(i)) for i in range(len(ring.basis))):
+                return False
         else:
             return False
     return True

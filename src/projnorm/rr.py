@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .chern import ChernVector, chern_character, twist
 from .exactalg import (
@@ -83,8 +84,7 @@ class Surface:
 
     @property
     def hyperplane(self) -> GradedClass:
-        coeffs = (Fraction(1),) + (Fraction(0),) * (len(self.lattice.basis) - 1)
-        return divisor(self.lattice, coeffs)
+        return divisor(self.lattice, 1)
 
     @property
     def degree(self) -> Fraction:
@@ -234,14 +234,11 @@ def require_even(r: int, d: int) -> None:
 
 def ulrich_c1(V, rank: int) -> GradedClass:
     """First Chern class (r/2)(K + (n+1)H) on a rank-one class group."""
-    if isinstance(V, HypersurfaceP3):
-        require_even(rank, V.degree)
-        S = V.surface()
-        return divisor(S.lattice, Fraction(rank * (V.degree - 1), 2))
-    if isinstance(V, HypersurfaceP4):
-        require_even(rank, V.degree)
-        return divisor(V.ring, Fraction(rank * (V.degree - 1), 2))
-    raise TypeError("the first Chern class is pinned only on hypersurface models")
+    if not isinstance(V, (HypersurfaceP3, HypersurfaceP4)):
+        raise TypeError("the first Chern class is pinned only on hypersurface models")
+    require_even(rank, V.degree)
+    ring = V.surface().lattice if isinstance(V, HypersurfaceP3) else V.ring
+    return divisor(ring, Fraction(rank * (V.degree - 1), 2))
 
 
 def solve_ulrich_chern(V, rank: int) -> ChernVector:
@@ -249,9 +246,11 @@ def solve_ulrich_chern(V, rank: int) -> ChernVector:
 
     Fixes c1 = (r/2)(K + (n+1)H) and solves the exact linear system
     chi(E(-p)) = 0 for p = 1..n for the remaining Chern numbers: c2 on
-    surfaces, (c2, c3) on threefolds.  The system is overdetermined; any
-    inconsistency or a singular principal system raises SolverError
-    instead of guessing.
+    surfaces, (c2, c3) on threefolds.  chi(E(-p)) is affine in them, so
+    each row comes from evaluating it at zero and at each unit point.
+    The first n-1 rows are solved exactly and row n must agree; a
+    singular principal system or an inconsistent last row raises
+    SolverError instead of guessing.
 
     For general surface models the data must be supplied by the caller
     (only c1.H is pinned there), so this raises TypeError.
@@ -259,58 +258,42 @@ def solve_ulrich_chern(V, rank: int) -> ChernVector:
     if rank < 1:
         raise ValueError("rank must be at least 1")
     if isinstance(V, HypersurfaceP3):
-        return _solve_surface(V, rank)
-    if isinstance(V, HypersurfaceP4):
-        return _solve_threefold(V, rank)
-    raise TypeError("Ulrich Chern data can be solved only on hypersurface models")
-
-
-def _solve_surface(V: HypersurfaceP3, rank: int) -> ChernVector:
-    S = V.surface()
-    c1 = ulrich_c1(V, rank)
-    h = S.hyperplane
-
-    def chi_twist(c2_value: Fraction, p: int) -> Fraction:
-        E = ChernVector.of(S.lattice, rank, c1, c2_value)
-        return chi_surface(S, twist(E, -p * h))
-
-    solution = None
-    for p in (1, 2):
-        base = chi_twist(Fraction(0), p)
-        slope = chi_twist(Fraction(1), p) - base
-        if slope == 0:
-            raise SolverError("degenerate vanishing constraint (c2 does not appear)")
-        value = -base / slope
-        if solution is None:
-            solution = value
-        elif solution != value:
-            raise SolverError("inconsistent twist constraints for c2")
-    return ChernVector.of(S.lattice, rank, c1, solution)
-
-
-def _solve_threefold(V: HypersurfaceP4, rank: int) -> ChernVector:
-    ring = V.ring
+        S = V.surface()
+        ring, chi = S.lattice, partial(chi_surface, S)
+    elif isinstance(V, HypersurfaceP4):
+        ring, chi = V.ring, partial(chi_threefold_hypersurface, V.degree)
+    else:
+        raise TypeError("Ulrich Chern data can be solved only on hypersurface models")
     c1 = ulrich_c1(V, rank)
     h = divisor(ring, 1)
+    n = ring.dim
+    names = ", ".join(f"c{k}" for k in range(2, n + 1))
+    zero = [0] * (n - 1)
+    units = [[int(i == j) for j in range(n - 1)] for i in range(n - 1)]
 
-    def chi_twist(x: Fraction, y: Fraction, p: int) -> Fraction:
-        E = ChernVector.of(ring, rank, c1, x, y)
-        return chi_threefold_hypersurface(V.degree, twist(E, -p * h))
+    def chi_at(p, x):
+        return chi(twist(ChernVector.of(ring, rank, c1, *x), -p * h))
 
-    zero = Fraction(0)
-    one = Fraction(1)
-    rows = []
-    for p in (1, 2, 3):
-        const = chi_twist(zero, zero, p)
-        a = chi_twist(one, zero, p) - const
-        b = chi_twist(zero, one, p) - const
-        rows.append((a, b, const))
-    (a1, b1, c1_), (a2, b2, c2_), (a3, b3, c3_) = rows
-    det = a1 * b2 - a2 * b1
+    rows = []  # chi(E(-p)) = a.x + b is affine in the unknowns x; (a, b) for p = 1..n
+    for p in range(1, n + 1):
+        b = chi_at(p, zero)
+        rows.append(([chi_at(p, e) - b for e in units], b))
+    *principal, (last, b_last) = rows
+    det = _det([a for a, _ in principal])
     if det == 0:
-        raise SolverError("singular linear system for (c2, c3)")
-    x = (-c1_ * b2 + c2_ * b1) / det
-    y = (-a1 * c2_ + a2 * c1_) / det
-    if a3 * x + b3 * y + c3_ != 0:
-        raise SolverError("inconsistent twist constraints for (c2, c3)")
-    return ChernVector.of(ring, rank, c1, x, y)
+        raise SolverError(f"singular linear system for ({names})")
+    # Cramer's rule: column j of the matrix replaced by the negated constants
+    x = [_det([a[:j] + [-b] + a[j + 1:] for a, b in principal]) / det for j in range(n - 1)]
+    if sum(a * xj for a, xj in zip(last, x)) + b_last != 0:
+        raise SolverError(f"inconsistent twist constraints for ({names})")
+    return ChernVector.of(ring, rank, c1, *x)
+
+
+def _det(matrix: list) -> Fraction:
+    """Exact determinant by expansion along the first row."""
+    if not matrix:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * a * _det([row[:j] + row[j + 1:] for row in matrix[1:]])
+        for j, a in enumerate(matrix[0])
+    )

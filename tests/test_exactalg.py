@@ -249,3 +249,41 @@ def test_graded_class_helpers():
     assert repr(GradedClass.zero(ring)) == "0"
     lattice_cls = divisor(QUARTIC_K3, (1, -2)) + unit(QUARTIC_K3, 5)
     assert "K" in repr(lattice_cls) and "1" in repr(lattice_cls)
+
+
+def test_ring_shape_follows_the_ring_not_the_vector_length():
+    # a one-generator lattice stores H as the vector (1,); its products must
+    # still pair through the Gram matrix, not multiply as scalars
+    line = SurfaceLattice(("H",), ((4,),))
+    h = divisor(line, 1)
+    assert ring_degree(line, h * h, 2) == 4
+    assert ring_degree(line, h, 1) == 4
+    assert ring_degree(line, unit(line, 3), 0) == 12
+    assert (h * h).component(2) == 4
+
+
+def test_mixed_class_repr_in_both_ring_shapes():
+    ring = RankOneRing(3, Fraction(2))
+    mixed = unit(ring, 2) + divisor(ring, Fraction(-1, 3)) + h_power(ring, 3, 5)
+    assert repr(mixed) == "2*1 + -1/3*H + 5*H^3"
+    lattice_mixed = (
+        unit(QUARTIC_K3, 2)
+        + divisor(QUARTIC_K3, (1, Fraction(-1, 2)))
+        + GradedClass.of(QUARTIC_K3, {2: 3})
+    )
+    assert repr(lattice_mixed) == "2*1 + (1*H + -1/2*K) + 3@2"
+    assert repr(divisor(QUARTIC_K3, (0, 7))) == "(7*K)"
+
+
+def test_absent_component_is_a_zero_of_the_ring_shape():
+    lattice_unit = unit(QUARTIC_K3)
+    divisor_zero = lattice_unit.component(1)
+    assert isinstance(divisor_zero, tuple)
+    assert divisor_zero == (0, 0)
+    assert lattice_unit.component(2) == 0
+    assert not isinstance(lattice_unit.component(2), tuple)
+    assert divisor(QUARTIC_K3, (1, 2)).component(0) == 0
+    rank_one = unit(RankOneRing(2, Fraction(3)))
+    for codim in (1, 2):
+        zero = rank_one.component(codim)
+        assert isinstance(zero, Fraction) and zero == 0

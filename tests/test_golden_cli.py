@@ -7,7 +7,8 @@ the argv, the exit code, stdout and stderr of one in-process run with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
-and say why in CHANGES.md.
+and say why in CHANGES.md.  Outside Python 3.10-3.12 that writes only
+``REPORT_CASES`` and names the help and usage cases it skipped.
 """
 
 import io
@@ -136,5 +137,9 @@ def test_every_golden_file_has_a_case():
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    for name, argv in CASES.items():
+    # argparse text from another Python would break the tests on 3.10-3.12
+    cases = CASES if SAME_ARGPARSE_TEXT else REPORT_CASES
+    for name, argv in cases.items():
         (GOLDEN / f"{name}.txt").write_text(run_case(argv), encoding="utf-8")
+    for name in sorted(CASES.keys() - cases.keys()):
+        print(f"skipped {name}: argparse text differs on this Python")

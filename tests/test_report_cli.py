@@ -300,3 +300,44 @@ def test_cross_process_determinism_under_hash_randomization():
         ).stdout
 
     assert run("0") == run("4242")
+
+
+#: A verify-formulas run that reports a failed check, so the process exits 3.
+_FAILING_SUITE = (
+    "import projnorm.cli as cli\n"
+    "suite = cli.formula_suite\n"
+    "cli.formula_suite = lambda *args: (suite(*args)[0], False)\n"
+    "cli.entry()\n"
+)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        (["-m", "projnorm", "scan", "curve", "--gmax", "60", "--dmax", "200"], 0),
+        (["-m", "projnorm", "check", "surface-hyp", "--d", "4", "--r", "2"], 0),
+        (["-m", "projnorm", "--help"], 0),
+        (["-c", _FAILING_SUITE, "verify-formulas", "--ranks", "1..1", "--trials", "1"], 3),
+    ],
+)
+def test_closed_stdout_pipe_keeps_exit_code_and_quiet_stderr(command, code, unbuffered):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child starts
+    try:
+        done = subprocess.run(
+            [sys.executable, *command], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (code, b"")

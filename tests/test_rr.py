@@ -1,11 +1,13 @@
 """Riemann-Roch values and the Ulrich Chern solver against independent closed forms."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from projnorm import rr
 from projnorm.chern import ChernVector, twist
-from projnorm.exactalg import ParityError, binom, ring_degree
+from projnorm.exactalg import GradedClass, ParityError, SolverError, binom, ring_degree
 from projnorm.rr import (
     Curve,
     HypersurfaceP3,
@@ -203,3 +205,33 @@ def test_model_validation_errors():
 
     with pytest.raises(RingMismatchError):
         chi_curve(2, E)
+
+
+@pytest.mark.parametrize(
+    "model, n, chi_name",
+    [(HypersurfaceP3(5), 2, "chi_surface"), (HypersurfaceP4(5), 3, "chi_threefold_hypersurface")],
+)
+def test_solver_guards_raise(model, n, chi_name, monkeypatch):
+    rank = 2
+    true_chi = getattr(rr, chi_name)
+    pinned = Fraction(rank * (model.degree - 1), 2)
+
+    def twist_of(E):
+        # E = F(-p) with c1(F) = pinned * H, so the H-coefficient of c1(E) gives p
+        coeff = E.c1.component(1)
+        return (pinned - (coeff[0] if n == 2 else coeff)) / rank
+
+    def blind(V, E):
+        # the top Chern class never reaches chi, so the last unknown drops out
+        return true_chi(V, dataclasses.replace(E, **{f"c{n}": GradedClass.zero(E.ring)}))
+
+    def shifted(V, E):
+        return true_chi(V, E) + (1 if twist_of(E) == n else 0)
+
+    assert solve_ulrich_chern(model, rank).rank == rank
+    monkeypatch.setattr(rr, chi_name, blind)
+    with pytest.raises(SolverError, match="singular"):
+        solve_ulrich_chern(model, rank)
+    monkeypatch.setattr(rr, chi_name, shifted)
+    with pytest.raises(SolverError, match="inconsistent"):
+        solve_ulrich_chern(model, rank)

@@ -85,6 +85,17 @@ REPORT_CASES = {
         "check", "surface", "--h2", "3", "--hk", "-3", "--k2", "3", "--chi", "1",
         "--r", "2", "--c1", "2,-1", "--c2", "4",
     ],
+    # curve verdicts: the boundary-equality note, a fired Clifford bound and
+    # its JSON witness; a positive general window with the Clifford witness
+    # "<"; the 2d <= g+p+1 syzygy witness, no Clifford witness, genus below 3
+    "check_curve_g3_d4_boundary_json": [
+        "check", "curve", "--g", "3", "--d", "4", "--general", "--very-ample", "--cliff", "1", "--format", "json",
+    ],
+    "check_curve_g15_d14_cliff2": ["check", "curve", "--g", "15", "--d", "14", "--r", "2", "--p", "2", "--p", "8", "--cliff", "2"],
+    "check_curve_g2_d1_csv": ["check", "curve", "--g", "2", "--d", "1", "--p", "5", "--general", "--format", "csv"],
+    # presets: an unknown name and a threefold preset
+    "error_unknown_preset": ["check", "preset", "no-such-variety"],
+    "check_preset_sextic_threefold_r2": ["check", "preset", "sextic-threefold", "--r", "2"],
     # the formula suite: class-ring products, closed forms and the oracle
     "verify_formulas_default": ["verify-formulas"],
     "verify_formulas_ranks_1_2_seed_5": ["verify-formulas", "--ranks", "1..2", "--trials", "3", "--seed", "5"],

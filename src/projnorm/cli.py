@@ -16,7 +16,6 @@ import os
 import sys
 from dataclasses import fields
 from fractions import Fraction
-from importlib import resources
 from typing import Callable, NamedTuple
 
 from .chern import ChernVector
@@ -256,30 +255,25 @@ def check_surface(args) -> ScanReport:
     )
 
 
-def _load_presets() -> dict:
-    text = resources.files("projnorm").joinpath("presets.cfg").read_text(encoding="utf-8")
-    presets = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, _, spec = line.partition("=")
-        tokens = spec.split()
-        kind, kv = tokens[0], dict(token.split("=", 1) for token in tokens[1:])
-        presets[name.strip()] = (kind, kv)
-    return presets
+#: Named worked examples for ``check preset NAME``: the check and its degree.
+PRESETS = {
+    "quadric-surface": (check_surface_hyp, 2),
+    "cubic-surface": (check_surface_hyp, 3),
+    "quartic-k3": (check_surface_hyp, 4),
+    "quintic-surface": (check_surface_hyp, 5),
+    "sextic-surface": (check_surface_hyp, 6),
+    "cubic-threefold": (check_threefold_hyp, 3),
+    "quartic-threefold": (check_threefold_hyp, 4),
+    "quintic-threefold": (check_threefold_hyp, 5),
+    "sextic-threefold": (check_threefold_hyp, 6),
+}
 
 
 def check_preset(name: str, r: int) -> ScanReport:
-    presets = _load_presets()
-    if name not in presets:
-        raise ValueError(f"unknown preset {name!r}; available: {', '.join(sorted(presets))}")
-    kind, kv = presets[name]
-    if kind == "surface-hyp":
-        return check_surface_hyp(int(kv["d"]), r)
-    if kind == "threefold-hyp":
-        return check_threefold_hyp(int(kv["d"]), r)
-    raise ValueError(f"preset {name!r} has unsupported kind {kind!r}")
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
+    check, d = PRESETS[name]
+    return check(d, r)
 
 
 # ---------------------------------------------------------------------------

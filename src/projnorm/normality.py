@@ -109,6 +109,27 @@ class CurveCase:
             raise ValueError("syzygy levels start at p = 2")
 
 
+def _verdict(rule, holds, relations, lhs, rhs, *, status=POSITIVE, k=None, theorem=None, notes=(), unmet=(), data=()):
+    """The one constructor of a verdict from an exact inequality.
+
+    The verdict takes ``status`` only when the inequality ``holds`` and no
+    hypothesis is ``unmet``, and is inconclusive otherwise.  The witness
+    reads ``lhs relations[0] rhs`` when the inequality holds and
+    ``lhs relations[1] rhs`` when it does not; ``lhs=None`` means no
+    witness.  Each unmet hypothesis is a note, after ``notes``.
+    """
+    witness = None
+    if lhs is not None:
+        witness = Witness(
+            lhs if type(lhs) is Fraction else Fraction(lhs),
+            relations[0] if holds else relations[1],
+            rhs if type(rhs) is Fraction else Fraction(rhs),
+        )
+    return NormalityVerdict(
+        rule, status if holds and not unmet else INCONCLUSIVE, k, theorem, witness, notes + unmet, data
+    )
+
+
 # ---------------------------------------------------------------------------
 # counting obstructions
 
@@ -124,17 +145,13 @@ def dimension_test(h0: int, k: int, h0_symk_lower, strong: bool = False) -> Norm
     if k < 2:
         raise ValueError("k-normality counting starts at k = 2")
     lower = as_fraction(h0_symk_lower)
-    available = Fraction(h0**k if strong else binom(h0 + k - 1, k))
-    rule = f"strong-{k}-normality-count" if strong else f"{k}-normality-count"
-    if available < lower:
-        return NormalityVerdict(
-            rule,
-            NOT_STRONGLY_K_NORMAL if strong else NOT_K_NORMAL,
-            k=k,
-            witness=Witness(available, "<", lower),
-        )
-    relation = "=" if available == lower else ">"
-    return NormalityVerdict(rule, INCONCLUSIVE, k=k, witness=Witness(available, relation, lower))
+    if strong:
+        rule, status, available = f"strong-{k}-normality-count", NOT_STRONGLY_K_NORMAL, Fraction(h0**k)
+    else:
+        rule, status, available = f"{k}-normality-count", NOT_K_NORMAL, Fraction(binom(h0 + k - 1, k))
+    # a count that passes says which way: exactly met or exceeded
+    passed = "=" if available == lower else ">"
+    return _verdict(rule, available < lower, ("<", passed), available, lower, status=status, k=k)
 
 
 def classify_p3_hypersurface(d: int, r: int) -> Tuple[NormalityVerdict, ...]:
@@ -192,6 +209,13 @@ def classify_p4_hypersurface(d: int, r: int) -> Tuple[NormalityVerdict, ...]:
 # positive thresholds on curves
 
 
+#: (rule, excess e, theorem, notes when it fires) for the rules d > g+e.
+_DEGREE_RULES = (
+    ("pn-degree", 1, "d > g+1", ("projectively normal, with cubic-generated ideal",)),
+    ("n1-koszul-degree", 2, "d > g+2", ("syzygy level 1 and Koszul tautological ring",)),
+)
+
+
 def curve_thresholds(case: CurveCase) -> Tuple[NormalityVerdict, ...]:
     """Evaluate every degree threshold for the curve case, exactly.
 
@@ -203,84 +227,63 @@ def curve_thresholds(case: CurveCase) -> Tuple[NormalityVerdict, ...]:
     """
     g, d = case.genus, case.degree
     out = []
-
-    fired = d > g + 1
-    out.append(
-        NormalityVerdict(
-            "pn-degree",
-            POSITIVE if fired else INCONCLUSIVE,
-            theorem="d > g+1",
-            witness=Witness(Fraction(d), ">" if fired else "<=", Fraction(g + 1)),
-            notes=("projectively normal, with cubic-generated ideal",) if fired else (),
-        )
-    )
-
-    fired = d > g + 2
-    out.append(
-        NormalityVerdict(
-            "n1-koszul-degree",
-            POSITIVE if fired else INCONCLUSIVE,
-            theorem="d > g+2",
-            witness=Witness(Fraction(d), ">" if fired else "<=", Fraction(g + 2)),
-            notes=("syzygy level 1 and Koszul tautological ring",) if fired else (),
-        )
-    )
+    for rule, excess, theorem, fired_notes in _DEGREE_RULES:
+        holds = d > g + excess
+        out.append(_verdict(rule, holds, (">", "<="), d, g + excess, theorem=theorem, notes=fired_notes if holds else ()))
 
     for p in case.syzygy_levels:
         guard = 2 * d - (g + p + 1)
         disc = g * g + 2 * g * (3 * p + 1) + (p - 1) ** 2
-        fired = guard > 0 and guard * guard > disc
-        witness = (
-            Witness(Fraction(guard * guard), ">" if fired else "<=", Fraction(disc))
-            if guard > 0
-            else Witness(Fraction(2 * d), "<=", Fraction(g + p + 1))
-        )
+        # below the guard the witness is the guard itself, 2d <= g+p+1
+        lhs, rhs = (guard * guard, disc) if guard > 0 else (2 * d, g + p + 1)
         out.append(
-            NormalityVerdict(
+            _verdict(
                 f"np-degree-p{p}",
-                POSITIVE if fired else INCONCLUSIVE,
+                guard > 0 and guard * guard > disc,
+                (">", "<="),
+                lhs,
+                rhs,
                 theorem=f"2d-(g+p+1) > 0 and (2d-(g+p+1))^2 > g^2+2g(3p+1)+(p-1)^2 at p={p}",
-                witness=witness,
                 notes=(NP_CONJECTURE_NOTE,),
             )
         )
 
-    cliff = case.clifford
-    fired = cliff is not None and d >= g + 2 - cliff
-    notes = (
-        GENERIC_NOTE,
-        "needs a base-point-free series mapping the curve etale onto its image",
-    )
-    if cliff is None:
-        notes = notes + ("Clifford index not supplied",)
+    if case.clifford is None:
+        lhs = rhs = None
+        unmet = ("Clifford index not supplied",)
+    else:
+        lhs, rhs, unmet = d, g + 2 - case.clifford, ()
     out.append(
-        NormalityVerdict(
+        _verdict(
             "clifford-degree",
-            POSITIVE if fired else INCONCLUSIVE,
+            lhs is not None and lhs >= rhs,
+            (">=", "<"),
+            lhs,
+            rhs,
             theorem="d >= g+2-Cliff(C)",
-            witness=Witness(Fraction(d), ">=" if fired else "<", Fraction(g + 2 - cliff)) if cliff is not None else None,
-            notes=notes,
+            notes=(GENERIC_NOTE, "needs a base-point-free series mapping the curve etale onto its image"),
+            unmet=unmet,
         )
     )
 
-    general = case.curve_general and case.bundle_general
     guard = 2 * d - 3
     sharp = guard >= 0 and guard * guard >= 8 * g + 1
-    fired = general and g >= 3 and sharp
-    notes = (GENERIC_NOTE, "bound sharp for rank 1")
-    if not general:
-        notes = notes + ("generality flags not set",)
+    unmet = () if case.curve_general and case.bundle_general else ("generality flags not set",)
     if g < 3:
-        notes = notes + ("needs genus >= 3",)
-    if fired and guard * guard == 8 * g + 1:
+        unmet = unmet + ("needs genus >= 3",)
+    notes = (GENERIC_NOTE, "bound sharp for rank 1")
+    if sharp and not unmet and guard * guard == 8 * g + 1:
         notes = notes + ("boundary equality",)
     out.append(
-        NormalityVerdict(
+        _verdict(
             "general-sharp-degree",
-            POSITIVE if fired else INCONCLUSIVE,
+            sharp,
+            (">=", "<"),
+            guard * guard,
+            8 * g + 1,
             theorem="(2d-3)^2 >= 8g+1 on a general curve with a general very ample polarization",
-            witness=Witness(Fraction(guard * guard), ">=" if sharp else "<", Fraction(8 * g + 1)),
             notes=notes,
+            unmet=unmet,
         )
     )
 
@@ -298,16 +301,11 @@ def mrc_check(g: int, d: int) -> NormalityVerdict:
         raise ValueError("the maximal-rank count is applied for genus >= 3")
     available = binom(d + 1, 2)
     needed = 2 * d + g - 1
-    fired = available >= needed
     notes = (GENERIC_NOTE, "bound sharp for rank 1")
     if available == needed:
         notes = notes + ("sharpness boundary: counts agree exactly",)
-    return NormalityVerdict(
-        "mrc-count",
-        POSITIVE if fired else INCONCLUSIVE,
-        theorem="binom(d+1,2) >= 2d+g-1",
-        witness=Witness(Fraction(available), ">=" if fired else "<", Fraction(needed)),
-        notes=notes,
+    return _verdict(
+        "mrc-count", available >= needed, (">=", "<"), available, needed, theorem="binom(d+1,2) >= 2d+g-1", notes=notes
     )
 
 
@@ -367,29 +365,27 @@ def kko_curve_window(g: int, d: int) -> Tuple[NormalityVerdict, ...]:
     d in {g, g+1} makes every Ulrich line bundle projectively normal;
     d = g-h+1 with g >= g_h covers the general one via the audit table.
     """
-    out = []
-    fired = g >= 3 and d > 1 and d in (g, g + 1)
-    out.append(
-        NormalityVerdict(
-            "low-degree-window",
-            POSITIVE if fired else INCONCLUSIVE,
-            theorem=KKO_DEGREE_WINDOW,
-            witness=Witness(Fraction(d), "in" if fired else "not-in", Fraction(g)),
-            notes=("all Ulrich line bundles; general bundles in higher rank",),
-        )
+    window = _verdict(
+        "low-degree-window",
+        g >= 3 and d > 1 and d in (g, g + 1),
+        ("in", "not-in"),
+        d,
+        g,
+        theorem=KKO_DEGREE_WINDOW,
+        notes=("all Ulrich line bundles; general bundles in higher rank",),
     )
-    matched = [h for h in sorted(KKO_GENUS_FLOOR) if d == g - h + 1 and g >= KKO_GENUS_FLOOR[h]]
-    fired = bool(matched) and d > 1
-    out.append(
-        NormalityVerdict(
-            "low-degree-general",
-            POSITIVE if fired else INCONCLUSIVE,
-            theorem="d = g-h+1 and g >= g_h for some h in {2,3,4,5}",
-            witness=Witness(Fraction(d), "=" if fired else "!=", Fraction(g - matched[0] + 1)) if matched else None,
-            notes=(GENERIC_NOTE,),
-        )
+    h = g - d + 1  # the one h with d = g-h+1
+    matched = h in KKO_GENUS_FLOOR and g >= KKO_GENUS_FLOOR[h]
+    general = _verdict(
+        "low-degree-general",
+        matched and d > 1,
+        ("=", "!="),
+        d if matched else None,
+        g - h + 1,
+        theorem="d = g-h+1 and g >= g_h for some h in {2,3,4,5}",
+        notes=(GENERIC_NOTE,),
     )
-    return tuple(out)
+    return (window, general)
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +448,14 @@ def surface_acm_criterion(h: int, r: int, c1sq, c1k, c2) -> AcmResult:
     h1_lower_rr = h0_lower - z_length + genus - 1
     if h1_lower != h1_lower_rr:
         raise DataError("speciality bound differs between the margin and Riemann-Roch paths")
-    fired = lhs > rhs
-    verdict = NormalityVerdict(
+    verdict = _verdict(
         "acm-degeneracy",
-        NOT_K_NORMAL if fired else INCONCLUSIVE,
+        lhs > rhs,
+        (">", "<="),
+        lhs,
+        rhs,
+        status=NOT_K_NORMAL,
         k=2,
-        witness=Witness(lhs, ">" if fired else "<=", rhs),
         notes=("caller asserts q = p_g = 0, 0-regular, ample, h = h^0",),
         data=(("h", h), ("r", r), ("h1_lower", h1_lower)),
     )
@@ -495,12 +493,13 @@ def sectional_curve_criterion(V, E: ChernVector) -> NormalityVerdict:
     segre_form = (3 - n) * deg - 3 - adjoint
     if margin != segre_form:
         raise DataError("the degree and Segre forms of the criterion disagree")
-    fired = margin >= 0
-    return NormalityVerdict(
+    return _verdict(
         "sectional-curve-acm",
-        POSITIVE if fired else INCONCLUSIVE,
+        margin >= 0,
+        (">=", "<"),
+        deg,
+        2 * genus + 1,
         theorem="deg P(E) >= 2g+1 for the sectional curve",
-        witness=Witness(deg, ">=" if fired else "<", 2 * genus + 1),
         notes=("needs q = 0 and E very ample (caller-asserted)",),
         data=(("degree", deg), ("sectional_genus", genus), ("margin", margin)),
     )

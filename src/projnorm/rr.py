@@ -20,7 +20,7 @@ cross-checked downstream against independent closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -110,10 +110,15 @@ class HypersurfaceP3:
     """Smooth degree-d surface in P^3 with rank-one class group."""
 
     degree: int
+    _surface: Surface = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.degree < 1:
             raise ValueError("degree must be positive")
+        # K = (d-4)H, so H.K = d(d-4) and K^2 = d(d-4)^2 on the H-lattice.
+        d = self.degree
+        surface = surface_model(d, d * (d - 4), d * (d - 4) ** 2, self.chi_o, geometric_genus=int(self.chi_o) - 1)
+        object.__setattr__(self, "_surface", surface)
 
     @property
     def chi_o(self) -> Fraction:
@@ -121,16 +126,8 @@ class HypersurfaceP3:
         return Fraction(d * (d * d - 6 * d + 11), 6)
 
     def surface(self) -> Surface:
-        # K = (d-4)H, so H.K = d(d-4) and K^2 = d(d-4)^2 on the H-lattice.
-        d = self.degree
-        return surface_model(
-            d,
-            d * (d - 4),
-            d * (d - 4) ** 2,
-            self.chi_o,
-            irregularity=0,
-            geometric_genus=int(self.chi_o) - 1,
-        )
+        """The numerical surface model, built once with the hypersurface."""
+        return self._surface
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ the argv, the exit code, stdout and stderr of one in-process run with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
-and say why in CHANGES.md.  Outside Python 3.10-3.12 that writes only
-``REPORT_CASES`` and names the help and usage cases it skipped.
+(pytest is not needed) and say why in CHANGES.md.  Outside Python
+3.10-3.12 that writes only ``REPORT_CASES`` and names the help and usage
+cases it skipped.
 """
 
 import io
@@ -16,8 +17,6 @@ import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-
-import pytest
 
 from projnorm.cli import main
 
@@ -132,9 +131,16 @@ def run_case(argv) -> str:
     )
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+def pytest_generate_tests(metafunc):
+    # parametrized through the hook, so writing the files needs no pytest
+    if metafunc.function is test_cli_matches_golden:
+        metafunc.parametrize("name", sorted(CASES))
+
+
 def test_cli_matches_golden(name, monkeypatch):
     if name in ARGPARSE_CASES and not SAME_ARGPARSE_TEXT:
+        import pytest
+
         pytest.skip("argparse wraps help text differently on this Python")
     monkeypatch.setenv("COLUMNS", "80")
     expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")

@@ -277,14 +277,6 @@ def test_cli_divisor_spec_error():
     assert code == 2 and "divisor spec" in err
 
 
-def test_cli_preset_unsupported_kind(tmp_path, monkeypatch):
-    import projnorm.cli as cli_mod
-
-    monkeypatch.setattr(cli_mod, "_load_presets", lambda: {"odd": ("curve-hyp", {"d": "3"})})
-    code, _, err = run_cli("check", "preset", "odd")
-    assert code == 2 and "unsupported kind" in err
-
-
 def test_cross_process_determinism_under_hash_randomization():
     import os
     import subprocess

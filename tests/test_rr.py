@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from projnorm import rr
+from projnorm import cli, rr
 from projnorm.chern import ChernVector, twist
 from projnorm.exactalg import GradedClass, ParityError, SolverError, binom, ring_degree
 from projnorm.rr import (
@@ -235,3 +235,19 @@ def test_solver_guards_raise(model, n, chi_name, monkeypatch):
     monkeypatch.setattr(rr, chi_name, shifted)
     with pytest.raises(SolverError, match="inconsistent"):
         solve_ulrich_chern(model, rank)
+
+
+def test_p3_surface_model_is_built_once_per_hypersurface(monkeypatch):
+    built = []
+    build = rr.surface_model
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(rr, "surface_model", counted)
+    solve_ulrich_chern(HypersurfaceP3(5), 2)
+    assert len(built) == 1
+    built.clear()
+    cli.check_surface_hyp(7, 2)
+    assert len(built) == 1

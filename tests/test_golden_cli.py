@@ -98,6 +98,7 @@ REPORT_CASES = {
     # the formula suite: class-ring products, closed forms and the oracle
     "verify_formulas_default": ["verify-formulas"],
     "verify_formulas_ranks_1_2_seed_5": ["verify-formulas", "--ranks", "1..2", "--trials", "3", "--seed", "5"],
+    "verify_formulas_ranks_10_12_json": ["verify-formulas", "--ranks", "10..12", "--trials", "4", "--seed", "3", "--format", "json"],
 }
 
 # grid scans with odd-parity cells, genus below 3 and both sides of d > g+1,

@@ -22,9 +22,9 @@ from .exactalg import (
     RankOneRing,
     Ring,
     RingMismatchError,
-    as_fraction,
     binom,
     elementary_symmetric,
+    over_common_denominator,
     unit,
 )
 
@@ -80,13 +80,16 @@ def bundle_from_roots(ring: RankOneRing, roots: Sequence[Fraction]) -> ChernVect
     """Chern data of a formal direct sum of line bundles with the given roots.
 
     c_i is the i-th elementary symmetric function of the roots, placed on
-    H^i; only rank-one rings carry root data.
+    H^i; only rank-one rings carry root data.  The roots are scaled by the
+    lcm D of their denominators, e_i is summed over the integer
+    numerators, and c_i is the one division e_i / D^i.
     """
     if not isinstance(ring, RankOneRing):
         raise TypeError("Chern roots live in a rank-one ring")
     up_to = min(3, ring.dim)
-    e = elementary_symmetric([as_fraction(x) for x in roots], up_to)
-    classes = {k: GradedClass.of(ring, {k: e[k]}) for k in range(1, up_to + 1)}
+    nums, D = over_common_denominator(roots)
+    e = elementary_symmetric(nums, up_to)
+    classes = {k: GradedClass.of(ring, {k: Fraction(e[k], D**k)}) for k in range(1, up_to + 1)}
     zero = GradedClass.zero(ring)
     return ChernVector(len(roots), classes.get(1, zero), classes.get(2, zero), classes.get(3, zero))
 

@@ -23,6 +23,13 @@ compared with the closed form.  A polynomial identity that fails anywhere
 fails a random exact evaluation with overwhelming probability, so
 disagreement is proof of an error and repeated agreement is very strong
 evidence, with no tolerance questions.
+
+Root arithmetic runs on integers: :func:`over_common_denominator` writes
+the rational roots as integer numerators over the lcm ``D`` of their
+denominators, derived multisets are summed as those numerators, and
+:func:`elementary_symmetric` keeps integer input integral.  Since ``e_k``
+is homogeneous of degree ``k``, each Chern class is then one exact
+division ``Fraction(e_k, D**k)``.
 """
 
 from __future__ import annotations
@@ -265,7 +272,7 @@ class GradedClass:
     # -- arithmetic ---------------------------------------------------
 
     def _check_ring(self, other: "GradedClass") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError("classes live in different rings")
 
     def __add__(self, other: "GradedClass") -> "GradedClass":
@@ -398,13 +405,27 @@ def numerically_equal(a: GradedClass, b: GradedClass) -> bool:
 # symmetric functions and the splitting-principle oracle
 
 
-def elementary_symmetric(values: Sequence[Fraction], up_to: int) -> list:
-    """e_0..e_{up_to} of the multiset ``values`` (exact)."""
-    e = [Fraction(1)] + [Fraction(0)] * up_to
+def elementary_symmetric(values: Sequence[Scalar], up_to: int) -> list:
+    """e_0..e_{up_to} of the multiset ``values`` (exact).
+
+    The recurrence only adds and multiplies, so integer values give
+    integer ``e_k`` and ``Fraction`` values give ``Fraction`` ones.  Root
+    data is passed as integer numerators (:func:`over_common_denominator`),
+    which keeps every step here in Python ints.
+    """
+    e = [1] + [0] * up_to
     for x in values:
         for k in range(min(up_to, len(values)), 0, -1):
             e[k] += e[k - 1] * x
     return e
+
+
+def over_common_denominator(values: Sequence[Scalar]) -> tuple:
+    """``(numerators, D)`` with ``D`` the lcm of the denominators of
+    ``values`` (1 for none) and ``values[i] == numerators[i] / D``."""
+    values = [as_fraction(x) for x in values]
+    D = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (D // x.denominator) for x in values], D
 
 
 def rand_rational(rng: random.Random) -> Fraction:
@@ -414,19 +435,19 @@ def rand_rational(rng: random.Random) -> Fraction:
     )
 
 
-def _pairs_all(xs: Sequence[Fraction]) -> list:
+def _pairs_all(xs: Sequence[int]) -> list:
     return [xi + xj for xi in xs for xj in xs]
 
 
-def _pairs_leq(xs: Sequence[Fraction]) -> list:
+def _pairs_leq(xs: Sequence[int]) -> list:
     return [xs[i] + xs[j] for i in range(len(xs)) for j in range(i, len(xs))]
 
 
-def _pairs_lt(xs: Sequence[Fraction]) -> list:
+def _pairs_lt(xs: Sequence[int]) -> list:
     return [xs[i] + xs[j] for i in range(len(xs)) for j in range(i + 1, len(xs))]
 
 
-def _triples_leq(xs: Sequence[Fraction]) -> list:
+def _triples_leq(xs: Sequence[int]) -> list:
     n = len(xs)
     return [
         xs[i] + xs[j] + xs[k]
@@ -457,8 +478,9 @@ def splitting_oracle(
 
     For each trial, ``rank`` random rational Chern roots are drawn (plus a
     line-bundle root for ``tensor_line``), the derived root multiset of the
-    construction is formed, and the Chern classes it induces are compared
-    exactly with ``closed_form`` applied to the input bundle.  Returns True
+    construction is formed from their integer numerators over a common
+    denominator, and the Chern classes it induces are compared exactly
+    with ``closed_form`` applied to the input bundle.  Returns True
     iff every trial agrees in rank and in every modeled Chern class.
 
     ``closed_form`` maps a ChernVector to a ChernVector, except for
@@ -482,12 +504,14 @@ def splitting_oracle(
         bundle = bundle_from_roots(ring, roots)
         if construction == "tensor_line":
             t = rand_rational(rng)
-            derived = [x + t for x in roots]
+            (*nums, t_num), D = over_common_denominator(roots + [t])
+            derived = [x + t_num for x in nums]
             actual = closed_form(bundle, divisor(ring, t))
         else:
-            derived = _DERIVED_ROOTS[construction](roots)
+            nums, D = over_common_denominator(roots)
+            derived = _DERIVED_ROOTS[construction](nums)
             actual = closed_form(bundle)
-        expected = bundle_from_roots(ring, derived)
+        expected = bundle_from_roots(ring, [Fraction(x, D) for x in derived])
         if not isinstance(actual, ChernVector) or actual != expected:
             return False
     return True

@@ -132,17 +132,19 @@ class HypersurfaceP3:
 
 @dataclass(frozen=True)
 class HypersurfaceP4:
-    """Smooth degree-d threefold in P^4; class group generated by H."""
+    """Smooth degree-d threefold in P^4; class group generated by H.
+
+    ``ring`` is built once with the hypersurface, so every class made on
+    it shares one ring object.
+    """
 
     degree: int
+    ring: RankOneRing = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.degree < 1:
             raise ValueError("degree must be positive")
-
-    @property
-    def ring(self) -> RankOneRing:
-        return RankOneRing(3, Fraction(self.degree))
+        object.__setattr__(self, "ring", RankOneRing(3, Fraction(self.degree)))
 
     @property
     def canonical(self) -> GradedClass:

@@ -38,6 +38,7 @@ from .exactalg import (
     RankOneRing,
     binom,
     elementary_symmetric,
+    over_common_denominator,
     rand_rational,
     ring_degree,
     splitting_oracle,
@@ -83,10 +84,11 @@ def _character_square(E, roots) -> bool:
 
 
 def _sym_k_c1(E, roots) -> bool:
+    nums, D = over_common_denominator(roots)
     for k in range(1, 5):
-        derived = [sum(c, Fraction(0)) for c in combinations_with_replacement(roots, k)]
+        derived = [sum(c) for c in combinations_with_replacement(nums, k)]
         e1 = elementary_symmetric(derived, 1)[1]
-        if sym_k_c1(E, k).component(1) != e1:
+        if sym_k_c1(E, k).component(1) != Fraction(e1, D):
             return False
     return True
 
@@ -153,8 +155,12 @@ def formula_suite(ranks=range(1, 7), trials: int = 20, seed: int = DEFAULT_SEED)
     """Run the whole verification suite; returns (report, all_ok).
 
     Per-check sub-seeds are derived deterministically from ``seed``, so
-    identical arguments give byte-identical reports.
+    identical arguments give byte-identical reports.  An empty ``ranks``
+    raises ValueError before any check runs.
     """
+    ranks = tuple(ranks)
+    if not ranks:
+        raise ValueError("empty rank range")
     rows = []
     ok_all = True
 
@@ -163,7 +169,6 @@ def formula_suite(ranks=range(1, 7), trials: int = 20, seed: int = DEFAULT_SEED)
         ok_all = ok_all and ok
         rows.append(((name, case), (ok,)))
 
-    ranks = tuple(ranks)
     stream = 0
     for name, construction, closed_form in _ORACLES:
         for r in ranks:

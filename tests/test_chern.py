@@ -1,9 +1,13 @@
 """Closed-form Chern operations: examples, involutions, and reconstruction identities."""
 
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from projnorm.chern import (
     ChernVector,
@@ -27,6 +31,7 @@ from projnorm.exactalg import (
     SurfaceLattice,
     binom,
     divisor,
+    elementary_symmetric,
     h_power,
     rand_rational,
     ring_degree,
@@ -249,3 +254,30 @@ def test_error_branches():
         syzygy_bundle(E, 2)
     with pytest.raises(RingMismatchError):
         ChernVector(2, E.c1, F.c2, F.c3)
+
+
+#: Roots beyond the oracle's draws: denominators 7, 9 and 11, numerators
+#: far past its bound of 100 in both signs, and plain ints.
+wide_roots = st.one_of(
+    st.integers(-(10**15), 10**15),
+    st.builds(Fraction, st.integers(-(10**15), 10**15), st.sampled_from((1, 2, 3, 5, 7, 9, 11))),
+)
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 3), st.integers(1, 9), st.lists(wide_roots, max_size=8))
+@example(3, 1, [])
+@example(3, 1, [Fraction(-10**15, 7), Fraction(10**15, 9), Fraction(1, 11)])
+def test_bundle_from_roots_matches_fraction_expansion(dim, h_degree, roots):
+    # reference: c_k as the sum over k-subsets of products of Fraction roots
+    ring = RankOneRing(dim, Fraction(h_degree))
+    fractions = [Fraction(x) for x in roots]
+    c = [sum((math.prod(s) for s in combinations(fractions, k)), Fraction(0)) for k in (1, 2, 3)]
+    assert bundle_from_roots(ring, roots) == ChernVector.of(ring, len(roots), *c)
+
+
+@given(st.lists(st.integers(-(10**15), 10**15), max_size=8), st.integers(0, 9))
+def test_elementary_symmetric_keeps_integers_integral(values, up_to):
+    e = elementary_symmetric(values, up_to)
+    assert all(type(x) is int for x in e)
+    assert e == elementary_symmetric([Fraction(x) for x in values], up_to)

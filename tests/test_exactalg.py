@@ -1,5 +1,6 @@
 """Ring arithmetic, degree maps, rational round-trips, and the splitting oracle."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -172,6 +173,25 @@ def test_splitting_oracle_detects_wrong_formula():
         return type(good)(good.rank, good.c1, good.c2 + good.c1 * good.c1, good.c3)
 
     assert not splitting_oracle("tensor_square", 3, broken, trials=5, seed=3)
+
+
+#: (construction, closed form, perturbed class); sym3 is checked in a
+#: 2-dimensional ring, where c3 truncates away.
+PERTURBED_CASES = [
+    (construction, closed_form, k)
+    for construction, closed_form in ORACLE_CASES
+    for k in ((1, 2) if construction == "sym3" else (1, 2, 3))
+]
+
+
+@pytest.mark.parametrize("construction,closed_form,k", PERTURBED_CASES)
+def test_splitting_oracle_detects_each_perturbed_class(construction, closed_form, k):
+    def perturbed(*args):
+        good = closed_form(*args)
+        name = f"c{k}"
+        return dataclasses.replace(good, **{name: getattr(good, name) + h_power(good.ring, k)})
+
+    assert not splitting_oracle(construction, 3, perturbed, trials=5, seed=3)
 
 
 @pytest.mark.parametrize("rank", (1, 2))

@@ -187,6 +187,18 @@ def test_cli_verification_failure_exit_code(monkeypatch):
     assert out.startswith("# sample")
 
 
+def test_formula_suite_rejects_an_empty_rank_range_before_any_check(monkeypatch):
+    from projnorm import verify
+
+    def no_check(*args):
+        raise AssertionError("a check ran")
+
+    for name in ("splitting_oracle", "_sampled_ok", "_surface_counts_ok", "_threefold_counts_ok", "_chi_structure_sheaf_ok"):
+        monkeypatch.setattr(verify, name, no_check)
+    with pytest.raises(ValueError, match="empty rank range"):
+        verify.formula_suite(ranks=())
+
+
 from fractions import Fraction as _F
 
 from hypothesis import given, settings

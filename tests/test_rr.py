@@ -251,3 +251,13 @@ def test_p3_surface_model_is_built_once_per_hypersurface(monkeypatch):
     built.clear()
     cli.check_surface_hyp(7, 2)
     assert len(built) == 1
+
+
+def test_p4_ring_is_built_once_per_hypersurface():
+    V = HypersurfaceP4(5)
+    assert V.ring is V.ring
+    assert solve_ulrich_chern(V, 3).ring is V.ring
+    # the ring is derived data: equality, hashing and repr see the degree only
+    assert HypersurfaceP4(5) == HypersurfaceP4(5) != HypersurfaceP4(6)
+    assert len({HypersurfaceP4(5), HypersurfaceP4(5)}) == 1
+    assert repr(HypersurfaceP4(5)) == "HypersurfaceP4(degree=5)"

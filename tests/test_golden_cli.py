@@ -79,6 +79,7 @@ REPORT_CASES = {
     # the Ulrich solver on P^4 and P^3, and c1.K != 0 on surfaces
     "check_threefold_hyp_d5_r3": ["check", "threefold-hyp", "--d", "5", "--r", "3"],
     "check_threefold_hyp_d6_r2": ["check", "threefold-hyp", "--d", "6", "--r", "2"],
+    "check_threefold_hyp_d3_r2_json": ["check", "threefold-hyp", "--d", "3", "--r", "2", "--format", "json"],
     "check_surface_hyp_d5_r2": ["check", "surface-hyp", "--d", "5", "--r", "2"],
     "check_surface_c1_with_k": [
         "check", "surface", "--h2", "3", "--hk", "-3", "--k2", "3", "--chi", "1",
@@ -92,6 +93,12 @@ REPORT_CASES = {
     ],
     "check_curve_g15_d14_cliff2": ["check", "curve", "--g", "15", "--d", "14", "--r", "2", "--p", "2", "--p", "8", "--cliff", "2"],
     "check_curve_g2_d1_csv": ["check", "curve", "--g", "2", "--d", "1", "--p", "5", "--general", "--format", "csv"],
+    # the pn-degree and n1-koszul-degree fired notes, positive syzygy rows and
+    # mrc-count without its boundary note
+    "check_curve_g4_d30_fired_csv": [
+        "check", "curve", "--g", "4", "--d", "30", "--p", "2", "--p", "3", "--general", "--very-ample", "--cliff", "1",
+        "--format", "csv",
+    ],
     # presets: an unknown name and a threefold preset
     "error_unknown_preset": ["check", "preset", "no-such-variety"],
     "check_preset_sextic_threefold_r2": ["check", "preset", "sextic-threefold", "--r", "2"],

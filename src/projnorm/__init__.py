@@ -46,6 +46,7 @@ from .normality import (
     classify_p3_hypersurface,
     classify_p4_hypersurface,
     curve_thresholds,
+    curve_verdicts,
     dimension_test,
     kko_audit,
     kko_curve_window,

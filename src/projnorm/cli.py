@@ -33,9 +33,9 @@ from .normality import (
     classify_p3_hypersurface,
     classify_p4_hypersurface,
     curve_thresholds,
+    curve_verdicts,
     dimension_test,
     kko_audit,
-    kko_curve_window,
     mrc_check,
     sectional_curve_criterion,
     surface_acm_criterion,
@@ -162,7 +162,7 @@ def check_threefold_hyp(d: int, r: int) -> ScanReport:
         _value_row("c2_h", ring_degree(ring, E.c2, 2)),
         _value_row("c3", ring_degree(ring, E.c3, 3)),
         _value_row("c3_closed_form", ulrich_c3_p4_hypersurface(d, r)),
-        _value_row("chi_bundle", chi_threefold_hypersurface(d, E)),
+        _value_row("chi_bundle", chi_threefold_hypersurface(V, E)),
         _value_row("chi_tensor2", strong.value("chi_tensor2")),
         _value_row("chi_sym2", plain.value("chi_sym2")),
         _value_row("c3_tensor2", strong.value("c3_tensor2")),
@@ -199,11 +199,8 @@ def check_curve(args) -> ScanReport:
         _value_row("slope", Fraction(case.degree + case.genus - 1)),
         _value_row("h0", case.rank * case.degree),
     ]
-    rows.extend(_verdict_row(v) for v in curve_thresholds(case))
-    if case.genus >= 3:
-        rows.append(_verdict_row(mrc_check(case.genus, case.degree)))
-        rows.extend(_verdict_row(v) for v in kko_curve_window(case.genus, case.degree))
-    else:
+    rows.extend(_verdict_row(v) for v in curve_verdicts(case))
+    if case.genus < 3:
         rows.append(_value_row("mrc_note", "skipped: needs genus >= 3"))
     return _check_report(
         f"curve check (g={case.genus}, d={case.degree}, r={case.rank})",
@@ -313,22 +310,9 @@ def _p4_cells(d: int, r: int) -> tuple:
 
 
 def _curve_cells(g: int, d: int) -> tuple:
-    case = CurveCase(
-        genus=g,
-        degree=d,
-        syzygy_levels=(2,),
-        very_ample=True,
-        curve_general=True,
-        bundle_general=True,
-    )
-    by_rule = {v.rule: v.fired for v in curve_thresholds(case)}
-    return (
-        by_rule["pn-degree"],
-        by_rule["n1-koszul-degree"],
-        by_rule["np-degree-p2"],
-        by_rule["general-sharp-degree"],
-        mrc_check(g, d).fired if g >= 3 else None,
-    )
+    case = CurveCase(g, d, syzygy_levels=(2,), very_ample=True, curve_general=True, bundle_general=True)
+    pn, n1, np2, _, sharp = curve_thresholds(case)  # the Clifford row has no index here
+    return (pn.fired, n1.fired, np2.fired, sharp.fired, mrc_check(g, d).fired if g >= 3 else None)
 
 
 def scan_p3(dmax: int, rmax: int) -> ScanReport:

@@ -18,9 +18,9 @@ explicit generality flags and carry a "generic statement" note.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from .chern import ChernVector, segre_dual
 from .exactalg import DataError, as_fraction, binom, ring_degree
@@ -88,9 +88,11 @@ class CurveCase:
     ``clifford`` is the Clifford index of the curve, the minimum of
     deg A - 2(h^0(A) - 1) over line bundles A with h^0(A) >= 2 and
     h^1(A) >= 2.  It is not computable from (g, d) alone, so it is
-    caller-supplied and left None when unknown.  Ulrich bundles here are
-    semistable of slope d + g - 1, which is why the degree thresholds
-    need no separate slope input.
+    caller-supplied (in 0..max(0, (g-1)//2)) and left None when unknown.
+    Ulrich bundles here are semistable of slope d + g - 1 whatever the
+    rank, so the degree thresholds need no separate slope input and
+    ``rank`` feeds only the ``h0`` row, never a verdict.  ``very_ample``
+    is stored, but no rule needs it yet.
     """
 
     genus: int
@@ -107,6 +109,9 @@ class CurveCase:
             raise ValueError("need genus >= 0, degree >= 1, rank >= 1")
         if any(p < 2 for p in self.syzygy_levels):
             raise ValueError("syzygy levels start at p = 2")
+        top = max(0, (self.genus - 1) // 2)
+        if self.clifford is not None and not 0 <= self.clifford <= top:
+            raise ValueError(f"Clifford index must lie in 0..{top} at genus {self.genus} (got {self.clifford})")
 
 
 def _verdict(rule, holds, relations, lhs, rhs, *, status=POSITIVE, k=None, theorem=None, notes=(), unmet=(), data=()):
@@ -134,13 +139,14 @@ def _verdict(rule, holds, relations, lhs, rhs, *, status=POSITIVE, k=None, theor
 # counting obstructions
 
 
-def dimension_test(h0: int, k: int, h0_symk_lower, strong: bool = False) -> NormalityVerdict:
+def dimension_test(h0: int, k: int, h0_symk_lower, strong: bool = False, *, notes=(), data=()) -> NormalityVerdict:
     """Compare dim S^k H^0 (or dim (H^0)^(x)k in strong mode) with a lower
     bound for the section count of the k-th power.
 
     A strict shortfall proves the multiplication map cannot surject and
     yields a failure verdict; anything else is inconclusive, because the
-    count passing is only a necessary condition.
+    count passing is only a necessary condition.  ``notes`` and ``data``
+    are carried into the verdict unchanged.
     """
     if k < 2:
         raise ValueError("k-normality counting starts at k = 2")
@@ -151,7 +157,7 @@ def dimension_test(h0: int, k: int, h0_symk_lower, strong: bool = False) -> Norm
         rule, status, available = f"{k}-normality-count", NOT_K_NORMAL, Fraction(binom(h0 + k - 1, k))
     # a count that passes says which way: exactly met or exceeded
     passed = "=" if available == lower else ">"
-    return _verdict(rule, available < lower, ("<", passed), available, lower, status=status, k=k)
+    return _verdict(rule, available < lower, ("<", passed), available, lower, status=status, k=k, notes=notes, data=data)
 
 
 def classify_p3_hypersurface(d: int, r: int) -> Tuple[NormalityVerdict, ...]:
@@ -169,11 +175,10 @@ def classify_p3_hypersurface(d: int, r: int) -> Tuple[NormalityVerdict, ...]:
     if binom(h0 + 2, 3) - counts.sym3 != slack3:
         raise DataError("3-normality slack disagrees with its closed form")
     shared = (("d", d), ("r", r), ("h0", h0))
-    v2 = dimension_test(h0, 2, counts.sym2)
-    v2 = replace(v2, data=shared + (("h0_sym2", counts.sym2),))
-    v3 = dimension_test(h0, 3, counts.sym3)
-    v3 = replace(v3, data=shared + (("h0_sym3", counts.sym3), ("slack3", slack3)))
-    return (v2, v3)
+    return (
+        dimension_test(h0, 2, counts.sym2, data=shared + (("h0_sym2", counts.sym2),)),
+        dimension_test(h0, 3, counts.sym3, data=shared + (("h0_sym3", counts.sym3), ("slack3", slack3))),
+    )
 
 
 def classify_p4_hypersurface(d: int, r: int) -> Tuple[NormalityVerdict, ...]:
@@ -190,122 +195,11 @@ def classify_p4_hypersurface(d: int, r: int) -> Tuple[NormalityVerdict, ...]:
     if d < 4:
         notes = notes + ("degree below 4: outside the proved range, raw counts only",)
     shared = (("d", d), ("r", r), ("h0", h0))
-    strong = dimension_test(h0, 2, data.chi_tensor2, strong=True)
-    strong = replace(
-        strong,
-        notes=notes,
-        data=shared + (("chi_tensor2", data.chi_tensor2), ("c3_tensor2", data.c3_tensor2)),
-    )
-    plain = dimension_test(h0, 2, data.chi_sym2)
-    plain = replace(
-        plain,
-        notes=notes,
-        data=shared + (("chi_sym2", data.chi_sym2), ("c3_sym2", data.c3_sym2)),
-    )
-    return (strong, plain)
-
-
-# ---------------------------------------------------------------------------
-# positive thresholds on curves
-
-
-#: (rule, excess e, theorem, notes when it fires) for the rules d > g+e.
-_DEGREE_RULES = (
-    ("pn-degree", 1, "d > g+1", ("projectively normal, with cubic-generated ideal",)),
-    ("n1-koszul-degree", 2, "d > g+2", ("syzygy level 1 and Koszul tautological ring",)),
-)
-
-
-def curve_thresholds(case: CurveCase) -> Tuple[NormalityVerdict, ...]:
-    """Evaluate every degree threshold for the curve case, exactly.
-
-    Emitted rules (all monotone in d): projective normality for
-    d > g+1; syzygy level 1 with a Koszul tautological ring for d > g+2;
-    syzygy level p for 2d - (g+p+1) > 0 with square exceeding
-    g^2 + 2g(3p+1) + (p-1)^2; the Clifford-index bound d >= g+2-Cliff(C);
-    and the sharp general-curve bound (2d-3)^2 >= 8g+1 for g >= 3.
-    """
-    g, d = case.genus, case.degree
-    out = []
-    for rule, excess, theorem, fired_notes in _DEGREE_RULES:
-        holds = d > g + excess
-        out.append(_verdict(rule, holds, (">", "<="), d, g + excess, theorem=theorem, notes=fired_notes if holds else ()))
-
-    for p in case.syzygy_levels:
-        guard = 2 * d - (g + p + 1)
-        disc = g * g + 2 * g * (3 * p + 1) + (p - 1) ** 2
-        # below the guard the witness is the guard itself, 2d <= g+p+1
-        lhs, rhs = (guard * guard, disc) if guard > 0 else (2 * d, g + p + 1)
-        out.append(
-            _verdict(
-                f"np-degree-p{p}",
-                guard > 0 and guard * guard > disc,
-                (">", "<="),
-                lhs,
-                rhs,
-                theorem=f"2d-(g+p+1) > 0 and (2d-(g+p+1))^2 > g^2+2g(3p+1)+(p-1)^2 at p={p}",
-                notes=(NP_CONJECTURE_NOTE,),
-            )
-        )
-
-    if case.clifford is None:
-        lhs = rhs = None
-        unmet = ("Clifford index not supplied",)
-    else:
-        lhs, rhs, unmet = d, g + 2 - case.clifford, ()
-    out.append(
-        _verdict(
-            "clifford-degree",
-            lhs is not None and lhs >= rhs,
-            (">=", "<"),
-            lhs,
-            rhs,
-            theorem="d >= g+2-Cliff(C)",
-            notes=(GENERIC_NOTE, "needs a base-point-free series mapping the curve etale onto its image"),
-            unmet=unmet,
-        )
-    )
-
-    guard = 2 * d - 3
-    sharp = guard >= 0 and guard * guard >= 8 * g + 1
-    unmet = () if case.curve_general and case.bundle_general else ("generality flags not set",)
-    if g < 3:
-        unmet = unmet + ("needs genus >= 3",)
-    notes = (GENERIC_NOTE, "bound sharp for rank 1")
-    if sharp and not unmet and guard * guard == 8 * g + 1:
-        notes = notes + ("boundary equality",)
-    out.append(
-        _verdict(
-            "general-sharp-degree",
-            sharp,
-            (">=", "<"),
-            guard * guard,
-            8 * g + 1,
-            theorem="(2d-3)^2 >= 8g+1 on a general curve with a general very ample polarization",
-            notes=notes,
-            unmet=unmet,
-        )
-    )
-
-    return tuple(out)
-
-
-def mrc_check(g: int, d: int) -> NormalityVerdict:
-    """Maximal-rank dimension count: binom(d+1, 2) >= 2d+g-1.
-
-    For a general curve with a general degree-d very ample polarization,
-    the quadric count dominates h^0 of the square exactly when this
-    holds; equality is the sharpness boundary for line bundles.
-    """
-    if g < 3:
-        raise ValueError("the maximal-rank count is applied for genus >= 3")
-    available = binom(d + 1, 2)
-    needed = 2 * d + g - 1
-    notes = (GENERIC_NOTE, "bound sharp for rank 1")
-    if available == needed:
-        notes = notes + ("sharpness boundary: counts agree exactly",)
-    return _verdict(
-        "mrc-count", available >= needed, (">=", "<"), available, needed, theorem="binom(d+1,2) >= 2d+g-1", notes=notes
+    tensor2 = shared + (("chi_tensor2", data.chi_tensor2), ("c3_tensor2", data.c3_tensor2))
+    sym2 = shared + (("chi_sym2", data.chi_sym2), ("c3_sym2", data.c3_sym2))
+    return (
+        dimension_test(h0, 2, data.chi_tensor2, strong=True, notes=notes, data=tensor2),
+        dimension_test(h0, 2, data.chi_sym2, notes=notes, data=sym2),
     )
 
 
@@ -359,33 +253,151 @@ def kko_audit() -> Tuple[KkoRow, ...]:
     return tuple(rows)
 
 
+# ---------------------------------------------------------------------------
+# positive thresholds on curves
+
+
+class CurveRule(NamedTuple):
+    """One curve rule as data: ``sides(g, d, x)`` gives ``(holds, lhs, rhs)``.
+
+    ``x`` is the CurveCase, or the level p of ``np-degree-p``, whose name
+    and theorem end in p; ``lhs=None`` means no witness.  A positive
+    verdict adds ``fired_notes``, and ``equality_notes`` when lhs == rhs;
+    ``needs`` names the CURVE_NEEDS entries it must meet to fire.
+    """
+
+    rule: str
+    theorem: str
+    relations: Tuple[str, str]
+    sides: Callable
+    notes: Tuple[str, ...] = ()
+    fired_notes: Tuple[str, ...] = ()
+    equality_notes: Tuple[str, ...] = ()
+    needs: Tuple[str, ...] = ()
+
+
+#: Hypotheses a curve rule may need: a test on the CurveCase and the note when it fails.
+CURVE_NEEDS = {
+    "clifford": (lambda case: case.clifford is not None, "Clifford index not supplied"),
+    "general": (lambda case: case.curve_general and case.bundle_general, "generality flags not set"),
+    "genus-3": (lambda case: case.genus >= 3, "needs genus >= 3"),
+}
+
+
+def _syzygy_sides(g, d, p):
+    guard = 2 * d - (g + p + 1)
+    if guard <= 0:
+        # below the guard the witness is the guard itself, 2d <= g+p+1
+        return False, 2 * d, g + p + 1
+    disc = g * g + 2 * g * (3 * p + 1) + (p - 1) ** 2
+    return guard * guard > disc, guard * guard, disc
+
+
+def _clifford_sides(g, d, case):
+    if case.clifford is None:
+        return False, None, None
+    return d >= g + 2 - case.clifford, d, g + 2 - case.clifford
+
+
+def _low_degree_general_sides(g, d, case):
+    h = g - d + 1  # the one h with d = g-h+1
+    if h in KKO_GENUS_FLOOR and g >= KKO_GENUS_FLOOR[h]:
+        return d > 1, d, d
+    return False, None, d
+
+
+_RANK_ONE_SHARP = (GENERIC_NOTE, "bound sharp for rank 1")
+
+#: Every curve rule in report order: those of ``curve_thresholds`` (``np-degree-p``
+#: once per syzygy level), then ``mrc_check``, then ``kko_curve_window``.
+CURVE_RULES = (
+    CurveRule("pn-degree", "d > g+1", (">", "<="), lambda g, d, x: (d > g + 1, d, g + 1),
+              fired_notes=("projectively normal, with cubic-generated ideal",)),
+    CurveRule("n1-koszul-degree", "d > g+2", (">", "<="), lambda g, d, x: (d > g + 2, d, g + 2),
+              fired_notes=("syzygy level 1 and Koszul tautological ring",)),
+    CurveRule("np-degree-p", "2d-(g+p+1) > 0 and (2d-(g+p+1))^2 > g^2+2g(3p+1)+(p-1)^2 at p=", (">", "<="),
+              _syzygy_sides, (NP_CONJECTURE_NOTE,)),
+    CurveRule("clifford-degree", "d >= g+2-Cliff(C)", (">=", "<"), _clifford_sides,
+              (GENERIC_NOTE, "needs a base-point-free series mapping the curve etale onto its image"),
+              needs=("clifford",)),
+    CurveRule("general-sharp-degree", "(2d-3)^2 >= 8g+1 on a general curve with a general very ample polarization",
+              (">=", "<"), lambda g, d, x: (d >= 2 and (2 * d - 3) ** 2 >= 8 * g + 1, (2 * d - 3) ** 2, 8 * g + 1),
+              _RANK_ONE_SHARP, equality_notes=("boundary equality",), needs=("general", "genus-3")),
+    CurveRule("mrc-count", "binom(d+1,2) >= 2d+g-1", (">=", "<"),
+              lambda g, d, x: (d * (d + 1) // 2 >= 2 * d + g - 1, d * (d + 1) // 2, 2 * d + g - 1),
+              _RANK_ONE_SHARP, equality_notes=("sharpness boundary: counts agree exactly",)),
+    CurveRule("low-degree-window", KKO_DEGREE_WINDOW, ("in", "not-in"),
+              lambda g, d, x: (g >= 3 and d > 1 and d in (g, g + 1), d, g),
+              ("all Ulrich line bundles; general bundles in higher rank",)),
+    CurveRule("low-degree-general", "d = g-h+1 and g >= g_h for some h in {2,3,4,5}", ("=", "!="),
+              _low_degree_general_sides, (GENERIC_NOTE,)),
+)
+THRESHOLD_RULES, (MRC_RULE,), WINDOW_RULES = CURVE_RULES[:5], CURVE_RULES[5:6], CURVE_RULES[6:]
+SYZYGY_RULE = THRESHOLD_RULES[2]
+
+
+def _curve_verdict(row: CurveRule, g: int, d: int, x=None, level: str = "") -> NormalityVerdict:
+    """The verdict of one curve rule at (g, d); ``level`` ends its name and theorem."""
+    rule, theorem, relations, sides, notes, fired_notes, equality_notes, needs = row
+    holds, lhs, rhs = sides(g, d, x)
+    unmet = ()
+    for name in needs:
+        met, note = CURVE_NEEDS[name]
+        if not met(x):
+            unmet += (note,)
+    if holds and not unmet:
+        notes += fired_notes
+        if lhs == rhs:
+            notes += equality_notes
+    return _verdict(rule + level, holds, relations, lhs, rhs, theorem=theorem + level, notes=notes, unmet=unmet)
+
+
+def curve_thresholds(case: CurveCase) -> Tuple[NormalityVerdict, ...]:
+    """Evaluate every degree threshold for the curve case, exactly.
+
+    Emitted rules (all monotone in d): projective normality for
+    d > g+1; syzygy level 1 with a Koszul tautological ring for d > g+2;
+    syzygy level p for 2d - (g+p+1) > 0 with square exceeding
+    g^2 + 2g(3p+1) + (p-1)^2; the Clifford-index bound d >= g+2-Cliff(C);
+    and the sharp general-curve bound (2d-3)^2 >= 8g+1 for g >= 3.
+    """
+    g, d = case.genus, case.degree
+    out = []
+    for row in THRESHOLD_RULES:
+        if row is SYZYGY_RULE:
+            out.extend([_curve_verdict(row, g, d, p, str(p)) for p in case.syzygy_levels])
+        else:
+            out.append(_curve_verdict(row, g, d, case))
+    return tuple(out)
+
+
+def mrc_check(g: int, d: int) -> NormalityVerdict:
+    """Maximal-rank dimension count: binom(d+1, 2) >= 2d+g-1.
+
+    For a general curve with a general degree-d very ample polarization,
+    the quadric count dominates h^0 of the square exactly when this
+    holds; equality is the sharpness boundary for line bundles.
+    """
+    if g < 3:
+        raise ValueError("the maximal-rank count is applied for genus >= 3")
+    return _curve_verdict(MRC_RULE, g, d)
+
+
 def kko_curve_window(g: int, d: int) -> Tuple[NormalityVerdict, ...]:
     """Low-degree positive verdicts for embedded curves of genus >= 3.
 
     d in {g, g+1} makes every Ulrich line bundle projectively normal;
     d = g-h+1 with g >= g_h covers the general one via the audit table.
     """
-    window = _verdict(
-        "low-degree-window",
-        g >= 3 and d > 1 and d in (g, g + 1),
-        ("in", "not-in"),
-        d,
-        g,
-        theorem=KKO_DEGREE_WINDOW,
-        notes=("all Ulrich line bundles; general bundles in higher rank",),
-    )
-    h = g - d + 1  # the one h with d = g-h+1
-    matched = h in KKO_GENUS_FLOOR and g >= KKO_GENUS_FLOOR[h]
-    general = _verdict(
-        "low-degree-general",
-        matched and d > 1,
-        ("=", "!="),
-        d if matched else None,
-        g - h + 1,
-        theorem="d = g-h+1 and g >= g_h for some h in {2,3,4,5}",
-        notes=(GENERIC_NOTE,),
-    )
-    return (window, general)
+    return tuple([_curve_verdict(row, g, d) for row in WINDOW_RULES])
+
+
+def curve_verdicts(case: CurveCase) -> Tuple[NormalityVerdict, ...]:
+    """Every verdict ``check curve`` reports, the genus >= 3 group included."""
+    out = curve_thresholds(case)
+    if case.genus >= 3:
+        out += (mrc_check(case.genus, case.degree),) + kko_curve_window(case.genus, case.degree)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -193,13 +193,12 @@ def chi_surface(V, E: ChernVector) -> Fraction:
     return E.rank * S.chi_o + (c1sq - c1k) / 2 - c2
 
 
-def chi_threefold_hypersurface(degree: int, E: ChernVector) -> Fraction:
+def chi_threefold_hypersurface(X: HypersurfaceP4, E: ChernVector) -> Fraction:
     """chi(X, E) on a degree-d threefold in P^4 by Hirzebruch-Riemann-Roch.
 
     Integrates the degree-3 part of ch(E) td(X) with
     td = 1 + c1(T)/2 + (c1(T)^2 + c2(T))/12 + c1(T) c2(T)/24.
     """
-    X = HypersurfaceP4(degree)
     ring = X.ring
     if E.ring != ring:
         raise RingMismatchError("bundle does not live on the given threefold")
@@ -260,7 +259,7 @@ def solve_ulrich_chern(V, rank: int) -> ChernVector:
         S = V.surface()
         ring, chi = S.lattice, partial(chi_surface, S)
     elif isinstance(V, HypersurfaceP4):
-        ring, chi = V.ring, partial(chi_threefold_hypersurface, V.degree)
+        ring, chi = V.ring, partial(chi_threefold_hypersurface, V)
     else:
         raise TypeError("Ulrich Chern data can be solved only on hypersurface models")
     c1 = ulrich_c1(V, rank)

@@ -131,8 +131,8 @@ def _threefold_counts_ok(d_range, r_range) -> bool:
             t2, s2 = tensor_square(E), sym2(E)
             ring = V.ring
             got = (
-                chi_threefold_hypersurface(d, t2),
-                chi_threefold_hypersurface(d, s2),
+                chi_threefold_hypersurface(V, t2),
+                chi_threefold_hypersurface(V, s2),
                 ring_degree(ring, t2.c3, 3),
                 ring_degree(ring, s2.c3, 3),
             )
@@ -146,7 +146,7 @@ def _chi_structure_sheaf_ok(d_range) -> bool:
     for d in d_range:
         V = HypersurfaceP4(d)
         trivial = ChernVector.of(V.ring, 1)
-        if chi_threefold_hypersurface(d, trivial) != 1 - binom(d - 1, 4):
+        if chi_threefold_hypersurface(V, trivial) != 1 - binom(d - 1, 4):
             return False
     return True
 

@@ -31,9 +31,12 @@ from projnorm.exactalg import (
 from projnorm.normality import (
     INCONCLUSIVE,
     KKO_GENUS_FLOOR,
+    MRC_RULE,
     NOT_K_NORMAL,
     NOT_STRONGLY_K_NORMAL,
     POSITIVE,
+    SYZYGY_RULE,
+    THRESHOLD_RULES,
     CurveCase,
     ci_example_scan,
     classify_p3_hypersurface,
@@ -132,7 +135,7 @@ def test_03_ulrich_chern_solver():
                     continue
                 E = solve_ulrich_chern(V, r)
                 assert ring_degree(V.ring, E.c3, 3) == ulrich_c3_p4_hypersurface(d, r)
-                assert chi_threefold_hypersurface(d, E) == r * d
+                assert chi_threefold_hypersurface(V, E) == r * d
 
     run_criterion(3, "solver reproduces the c2 and c3 closed forms exactly", body)
 
@@ -256,26 +259,21 @@ def test_09_curve_thresholds():
         mrc = mrc_check(3, 4)
         assert mrc.status == POSITIVE
         assert mrc.witness.lhs == 10 == mrc.witness.rhs  # sharpness for rank 1
-        # monotonicity in d of every rule, over g <= 30 and d <= 60
-        for g in range(0, 31):
-            fired_before: dict = {}
-            for d in range(1, 61):
-                case = CurveCase(
-                    genus=g,
-                    degree=d,
-                    syzygy_levels=(2, 3),
-                    clifford=2,
-                    very_ample=True,
-                    curve_general=True,
-                    bundle_general=True,
-                )
-                verdicts = list(curve_thresholds(case))
-                if g >= 3:
-                    verdicts.append(mrc_check(g, d))
-                for v in verdicts:
-                    if fired_before.get(v.rule):
-                        assert v.fired, (g, d, v.rule)
-                    fired_before[v.rule] = v.fired
+        # every threshold row and the maximal-rank row is monotone in d,
+        # over syzygy levels p <= 8, g <= 60 and d <= 200
+        for g in range(0, 61):
+            case = CurveCase(
+                genus=g,
+                degree=1,
+                clifford=min(2, max(0, (g - 1) // 2)),
+                very_ample=True,
+                curve_general=True,
+                bundle_general=True,
+            )
+            for row in THRESHOLD_RULES + (MRC_RULE,):
+                for x in range(2, 9) if row is SYZYGY_RULE else (case,):
+                    holds = [row.sides(g, d, x)[0] for d in range(1, 201)]
+                    assert holds == sorted(holds), (g, row.rule, x)
 
     run_criterion(9, "sharp curve bounds fire with equality; thresholds monotone in d", body)
 

@@ -99,6 +99,8 @@ REPORT_CASES = {
         "check", "curve", "--g", "4", "--d", "30", "--p", "2", "--p", "3", "--general", "--very-ample", "--cliff", "1",
         "--format", "csv",
     ],
+    # a Clifford index above (g-1)//2 is an input error
+    "error_clifford_out_of_range": ["check", "curve", "--g", "3", "--d", "1", "--cliff", "100"],
     # presets: an unknown name and a threefold preset
     "error_unknown_preset": ["check", "preset", "no-such-variety"],
     "check_preset_sextic_threefold_r2": ["check", "preset", "sextic-threefold", "--r", "2"],

@@ -14,6 +14,7 @@ from projnorm.normality import (
     NOT_K_NORMAL,
     NOT_STRONGLY_K_NORMAL,
     POSITIVE,
+    CURVE_NEEDS,
     CurveCase,
     KKO_GENUS_FLOOR,
     KKO_TUPLES,
@@ -22,6 +23,7 @@ from projnorm.normality import (
     classify_p3_hypersurface,
     classify_p4_hypersurface,
     curve_thresholds,
+    curve_verdicts,
     dimension_test,
     kko_audit,
     kko_curve_window,
@@ -143,19 +145,16 @@ def test_np_conjecture_is_noted_never_asserted():
     assert any("not asserted" in n for n in v.notes)
 
 
-def _curve_verdicts(case):
-    """Every verdict that ``check curve`` reports for the case."""
-    out = list(curve_thresholds(case))
-    if case.genus >= 3:
-        out.append(mrc_check(case.genus, case.degree))
-        out.extend(kko_curve_window(case.genus, case.degree))
-    return out
-
-
-_CURVE_GRID = [(g, d, cliff) for g in range(40) for d in range(1, 60) for cliff in (None, 0, 1, 2)]
+_CURVE_GRID = [
+    (g, d, cliff)
+    for g in range(40)
+    for d in range(1, 60)
+    for cliff in (None, 0, 1, 2)
+    if cliff is None or cliff <= max(0, (g - 1) // 2)
+]
 
 #: The notes that name a hypothesis the caller did not supply.
-_UNMET = {"Clifford index not supplied", "generality flags not set", "needs genus >= 3"}
+_UNMET = {note for _, note in CURVE_NEEDS.values()}
 
 
 @pytest.mark.xfail(
@@ -170,7 +169,7 @@ def test_generic_verdicts_fire_only_with_generality_flags():
     fired = {
         v.rule
         for g, d, cliff in _CURVE_GRID
-        for v in _curve_verdicts(CurveCase(genus=g, degree=d, clifford=cliff))
+        for v in curve_verdicts(CurveCase(genus=g, degree=d, clifford=cliff))
         if v.fired and GENERIC_NOTE in v.notes
     }
     assert fired == set()
@@ -188,7 +187,7 @@ def test_a_verdict_with_an_unmet_hypothesis_is_inconclusive():
                 curve_general=general,
                 bundle_general=general,
             )
-            for v in _curve_verdicts(case):
+            for v in curve_verdicts(case):
                 unmet = _UNMET.intersection(v.notes)
                 seen |= unmet
                 assert not unmet or v.status == INCONCLUSIVE, (g, d, cliff, general, v.rule)
@@ -401,3 +400,9 @@ def test_curve_case_validation():
         CurveCase(genus=-1, degree=3)
     with pytest.raises(ValueError):
         CurveCase(genus=1, degree=3, syzygy_levels=(1,))
+    # the Clifford index of a genus-g curve lies in 0..max(0, (g-1)//2)
+    for g, top in ((0, 0), (2, 0), (3, 1), (4, 1), (5, 2), (40, 19)):
+        assert CurveCase(genus=g, degree=1, clifford=top).clifford == top
+        for cliff in (-1, top + 1):
+            with pytest.raises(ValueError, match="Clifford index"):
+                CurveCase(genus=g, degree=1, clifford=cliff)

@@ -59,7 +59,7 @@ def test_chi_threefold_structure_sheaf():
     for d in range(1, 11):
         V = HypersurfaceP4(d)
         triv = ChernVector.of(V.ring, 1)
-        assert chi_threefold_hypersurface(d, triv) == 1 - binom(d - 1, 4)
+        assert chi_threefold_hypersurface(V, triv) == 1 - binom(d - 1, 4)
 
 
 def test_chi_threefold_power_values():
@@ -67,10 +67,10 @@ def test_chi_threefold_power_values():
 
     V = HypersurfaceP4(4)
     E = solve_ulrich_chern(V, 2)
-    assert chi_threefold_hypersurface(4, tensor_square(E)) == 70
+    assert chi_threefold_hypersurface(V, tensor_square(E)) == 70
     W = HypersurfaceP4(5)
     F = solve_ulrich_chern(W, 4)
-    assert chi_threefold_hypersurface(5, sym2(F)) == 220
+    assert chi_threefold_hypersurface(W, sym2(F)) == 220
 
 
 def test_tangent_classes():
@@ -110,7 +110,7 @@ def test_solver_matches_c3_closed_form_on_threefolds():
                 continue
             E = solve_ulrich_chern(V, r)
             assert ring_degree(V.ring, E.c3, 3) == ulrich_c3_p4_hypersurface(d, r)
-            assert chi_threefold_hypersurface(d, E) == r * d
+            assert chi_threefold_hypersurface(V, E) == r * d
 
 
 def test_solver_specific_values():
@@ -154,7 +154,7 @@ def test_ring_mismatch_guards():
     W = HypersurfaceP4(4)
     E = ChernVector.of(V.ring, 1)
     with pytest.raises(Exception):
-        chi_threefold_hypersurface(4, E)
+        chi_threefold_hypersurface(W, E)
     S = HypersurfaceP3(3).surface()
     with pytest.raises(Exception):
         chi_surface(S, E)
@@ -261,3 +261,17 @@ def test_p4_ring_is_built_once_per_hypersurface():
     assert HypersurfaceP4(5) == HypersurfaceP4(5) != HypersurfaceP4(6)
     assert len({HypersurfaceP4(5), HypersurfaceP4(5)}) == 1
     assert repr(HypersurfaceP4(5)) == "HypersurfaceP4(degree=5)"
+
+
+def test_p4_solver_builds_one_hypersurface(monkeypatch):
+    built = []
+    init = HypersurfaceP4.__post_init__
+
+    def counted(self):
+        built.append(self.degree)
+        init(self)
+
+    monkeypatch.setattr(HypersurfaceP4, "__post_init__", counted)
+    solve_ulrich_chern(HypersurfaceP4(5), 3)
+    # Riemann-Roch runs on the given model, never on a fresh copy of it
+    assert built == [5]

@@ -100,8 +100,8 @@ def test_p4_chi_matches_hrr_pipeline():
             data = chi_powers_p4_hypersurface(d, r)
             t2 = tensor_square(E)
             s2 = sym2(E)
-            assert data.chi_tensor2 == chi_threefold_hypersurface(d, t2)
-            assert data.chi_sym2 == chi_threefold_hypersurface(d, s2)
+            assert data.chi_tensor2 == chi_threefold_hypersurface(V, t2)
+            assert data.chi_sym2 == chi_threefold_hypersurface(V, s2)
             assert data.c3_tensor2 == ring_degree(V.ring, t2.c3, 3)
             assert data.c3_sym2 == ring_degree(V.ring, s2.c3, 3)
 

@@ -18,6 +18,7 @@ from projnorm.normality import (
     CurveCase,
     KKO_GENUS_FLOOR,
     KKO_TUPLES,
+    THRESHOLD_RULES,
     Witness,
     ci_example_scan,
     classify_p3_hypersurface,
@@ -119,6 +120,10 @@ def test_curve_thresholds_examples():
     assert any("boundary equality" in n for n in sharp.notes)
     # d = g+1 sits on the boundary and must not fire
     assert by_rule["pn-degree"].status == INCONCLUSIVE
+    # the sign guard 2d-3 >= 0: at g = 0, d = 1 the squares agree (1 = 1) but the bound does not hold
+    sharp_rule = THRESHOLD_RULES[4]
+    assert sharp_rule.rule == "general-sharp-degree"
+    assert sharp_rule.sides(0, 1, case) == (False, 1, 1)
 
     case = CurveCase(genus=0, degree=3, syzygy_levels=(2,))
     by_rule = {v.rule: v for v in curve_thresholds(case)}

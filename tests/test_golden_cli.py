@@ -85,6 +85,11 @@ REPORT_CASES = {
         "check", "surface", "--h2", "3", "--hk", "-3", "--k2", "3", "--chi", "1",
         "--r", "2", "--c1", "2,-1", "--c2", "4",
     ],
+    # fractional divisor coefficients and integer scalars on a lattice
+    "check_surface_fractional_c1_csv": [
+        "check", "surface", "--h2", "9", "--hk", "-9", "--k2", "9", "--chi", "1",
+        "--r", "2", "--c1", "3/2,1/2", "--c2", "5/2", "--format", "csv",
+    ],
     # curve verdicts: the boundary-equality note, a fired Clifford bound and
     # its JSON witness; a positive general window with the Clifford witness
     # "<"; the 2d <= g+p+1 syzygy witness, no Clifford witness, genus below 3

@@ -52,9 +52,9 @@ class ChernVector:
             raise ValueError("rank must be nonnegative")
         ring = self.c1.ring
         for cls, grade in ((self.c1, 1), (self.c2, 2), (self.c3, 3)):
-            if cls.ring != ring:
+            if cls.ring is not ring and cls.ring != ring:
                 raise RingMismatchError("Chern classes live in different rings")
-            if not cls.is_zero and cls.grades() != (grade,):
+            if not cls.is_zero and cls.grade() != grade:
                 raise ValueError(f"c{grade} must be homogeneous of codimension {grade}")
 
     @property
@@ -80,18 +80,27 @@ def bundle_from_roots(ring: RankOneRing, roots: Sequence[Fraction]) -> ChernVect
     """Chern data of a formal direct sum of line bundles with the given roots.
 
     c_i is the i-th elementary symmetric function of the roots, placed on
-    H^i; only rank-one rings carry root data.  The roots are scaled by the
-    lcm D of their denominators, e_i is summed over the integer
-    numerators, and c_i is the one division e_i / D^i.
+    H^i; only rank-one rings carry root data.  The roots are written as
+    integer numerators over the lcm D of their denominators and handed to
+    :func:`bundle_from_numerators`.
+    """
+    nums, D = over_common_denominator(roots)
+    return bundle_from_numerators(ring, nums, D)
+
+
+def bundle_from_numerators(ring: RankOneRing, nums: Sequence[int], D: int) -> ChernVector:
+    """:func:`bundle_from_roots` for the roots ``n / D``, ``n`` in ``nums``.
+
+    e_i is summed over the integer numerators and c_i is the one division
+    e_i / D^i; ``D`` need not be in lowest terms against ``nums``.
     """
     if not isinstance(ring, RankOneRing):
         raise TypeError("Chern roots live in a rank-one ring")
     up_to = min(3, ring.dim)
-    nums, D = over_common_denominator(roots)
     e = elementary_symmetric(nums, up_to)
     classes = {k: GradedClass.of(ring, {k: Fraction(e[k], D**k)}) for k in range(1, up_to + 1)}
     zero = GradedClass.zero(ring)
-    return ChernVector(len(roots), classes.get(1, zero), classes.get(2, zero), classes.get(3, zero))
+    return ChernVector(len(nums), classes.get(1, zero), classes.get(2, zero), classes.get(3, zero))
 
 
 def satisfies_rank_vanishing(E: ChernVector) -> bool:
@@ -202,9 +211,9 @@ def twist(E: ChernVector, L) -> ChernVector:
     """
     if isinstance(L, (int, Fraction)):
         L = GradedClass.of(E.ring, {1: L})
-    if L.ring != E.ring:
+    if L.ring is not E.ring and L.ring != E.ring:
         raise RingMismatchError("twisting class lives in a different ring")
-    if not L.is_zero and L.grades() != (1,):
+    if not L.is_zero and L.grade() != 1:
         raise ValueError("can only twist by a codimension-1 class")
     r = E.rank
     L2 = L * L

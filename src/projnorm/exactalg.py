@@ -29,7 +29,9 @@ the rational roots as integer numerators over the lcm ``D`` of their
 denominators, derived multisets are summed as those numerators, and
 :func:`elementary_symmetric` keeps integer input integral.  Since ``e_k``
 is homogeneous of degree ``k``, each Chern class is then one exact
-division ``Fraction(e_k, D**k)``.
+division ``Fraction(e_k, D**k)``.  The oracle hands a derived multiset's
+numerators and ``D`` straight to :func:`~projnorm.chern.bundle_from_numerators`,
+so the expected side never becomes ``Fraction`` roots.
 """
 
 from __future__ import annotations
@@ -226,9 +228,13 @@ def _coerce_component(ring: Ring, codim: int, value):
 class GradedClass:
     """A (possibly mixed-degree) numerical class in a truncated ring.
 
-    ``parts`` maps codimension to the component in that ring's shape; zero
-    components are never stored, so structural equality is semantic
-    equality.
+    ``parts`` pairs each codimension with the component in that ring's
+    shape.  The invariant: components are exact (``Fraction``, or a
+    :class:`DivisorVector` of them for surface divisors), never zero, and
+    in ascending codimension no higher than the ring dimension, so
+    structural equality is semantic equality.  :meth:`of` coerces values
+    from outside into that shape; arithmetic trusts its own parts and
+    builds results without coercing them again.
     """
 
     ring: Ring
@@ -248,6 +254,11 @@ class GradedClass:
         return GradedClass(ring, tuple(parts))
 
     @staticmethod
+    def _exact(ring: Ring, acc: dict) -> "GradedClass":
+        # ``acc`` maps codimensions within the ring to exact components
+        return GradedClass(ring, tuple([(k, acc[k]) for k in sorted(acc) if acc[k]]))
+
+    @staticmethod
     def zero(ring: Ring) -> "GradedClass":
         return GradedClass(ring, ())
 
@@ -257,17 +268,14 @@ class GradedClass:
                 return value
         return _coerce_component(self.ring, codim, 0)
 
-    def grades(self) -> tuple:
-        return tuple(k for k, _ in self.parts)
-
     @property
     def is_zero(self) -> bool:
         return not self.parts
 
     def grade(self):
         """The unique grade of a homogeneous class, or None if zero/mixed."""
-        grades = self.grades()
-        return grades[0] if len(grades) == 1 else None
+        parts = self.parts
+        return parts[0][0] if len(parts) == 1 else None
 
     # -- arithmetic ---------------------------------------------------
 
@@ -279,10 +287,14 @@ class GradedClass:
         if not isinstance(other, GradedClass):
             return NotImplemented
         self._check_ring(other)
+        if not other.parts:
+            return self
+        if not self.parts:
+            return other
         acc = dict(self.parts)
         for k, v in other.parts:
             acc[k] = acc[k] + v if k in acc else v
-        return GradedClass.of(self.ring, acc)
+        return GradedClass._exact(self.ring, acc)
 
     def __neg__(self) -> "GradedClass":
         return GradedClass(self.ring, tuple((k, -v) for k, v in self.parts))
@@ -304,12 +316,13 @@ class GradedClass:
                         continue
                     c = pair(a, b) if pair and i == j == 1 else a * b
                     acc[k] = acc[k] + c if k in acc else c
-            return GradedClass.of(ring, acc)
+            return GradedClass._exact(ring, acc)
+        if isinstance(other, bool):
+            raise TypeError(f"expected an integer or Fraction, got {other!r}")
         if isinstance(other, (int, Fraction)):
-            q = as_fraction(other)
-            if q == 0:
+            if other == 0:
                 return GradedClass.zero(self.ring)
-            return GradedClass(self.ring, tuple((k, v * q) for k, v in self.parts))
+            return GradedClass(self.ring, tuple((k, v * other) for k, v in self.parts))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -365,7 +378,7 @@ def ring_degree(ring: Ring, cls: GradedClass, codim: int) -> Fraction:
     stored rational in codimension 2, the pairing with H in codimension 1,
     and ``q*(H.H)`` in codimension 0.
     """
-    if cls.ring != ring:
+    if cls.ring is not ring and cls.ring != ring:
         raise RingMismatchError("class does not belong to the given ring")
     if codim < 0 or codim > ring.dim:
         raise ValueError(f"codimension {codim} out of range for a {ring.dim}-dimensional ring")
@@ -486,7 +499,7 @@ def splitting_oracle(
     ``closed_form`` maps a ChernVector to a ChernVector, except for
     ``tensor_line`` where it takes ``(bundle, divisor)`` (the twist rule).
     """
-    from .chern import bundle_from_roots, ChernVector  # deferred: keeps the ring layer standalone
+    from .chern import bundle_from_numerators, bundle_from_roots, ChernVector  # deferred: keeps the ring layer standalone
 
     if rank < 1:
         raise ValueError("rank must be at least 1")
@@ -511,7 +524,7 @@ def splitting_oracle(
             nums, D = over_common_denominator(roots)
             derived = _DERIVED_ROOTS[construction](nums)
             actual = closed_form(bundle)
-        expected = bundle_from_roots(ring, [Fraction(x, D) for x in derived])
+        expected = bundle_from_numerators(ring, derived, D)
         if not isinstance(actual, ChernVector) or actual != expected:
             return False
     return True

@@ -144,4 +144,7 @@ def _cell_text(value: Cell) -> str:
         return "true" if value else "false"
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
-    return str(value)
+    if isinstance(value, (int, str)):
+        return str(value)
+    # the types to_json cannot encode (a float above all) print in no format
+    raise TypeError(f"unsupported cell type {type(value).__name__}")

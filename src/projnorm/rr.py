@@ -135,16 +135,28 @@ class HypersurfaceP4:
     """Smooth degree-d threefold in P^4; class group generated by H.
 
     ``ring`` is built once with the hypersurface, so every class made on
-    it shares one ring object.
+    it shares one ring object.  So is ``todd``, the graded pieces td_0..td_3
+    of td(X) that every Riemann-Roch evaluation on the model reads.
     """
 
     degree: int
     ring: RankOneRing = field(init=False, repr=False, compare=False)
+    todd: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.degree < 1:
             raise ValueError("degree must be positive")
-        object.__setattr__(self, "ring", RankOneRing(3, Fraction(self.degree)))
+        ring = RankOneRing(3, Fraction(self.degree))
+        object.__setattr__(self, "ring", ring)
+        # td = 1 + c1(T)/2 + (c1(T)^2 + c2(T))/12 + c1(T) c2(T)/24
+        T = self.tangent_chern()
+        todd = (
+            unit(ring),
+            Fraction(1, 2) * T.c1,
+            Fraction(1, 12) * (T.c1 * T.c1 + T.c2),
+            Fraction(1, 24) * (T.c1 * T.c2),
+        )
+        object.__setattr__(self, "todd", todd)
 
     @property
     def canonical(self) -> GradedClass:
@@ -196,19 +208,13 @@ def chi_surface(V, E: ChernVector) -> Fraction:
 def chi_threefold_hypersurface(X: HypersurfaceP4, E: ChernVector) -> Fraction:
     """chi(X, E) on a degree-d threefold in P^4 by Hirzebruch-Riemann-Roch.
 
-    Integrates the degree-3 part of ch(E) td(X) with
-    td = 1 + c1(T)/2 + (c1(T)^2 + c2(T))/12 + c1(T) c2(T)/24.
+    Integrates the degree-3 part of ch(E) td(X), with td(X) the model's
+    ``todd`` pieces.
     """
     ring = X.ring
-    if E.ring != ring:
+    if E.ring is not ring and E.ring != ring:
         raise RingMismatchError("bundle does not live on the given threefold")
-    T = X.tangent_chern()
-    td = (
-        unit(ring),
-        Fraction(1, 2) * T.c1,
-        Fraction(1, 12) * (T.c1 * T.c1 + T.c2),
-        Fraction(1, 24) * (T.c1 * T.c2),
-    )
+    td = X.todd
     ch = chern_character(E)
     total = GradedClass.zero(ring)
     for i in range(4):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from projnorm.chern import (
     ChernVector,
+    bundle_from_numerators,
     bundle_from_roots,
     chern_character,
     direct_sum,
@@ -264,16 +265,33 @@ wide_roots = st.one_of(
 )
 
 
-@settings(max_examples=150)
-@given(st.integers(1, 3), st.integers(1, 9), st.lists(wide_roots, max_size=8))
-@example(3, 1, [])
-@example(3, 1, [Fraction(-10**15, 7), Fraction(10**15, 9), Fraction(1, 11)])
-def test_bundle_from_roots_matches_fraction_expansion(dim, h_degree, roots):
+def _fraction_expansion(ring, roots):
     # reference: c_k as the sum over k-subsets of products of Fraction roots
-    ring = RankOneRing(dim, Fraction(h_degree))
     fractions = [Fraction(x) for x in roots]
     c = [sum((math.prod(s) for s in combinations(fractions, k)), Fraction(0)) for k in (1, 2, 3)]
-    assert bundle_from_roots(ring, roots) == ChernVector.of(ring, len(roots), *c)
+    return ChernVector.of(ring, len(roots), *c)
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 9),
+    st.lists(wide_roots, max_size=8),
+    st.lists(st.integers(-(10**15), 10**15), max_size=8),
+    st.integers(1, 12),
+    st.integers(1, 12),
+)
+@example(3, 1, [], [], 1, 1)
+@example(3, 1, [Fraction(-10**15, 7), Fraction(10**15, 9), Fraction(1, 11)], [1, -2, 3, 10], 5, 6)
+@example(2, 4, [], [], 30, 1)
+def test_bundle_from_roots_matches_fraction_expansion(dim, h_degree, roots, base, q, g):
+    ring = RankOneRing(dim, Fraction(h_degree))
+    assert bundle_from_roots(ring, roots) == _fraction_expansion(ring, roots)
+    # the numerator path, with D = q*g not in lowest terms against n = b*g
+    nums, D = [b * g for b in base], q * g
+    fractions = [Fraction(n, D) for n in nums]
+    assert bundle_from_numerators(ring, nums, D) == bundle_from_roots(ring, fractions)
+    assert bundle_from_numerators(ring, nums, D) == _fraction_expansion(ring, fractions)
 
 
 @given(st.lists(st.integers(-(10**15), 10**15), max_size=8), st.integers(0, 9))

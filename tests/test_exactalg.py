@@ -17,6 +17,7 @@ from projnorm.chern import (
     wedge2,
 )
 from projnorm.exactalg import (
+    DivisorVector,
     GradedClass,
     RankOneRing,
     RingMismatchError,
@@ -110,6 +111,57 @@ rank3_classes = st.builds(
     fractions,
     fractions,
 )
+
+
+def _rank_one_classes(ring):
+    # zero components are common, so cancellation and zero classes get drawn
+    component = st.one_of(st.just(0), fractions)
+    return st.builds(
+        lambda values: GradedClass.of(ring, dict(enumerate(values))),
+        st.lists(component, min_size=ring.dim + 1, max_size=ring.dim + 1),
+    )
+
+
+#: Pairs of classes on one ring, for every ring shape and dimension.
+same_ring_pairs = st.one_of(
+    *(
+        st.tuples(classes, classes)
+        for classes in (
+            surface_classes,
+            rank3_classes,
+            _rank_one_classes(RankOneRing(1, Fraction(3))),
+            _rank_one_classes(RankOneRing(2, Fraction(5))),
+        )
+    )
+)
+
+
+def _assert_exact_parts(cls):
+    codims = [k for k, _ in cls.parts]
+    assert codims == sorted(set(codims)) and all(0 <= k <= cls.ring.dim for k in codims)
+    for k, value in cls.parts:
+        assert value
+        if isinstance(cls.ring, SurfaceLattice) and k == 1:
+            assert type(value) is DivisorVector and len(value) == len(cls.ring.basis)
+            assert all(type(x) is Fraction for x in value)
+        else:
+            assert type(value) is Fraction
+
+
+@settings(max_examples=150)
+@given(same_ring_pairs, st.one_of(st.integers(-5, 5), fractions))
+def test_arithmetic_results_keep_exact_sorted_nonzero_parts(pair, q):
+    # results skip GradedClass.of, so they must already be in its normal form
+    a, b = pair
+    for result in (a + b, a - b, a - a, a * b, q * a, a * q):
+        _assert_exact_parts(result)
+        assert result == GradedClass.of(result.ring, dict(result.parts))
+    assert (a - a).is_zero
+    assert a + GradedClass.zero(a.ring) is a
+    with pytest.raises(TypeError):
+        True * a
+    with pytest.raises(TypeError):
+        a * False
 
 
 @settings(max_examples=60)

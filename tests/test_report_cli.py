@@ -43,6 +43,13 @@ def test_report_rejects_fraction_lookalike_strings():
         ).to_json()
 
 
+@pytest.mark.parametrize("fmt", ("table", "json", "csv"))
+def test_report_rejects_a_float_cell_in_every_format(fmt):
+    report = ScanReport.build("t", ("a",), ("b",), ("p",), [((1,), (0.5,))])
+    with pytest.raises(TypeError):
+        report.render(fmt)
+
+
 def test_report_sorting_and_shape_checks():
     with pytest.raises(ValueError):
         ScanReport("t", ("a",), ("b",), (), (Row((1,), (2,)),))

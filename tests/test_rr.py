@@ -264,14 +264,21 @@ def test_p4_ring_is_built_once_per_hypersurface():
 
 
 def test_p4_solver_builds_one_hypersurface(monkeypatch):
-    built = []
-    init = HypersurfaceP4.__post_init__
+    built, tangents = [], []
+    init, tangent_chern = HypersurfaceP4.__post_init__, HypersurfaceP4.tangent_chern
 
     def counted(self):
         built.append(self.degree)
         init(self)
 
+    def counted_tangent(self):
+        tangents.append(self.degree)
+        return tangent_chern(self)
+
     monkeypatch.setattr(HypersurfaceP4, "__post_init__", counted)
+    monkeypatch.setattr(HypersurfaceP4, "tangent_chern", counted_tangent)
     solve_ulrich_chern(HypersurfaceP4(5), 3)
-    # Riemann-Roch runs on the given model, never on a fresh copy of it
+    # Riemann-Roch runs on the given model, never on a fresh copy of it,
+    # and its 9 evaluations share the one Todd class built with the model
     assert built == [5]
+    assert tangents == [5]

@@ -140,11 +140,13 @@ def _decode(value):
 def _cell_text(value: Cell) -> str:
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
-    if isinstance(value, (int, str)):
-        return str(value)
     # the types to_json cannot encode (a float above all) print in no format
     raise TypeError(f"unsupported cell type {type(value).__name__}")

@@ -12,6 +12,7 @@ overridden with ``--seed``.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import fields
@@ -468,33 +469,49 @@ COMMANDS = {
 
 
 def build_parser(argv) -> argparse.ArgumentParser:
-    """The argparse tree of ``COMMANDS``, with real parsers only for the
+    """The argparse tree of ``COMMANDS``, with parsers only for the
     commands named in ``argv``.
 
-    One invocation parses one path, so building the other parsers is
-    wasted work; every other command is registered by name and help
-    alone, which keeps help, usage and invalid-choice errors unchanged.
-    ``--format`` is accepted both before and after the subcommand; the
-    trailing occurrence wins.
+    One invocation parses one path, and each ``ArgumentParser`` is costly
+    to build (its constructor looks up messages through gettext), so a
+    command that ``argv`` does not name gets no parser: ``_parser_or_none``
+    is the ``parser_class`` of every subcommand group and returns ``None``
+    for it.  argparse uses only the name and help of such a command, for
+    usage, help and invalid-choice text, so that text is unchanged at every
+    terminal width.  ``--format`` is accepted both before and after the
+    subcommand; the trailing occurrence wins.
     """
+    import shutil  # lazily, as argparse does: only a parser build needs it
+
     parser = argparse.ArgumentParser(
         prog="projnorm",
         description="Exact projective-normality checks for Ulrich bundles on curves, surfaces and low-dimensional hypersurfaces.",
+        # one terminal-size query per tree: the default formatter queries
+        # again for every formatter, and add_argument builds one per call
+        formatter_class=functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2),
     )
     parser.add_argument("--format", choices=_FORMATS, dest="format_root", default=None)
     _add_commands(parser, "command", COMMANDS, set(argv))
     return parser
 
 
+def _parser_or_none(*, named: bool, **kwargs):
+    """The ``parser_class`` of every subcommand group: a parser for a
+    command the argv names, nothing for the others."""
+    return argparse.ArgumentParser(**kwargs) if named else None
+
+
 def _add_commands(parser, dest: str, commands: dict, selected: set) -> None:
-    sub = parser.add_subparsers(dest=dest, required=True)
+    # no group has a positional before its subcommand, so the prefix of the
+    # children's prog is the parser's own; unset, argparse formats a usage
+    # line to find it
+    sub = parser.add_subparsers(dest=dest, required=True, parser_class=_parser_or_none, prog=parser.prog)
     for name, node in commands.items():
         # an explicit help=None would still list the name under the choices
         kwargs = {} if node.help is None else {"help": node.help}
-        if name not in selected:
-            sub.add_parser(name, add_help=False, **kwargs)
+        child = sub.add_parser(name, named=name in selected, formatter_class=parser.formatter_class, **kwargs)
+        if child is None:
             continue
-        child = sub.add_parser(name, **kwargs)
         if isinstance(node, Group):
             _add_commands(child, node.dest, node.commands, selected)
             continue

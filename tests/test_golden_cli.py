@@ -7,17 +7,27 @@ the argv, the exit code, stdout and stderr of one in-process run with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
-(pytest is not needed) and say why in CHANGES.md.  Outside Python
-3.10-3.12 that writes only ``REPORT_CASES`` and names the help and usage
-cases it skipped.
+(pytest is not needed) and say why in CHANGES.md.  With ``--check`` the
+same command compares instead of writing, names each mismatch and exits 1
+if there is one; that is how the files are checked on an interpreter
+without pytest.  Outside Python 3.10-3.12 both write or check only
+``REPORT_CASES`` and name the help and usage cases they skipped.
+
+The files lock one terminal width.  ``test_argparse_text_matches_a_full_tree``
+checks help, usage and error text at three widths against ``full_parser``,
+a tree in which every command has a parser, as ``cli.build_parser`` gives
+only the commands the argv names.
 """
 
+import argparse
+import gettext
 import io
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from projnorm import cli
 from projnorm.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"
@@ -130,6 +140,12 @@ for _name, _argv in _REPORTS.items():
 
 CASES = {**ARGPARSE_CASES, **REPORT_CASES}
 
+#: Command names given as option values: they name no command.
+OPTION_VALUE_CASES = {
+    "command_name_as_int_value": ["scan", "ci", "--rmax", "check"],
+    "command_name_as_leaf_value": ["check", "curve", "--g", "scan", "--d", "3"],
+}
+
 
 def run_case(argv) -> str:
     out, err = io.StringIO(), io.StringIO()
@@ -150,6 +166,9 @@ def pytest_generate_tests(metafunc):
     # parametrized through the hook, so writing the files needs no pytest
     if metafunc.function is test_cli_matches_golden:
         metafunc.parametrize("name", sorted(CASES))
+    if metafunc.function is test_argparse_text_matches_a_full_tree:
+        metafunc.parametrize("columns", ["40", "80", "132"])
+        metafunc.parametrize("name", sorted({**ARGPARSE_CASES, **OPTION_VALUE_CASES}))
 
 
 def test_cli_matches_golden(name, monkeypatch):
@@ -166,12 +185,83 @@ def test_every_golden_file_has_a_case():
     assert sorted(path.stem for path in GOLDEN.glob("*.txt")) == sorted(CASES)
 
 
+def _add_every_command(parser, dest: str, commands: dict) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, node in commands.items():
+        child = sub.add_parser(name, **({} if node.help is None else {"help": node.help}))
+        if isinstance(node, cli.Group):
+            _add_every_command(child, node.dest, node.commands)
+            continue
+        child.add_argument("--format", choices=cli._FORMATS, dest="format_leaf", default=None)
+        for flag, spec in node.arguments:
+            child.add_argument(flag, **spec)
+
+
+def full_parser() -> argparse.ArgumentParser:
+    """``cli.COMMANDS`` with a real parser for every command and the
+    default formatter: the reference for help, usage and error text."""
+    parser = argparse.ArgumentParser(prog="projnorm", description=cli.build_parser(()).description)
+    parser.add_argument("--format", choices=cli._FORMATS, dest="format_root", default=None)
+    _add_every_command(parser, "command", cli.COMMANDS)
+    return parser
+
+
+def test_argparse_text_matches_a_full_tree(name, columns, monkeypatch):
+    argv = {**ARGPARSE_CASES, **OPTION_VALUE_CASES}[name]
+    monkeypatch.setenv("COLUMNS", columns)
+    built = run_case(argv)
+    reference = full_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda argv: reference)
+    assert built == run_case(argv)
+
+
+def test_parsers_only_for_the_commands_the_argv_names(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv, expected in (
+        (["check", "surface-hyp", "--d", "4", "--r", "2"], ["projnorm", "projnorm check", "projnorm check surface-hyp"]),
+        (["kko-audit"], ["projnorm", "projnorm kko-audit"]),
+        (["--help"], ["projnorm"]),
+    ):
+        built.clear()
+        run_case(argv)
+        assert built == expected, argv
+
+
+def test_argparse_and_gettext_are_left_as_they_are():
+    before = (argparse._, argparse.ArgumentParser.__init__, argparse.HelpFormatter.__init__)
+    run_case(["check", "surface-hyp", "--d", "4", "--r", "2"])
+    run_case(["--help"])
+    assert argparse._ is gettext.gettext
+    after = (argparse._, argparse.ArgumentParser.__init__, argparse.HelpFormatter.__init__)
+    assert all(a is b for a, b in zip(after, before))
+    assert argparse.ArgumentParser.__init__.__module__ == argparse.HelpFormatter.__init__.__module__ == "argparse"
+
+
 if __name__ == "__main__":
+    check = sys.argv[1:] == ["--check"]
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit("usage: python tests/test_golden_cli.py [--check]")
     os.environ["COLUMNS"] = "80"
     GOLDEN.mkdir(parents=True, exist_ok=True)
     # argparse text from another Python would break the tests on 3.10-3.12
     cases = CASES if SAME_ARGPARSE_TEXT else REPORT_CASES
+    mismatched = []
     for name, argv in cases.items():
-        (GOLDEN / f"{name}.txt").write_text(run_case(argv), encoding="utf-8")
+        path = GOLDEN / f"{name}.txt"
+        if not check:
+            path.write_text(run_case(argv), encoding="utf-8")
+        elif not path.exists() or run_case(argv) != path.read_text(encoding="utf-8"):
+            mismatched.append(name)
+            print(f"mismatch {name}")
     for name in sorted(CASES.keys() - cases.keys()):
         print(f"skipped {name}: argparse text differs on this Python")
+    if check:
+        print(f"{len(cases) - len(mismatched)} of {len(cases)} cases match")
+    sys.exit(1 if mismatched else 0)

@@ -150,11 +150,12 @@ def dimension_test(h0: int, k: int, h0_symk_lower, strong: bool = False, *, note
     """
     if k < 2:
         raise ValueError("k-normality counting starts at k = 2")
-    lower = as_fraction(h0_symk_lower)
+    # an int bound is compared as an int; _verdict makes both witness sides Fractions
+    lower = h0_symk_lower if type(h0_symk_lower) is int else as_fraction(h0_symk_lower)
     if strong:
-        rule, status, available = f"strong-{k}-normality-count", NOT_STRONGLY_K_NORMAL, Fraction(h0**k)
+        rule, status, available = f"strong-{k}-normality-count", NOT_STRONGLY_K_NORMAL, h0**k
     else:
-        rule, status, available = f"{k}-normality-count", NOT_K_NORMAL, Fraction(binom(h0 + k - 1, k))
+        rule, status, available = f"{k}-normality-count", NOT_K_NORMAL, binom(h0 + k - 1, k)
     # a count that passes says which way: exactly met or exceeded
     passed = "=" if available == lower else ">"
     return _verdict(rule, available < lower, ("<", passed), available, lower, status=status, k=k, notes=notes, data=data)
@@ -171,9 +172,10 @@ def classify_p3_hypersurface(d: int, r: int) -> Tuple[NormalityVerdict, ...]:
     """
     counts = h0_powers_p3_hypersurface(d, r)  # enforces d >= 2 and parity
     h0 = r * d
-    slack3 = Fraction(r * d * (d - 1) * (r - 2) * (d * (7 * r + 2) + r + 8), 72)
-    if binom(h0 + 2, 3) - counts.sym3 != slack3:
+    slack3_numerator = r * d * (d - 1) * (r - 2) * (d * (7 * r + 2) + r + 8)
+    if 72 * (binom(h0 + 2, 3) - counts.sym3) != slack3_numerator:
         raise DataError("3-normality slack disagrees with its closed form")
+    slack3 = Fraction(slack3_numerator, 72)
     shared = (("d", d), ("r", r), ("h0", h0))
     return (
         dimension_test(h0, 2, counts.sym2, data=shared + (("h0_sym2", counts.sym2),)),

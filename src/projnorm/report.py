@@ -16,6 +16,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Tuple
 
 _FRACTION_RE = re.compile(r"^-?\d+/\d+$")
@@ -45,6 +46,9 @@ class ScanReport:
         for row in self.rows:
             if len(row.params) != len(self.params) or len(row.values) != len(self.columns):
                 raise ValueError("row shape does not match the header")
+        for kind, names in (("parameter", self.params), ("column", self.columns)):
+            if len(set(names)) != len(names):
+                raise ValueError(f"repeated {kind} name in {names!r}")
 
     @staticmethod
     def build(title, params, columns, provenance, rows) -> "ScanReport":
@@ -54,20 +58,28 @@ class ScanReport:
     # -- JSON -----------------------------------------------------------
 
     def to_json(self) -> str:
-        doc = {
-            "title": self.title,
-            "params": list(self.params),
-            "columns": list(self.columns),
-            "provenance": list(self.provenance),
-            "rows": [
-                {
-                    "params": {k: _encode(v) for k, v in zip(self.params, row.params)},
-                    "values": {k: _encode(v) for k, v in zip(self.columns, row.values)},
-                }
-                for row in self.rows
-            ],
-        }
-        return json.dumps(doc, indent=2, sort_keys=False)
+        """The exact text of ``json.dumps(doc, indent=2)`` for the report's document.
+
+        The document has the keys title, params, columns, provenance and
+        rows; each row is ``{"params": {name: cell}, "values": {name:
+        cell}}`` with cells encoded by ``_encode``.  The text is built
+        here rather than by ``json.dumps``, whose indented mode runs the
+        pure-Python encoder; names are unique, so no key repeats.
+        """
+        param_keys = [f"        {encode_basestring_ascii(k)}: " for k in self.params]
+        value_keys = [f"        {encode_basestring_ascii(k)}: " for k in self.columns]
+        rows = [
+            '    {\n      "params": ' + _json_object(param_keys, row.params)
+            + ',\n      "values": ' + _json_object(value_keys, row.values) + "\n    }"
+            for row in self.rows
+        ]
+        return (
+            '{\n  "title": ' + encode_basestring_ascii(self.title)
+            + ',\n  "params": ' + _json_names(self.params)
+            + ',\n  "columns": ' + _json_names(self.columns)
+            + ',\n  "provenance": ' + _json_names(self.provenance)
+            + ',\n  "rows": ' + _json_block(rows, "  ", "[]") + "\n}"
+        )
 
     @staticmethod
     def from_json(text: str) -> "ScanReport":
@@ -129,6 +141,37 @@ def _encode(value: Cell):
             raise ValueError("string cells must not look like rationals")
         return value
     raise TypeError(f"unsupported cell type {type(value).__name__}")
+
+
+def _json_cell(value: Cell) -> str:
+    """The JSON text of ``_encode(value)``, as ``json.dumps`` writes it."""
+    encoded = _encode(value)
+    if isinstance(encoded, str):
+        return encode_basestring_ascii(encoded)
+    if encoded is None:
+        return "null"
+    if encoded is True:
+        return "true"
+    if encoded is False:
+        return "false"
+    return int.__repr__(encoded)
+
+
+def _json_block(items: list, indent: str, brackets: str) -> str:
+    """Lay out ``items``, each already indented one level below ``indent``,
+    as ``json.dumps(indent=2)`` lays out a container whose closing bracket
+    sits at ``indent``; an empty container is just ``brackets``."""
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + indent + brackets[1]
+
+
+def _json_names(names: tuple) -> str:
+    return _json_block([f"    {encode_basestring_ascii(name)}" for name in names], "  ", "[]")
+
+
+def _json_object(keys: list, cells: tuple) -> str:
+    return _json_block([key + _json_cell(cell) for key, cell in zip(keys, cells)], "      ", "{}")
 
 
 def _decode(value):

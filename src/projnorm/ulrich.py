@@ -85,10 +85,12 @@ def make_ulrich(V, rank: int, chern: ChernVector | None = None) -> UlrichData:
     return UlrichData(V, rank, chern, int(h0))
 
 
-def _require_count(value: Fraction, label: str) -> int:
-    if value.denominator != 1 or value < 0:
-        raise DataError(f"{label} must be a nonnegative integer, got {value}")
-    return int(value)
+def _require_count(num: int, den: int, label: str) -> int:
+    """The count ``num/den`` (``den > 0``) as an int, or DataError unless it is one."""
+    count, rem = divmod(num, den)
+    if rem or count < 0:
+        raise DataError(f"{label} must be a nonnegative integer, got {Fraction(num, den)}")
+    return count
 
 
 def h0_powers_surface_det_special(S: Surface, r: int) -> tuple:
@@ -139,9 +141,9 @@ def h0_powers_surface(U: UlrichData) -> PowerCounts:
             raise DataError("section counts disagree with their det E = O((r/2)(K+3H)) specialization")
 
     return PowerCounts(
-        _require_count(tensor2, "h0(E(x)E)"),
-        _require_count(sym2, "h0(S^2 E)"),
-        _require_count(sym3, "h0(S^3 E)"),
+        _require_count(tensor2.numerator, tensor2.denominator, "h0(E(x)E)"),
+        _require_count(sym2.numerator, sym2.denominator, "h0(S^2 E)"),
+        _require_count(sym3.numerator, sym3.denominator, "h0(S^3 E)"),
     )
 
 
@@ -150,13 +152,10 @@ def h0_powers_p3_hypersurface(d: int, r: int) -> PowerCounts:
     if d < 2:
         raise ValueError("need degree at least 2")
     require_even(r, d)
-    tensor2 = Fraction(r * r * d * (d + 1) * (d + 5), 12)
-    sym2 = Fraction(r * d * (d + 1) * ((d + 5) * r + 6), 24)
-    sym3 = Fraction(r * d * (d + 1) * (r + 2) * (r + 4 + d * (5 * r + 2)), 72)
     return PowerCounts(
-        _require_count(tensor2, "h0(E(x)E)"),
-        _require_count(sym2, "h0(S^2 E)"),
-        _require_count(sym3, "h0(S^3 E)"),
+        _require_count(r * r * d * (d + 1) * (d + 5), 12, "h0(E(x)E)"),
+        _require_count(r * d * (d + 1) * ((d + 5) * r + 6), 24, "h0(S^2 E)"),
+        _require_count(r * d * (d + 1) * (r + 2) * (r + 4 + d * (5 * r + 2)), 72, "h0(S^3 E)"),
     )
 
 
@@ -170,13 +169,14 @@ def chi_powers_p4_hypersurface(d: int, r: int) -> ThreefoldPowerData:
     if d < 1:
         raise ValueError("need degree at least 1")
     require_even(r, d)
-    chi_t2 = Fraction(r * r * d * (d + 1) * (d + 3), 8)
-    chi_s2 = Fraction(r * d * (d + 1) * (d + 3) * (3 * r + 4 - d), 48)
-    c3_t2 = Fraction(r * r * d, 12) * (d - 1) ** 2 * (r * r - 2) * (2 * r * r * (d - 1) + 3 - d)
-    c3_s2 = Fraction(r * d, 48) * (d - 1) ** 2 * (r + 2) * (r * r + r - 4) * (r * r * (d - 1) + 2)
-    if chi_t2.denominator != 1 or chi_s2.denominator != 1:
+    # chi(S^2 E) is negative once d > 3r+4, so these are not counts
+    chi_t2, rem_t2 = divmod(r * r * d * (d + 1) * (d + 3), 8)
+    chi_s2, rem_s2 = divmod(r * d * (d + 1) * (d + 3) * (3 * r + 4 - d), 48)
+    if rem_t2 or rem_s2:
         raise DataError("Euler characteristics of the powers must be integers")
-    return ThreefoldPowerData(int(chi_t2), int(chi_s2), c3_t2, c3_s2)
+    c3_t2 = Fraction(r * r * d * (d - 1) ** 2 * (r * r - 2) * (2 * r * r * (d - 1) + 3 - d), 12)
+    c3_s2 = Fraction(r * d * (d - 1) ** 2 * (r + 2) * (r * r + r - 4) * (r * r * (d - 1) + 2), 48)
+    return ThreefoldPowerData(chi_t2, chi_s2, c3_t2, c3_s2)
 
 
 def ulrich_c3_p4_hypersurface(d: int, r: int) -> Fraction:

@@ -48,6 +48,20 @@ def test_dimension_test_examples():
         dimension_test(8, 1, 4)
 
 
+@pytest.mark.parametrize("strong", (False, True))
+def test_dimension_test_int_and_fraction_bounds_agree(strong):
+    for h0 in range(1, 13):
+        for lower in range(0, 170, 3):
+            for k in (2, 3):
+                as_int = dimension_test(h0, k, lower, strong)
+                as_fraction = dimension_test(h0, k, Fraction(lower), strong)
+                assert as_int == as_fraction
+                assert type(as_int.witness.lhs) is Fraction and type(as_int.witness.rhs) is Fraction
+    for bad in (True, 4.0):
+        with pytest.raises(TypeError):
+            dimension_test(4, 2, bad, strong)
+
+
 def test_p3_classifier_examples():
     v2, _ = classify_p3_hypersurface(5, 2)
     assert v2.status == NOT_K_NORMAL

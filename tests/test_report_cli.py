@@ -2,13 +2,14 @@
 
 import io
 import json
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
 from projnorm.cli import main
-from projnorm.report import Row, ScanReport
+from projnorm.report import _FRACTION_RE, Row, ScanReport, _encode
 
 
 def run_cli(*argv):
@@ -174,6 +175,46 @@ def test_cli_scans_sorted_and_deterministic():
         assert all(a < b for a, b in zip(params, params[1:]))
 
 
+def test_scans_call_each_traced_function_once_per_cell(monkeypatch):
+    # bench/tracing.py HOT requires these spans on the scans workload; a
+    # change that stops calling one per cell changes the benchmark's traces
+    from projnorm import cli, normality
+    from projnorm.rr import parity_ok
+
+    calls = Counter()
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in (
+        (cli, "classify_p3_hypersurface"),
+        (cli, "classify_p4_hypersurface"),
+        (cli, "curve_thresholds"),
+        (cli, "mrc_check"),
+        (normality, "h0_powers_p3_hypersurface"),
+        (normality, "chi_powers_p4_hypersurface"),
+        (normality, "dimension_test"),
+    ):
+        counted(module, name)
+
+    cells = sum(parity_ok(r, d) for d in range(2, 8) for r in range(1, 6))
+    cli.scan_p3(7, 5)
+    assert calls == {"classify_p3_hypersurface": cells, "h0_powers_p3_hypersurface": cells, "dimension_test": 2 * cells}
+    calls.clear()
+    cells = sum(parity_ok(r, d) for d in range(4, 9) for r in range(1, 6))
+    cli.scan_p4(8, 5)
+    assert calls == {"classify_p4_hypersurface": cells, "chi_powers_p4_hypersurface": cells, "dimension_test": 2 * cells}
+    calls.clear()
+    cli.scan_curve(5, 4)
+    assert calls == {"curve_thresholds": 6 * 4, "mrc_check": 3 * 4}
+
+
 def test_cli_csv_format():
     code, out, _ = run_cli("--format", "csv", "scan", "p3", "--dmax", "4", "--rmax", "3")
     assert code == 0
@@ -211,12 +252,17 @@ from fractions import Fraction as _F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+#: Full unicode, lone surrogates included: quotes, backslashes, control
+#: characters and non-ASCII all reach the JSON escaper.
+_text = st.text(st.characters(exclude_categories=()), max_size=8)
+_names = st.lists(_text, unique=True, max_size=3)
 _cells = st.one_of(
     st.integers(min_value=-10**9, max_value=10**9),
+    st.integers(min_value=-2**80, max_value=2**80),
     st.booleans(),
     st.none(),
     st.fractions(min_value=-100, max_value=100, max_denominator=97),
-    st.text(alphabet="abz -_:", max_size=8),
+    _text.filter(lambda text: not _FRACTION_RE.match(text)),
 )
 
 
@@ -230,6 +276,43 @@ def test_report_round_trip_property(rows):
         [((i,), (x, y)) for i, x, y in rows],
     )
     assert ScanReport.from_json(report.to_json()) == report
+
+
+@st.composite
+def _reports(draw):
+    params, columns = draw(_names), draw(_names)
+    rows = draw(st.lists(st.tuples(
+        st.tuples(*[_cells] * len(params)), st.tuples(*[_cells] * len(columns))
+    ), max_size=4))
+    provenance = draw(st.tuples(*[_text] * len(columns)))
+    return ScanReport.build(draw(_text), params, columns, provenance, rows)
+
+
+@settings(max_examples=300)
+@given(_reports())
+def test_report_json_is_the_stdlib_indent_2_layout(report):
+    doc = {
+        "title": report.title,
+        "params": list(report.params),
+        "columns": list(report.columns),
+        "provenance": list(report.provenance),
+        "rows": [
+            {
+                "params": {k: _encode(v) for k, v in zip(report.params, row.params)},
+                "values": {k: _encode(v) for k, v in zip(report.columns, row.values)},
+            }
+            for row in report.rows
+        ],
+    }
+    assert report.to_json() == json.dumps(doc, indent=2)
+    assert ScanReport.from_json(report.to_json()) == report
+
+
+@pytest.mark.parametrize("params, columns", [(("i", "i"), ("x",)), (("i",), ("x", "x"))])
+def test_report_rejects_repeated_names(params, columns):
+    # a repeated key would make to_json drop every value but the last
+    with pytest.raises(ValueError, match="repeated"):
+        ScanReport.build("t", params, columns, ("p",) * len(columns), [])
 
 
 def test_cli_format_flag_after_subcommand():

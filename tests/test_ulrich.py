@@ -6,8 +6,10 @@ import pytest
 
 from projnorm.chern import ChernVector, sym2, sym3, tensor_square
 from projnorm.exactalg import DataError, ParityError, numerically_equal, ring_degree
-from projnorm.rr import HypersurfaceP3, HypersurfaceP4, chi_surface, chi_threefold_hypersurface, solve_ulrich_chern, surface_model
+from projnorm.normality import classify_p3_hypersurface
+from projnorm.rr import HypersurfaceP3, HypersurfaceP4, chi_surface, chi_threefold_hypersurface, parity_ok, solve_ulrich_chern, surface_model
 from projnorm.ulrich import (
+    _require_count,
     chi_powers_p4_hypersurface,
     h0_powers_p3_hypersurface,
     h0_powers_surface,
@@ -23,6 +25,53 @@ def test_p3_closed_form_examples():
     assert h0_powers_p3_hypersurface(2, 2).sym2 == 10
     counts = h0_powers_p3_hypersurface(4, 2)
     assert (counts.tensor2, counts.sym2, counts.sym3) == (60, 40, 120)
+
+
+def _exact(value, kind):
+    assert type(value) is kind, (value, kind)
+    return value
+
+
+def test_integer_closed_forms_match_the_fraction_forms():
+    # the reference is the Fraction arithmetic these closed forms used to run;
+    # counts and chi come out as int, c3 and slack3 as Fraction
+    for d in range(1, 61):
+        for r in range(1, 41):
+            if not parity_ok(r, d):
+                continue
+            if d >= 2:
+                counts = h0_powers_p3_hypersurface(d, r)
+                assert (
+                    _exact(counts.tensor2, int),
+                    _exact(counts.sym2, int),
+                    _exact(counts.sym3, int),
+                ) == (
+                    Fraction(r * r * d * (d + 1) * (d + 5), 12),
+                    Fraction(r * d * (d + 1) * ((d + 5) * r + 6), 24),
+                    Fraction(r * d * (d + 1) * (r + 2) * (r + 4 + d * (5 * r + 2)), 72),
+                )
+                slack3 = classify_p3_hypersurface(d, r)[1].value("slack3")
+                assert _exact(slack3, Fraction) == Fraction(r * d * (d - 1) * (r - 2) * (d * (7 * r + 2) + r + 8), 72)
+            data = chi_powers_p4_hypersurface(d, r)
+            assert (
+                _exact(data.chi_tensor2, int),
+                _exact(data.chi_sym2, int),
+                _exact(data.c3_tensor2, Fraction),
+                _exact(data.c3_sym2, Fraction),
+            ) == (
+                Fraction(r * r * d * (d + 1) * (d + 3), 8),
+                Fraction(r * d * (d + 1) * (d + 3) * (3 * r + 4 - d), 48),
+                Fraction(r * r * d, 12) * (d - 1) ** 2 * (r * r - 2) * (2 * r * r * (d - 1) + 3 - d),
+                Fraction(r * d, 48) * (d - 1) ** 2 * (r + 2) * (r * r + r - 4) * (r * r * (d - 1) + 2),
+            )
+
+
+def test_require_count_error_text():
+    assert _require_count(60, 12, "h0(E(x)E)") == 60 // 12
+    with pytest.raises(DataError, match=r"^h0\(S\^2 E\) must be a nonnegative integer, got 7/2$"):
+        _require_count(14, 4, "h0(S^2 E)")
+    with pytest.raises(DataError, match=r"^h0\(S\^3 E\) must be a nonnegative integer, got -3$"):
+        _require_count(-216, 72, "h0(S^3 E)")
 
 
 def test_p3_parity_enforced():

@@ -17,7 +17,6 @@ from .chern import (
     sym2,
     sym3,
     sym_k_c1,
-    syzygy_bundle,
     tensor_square,
     twist,
     wedge2,
@@ -32,7 +31,6 @@ from .exactalg import (
     SolverError,
     SurfaceLattice,
     divisor,
-    format_rational,
     parse_rational,
     ring_degree,
     splitting_oracle,
@@ -56,11 +54,9 @@ from .normality import (
 )
 from .report import ScanReport
 from .rr import (
-    Curve,
     HypersurfaceP3,
     HypersurfaceP4,
     Surface,
-    chi_curve,
     chi_surface,
     chi_threefold_hypersurface,
     solve_ulrich_chern,

@@ -248,20 +248,6 @@ def segre_dual(E: ChernVector, up_to: int) -> Tuple[GradedClass, ...]:
     return tuple(s)
 
 
-def syzygy_bundle(E: ChernVector, h0: int) -> ChernVector:
-    """Chern data of the kernel of the evaluation map H^0 (x) O -> E.
-
-    For a globally generated bundle with h0 sections the kernel has rank
-    h0 - r, c1 = -c1(E) and c2 = c1(E)^2 - c2(E).  Its third Chern class
-    is not modeled, so this is restricted to rings of dimension <= 2.
-    """
-    if E.ring.dim >= 3:
-        raise ValueError("syzygy-bundle Chern data is modeled through degree 2 only")
-    if h0 <= E.rank:
-        raise ValueError("need more sections than the rank for a nonzero kernel")
-    return ChernVector.of(E.ring, h0 - E.rank, -E.c1, E.c1 * E.c1 - E.c2)
-
-
 # ---------------------------------------------------------------------------
 # Chern character
 

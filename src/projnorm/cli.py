@@ -51,7 +51,12 @@ from .rr import (
     solve_ulrich_chern,
     surface_model,
 )
-from .ulrich import casnati_c2, h0_powers_p3_hypersurface, ulrich_c3_p4_hypersurface
+from .ulrich import (
+    casnati_c2,
+    chi_powers_p4_hypersurface,
+    h0_powers_p3_hypersurface,
+    ulrich_c3_p4_hypersurface,
+)
 from .verify import formula_suite
 
 _CHECK_COLUMNS = ("status", "k", "lhs", "relation", "rhs", "value", "threshold", "notes")
@@ -132,7 +137,7 @@ def check_surface_hyp(d: int, r: int) -> ScanReport:
         _value_row("dim_tensor2_h0", h0 * h0),
         _value_row("dim_sym2_h0", binom(h0 + 1, 2)),
         _value_row("dim_sym3_h0", binom(h0 + 2, 3)),
-        _value_row("slack3", v3.value("slack3")),
+        _value_row("slack3", v3.witness.lhs - v3.witness.rhs),
         _verdict_row(dimension_test(h0, 2, counts.tensor2, strong=True)),
         _verdict_row(v2),
         _verdict_row(v3),
@@ -154,6 +159,7 @@ def check_threefold_hyp(d: int, r: int) -> ScanReport:
     E = solve_ulrich_chern(V, r)
     ring = V.ring
     h0 = r * d
+    powers = chi_powers_p4_hypersurface(d, r)
     strong, plain = classify_p4_hypersurface(d, r)
     rows = [
         _value_row("d", d),
@@ -164,10 +170,10 @@ def check_threefold_hyp(d: int, r: int) -> ScanReport:
         _value_row("c3", ring_degree(ring, E.c3, 3)),
         _value_row("c3_closed_form", ulrich_c3_p4_hypersurface(d, r)),
         _value_row("chi_bundle", chi_threefold_hypersurface(V, E)),
-        _value_row("chi_tensor2", strong.value("chi_tensor2")),
-        _value_row("chi_sym2", plain.value("chi_sym2")),
-        _value_row("c3_tensor2", strong.value("c3_tensor2")),
-        _value_row("c3_sym2", plain.value("c3_sym2")),
+        _value_row("chi_tensor2", powers.chi_tensor2),
+        _value_row("chi_sym2", powers.chi_sym2),
+        _value_row("c3_tensor2", powers.c3_tensor2),
+        _value_row("c3_sym2", powers.c3_sym2),
         _value_row("dim_tensor2_h0", h0 * h0),
         _value_row("dim_sym2_h0", binom(h0 + 1, 2)),
         _verdict_row(strong),
@@ -300,7 +306,7 @@ def _p3_cells(d: int, r: int) -> tuple:
     if not parity_ok(r, d):
         return ("odd", None, None, None, None)
     v2, v3 = classify_p3_hypersurface(d, r)
-    return ("ok", *_count_cells(v2), v3.value("slack3"))
+    return ("ok", *_count_cells(v2), v3.witness.lhs - v3.witness.rhs)
 
 
 def _p4_cells(d: int, r: int) -> tuple:

@@ -84,11 +84,6 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
-def format_rational(value: Scalar) -> str:
-    """Inverse of :func:`parse_rational`: lowest terms, positive denominator."""
-    return str(as_fraction(value))
-
-
 def binom(n: int, k: int) -> int:
     """Binomial coefficient, extended to negative ``n`` by falling factorials.
 
@@ -330,11 +325,6 @@ class GradedClass:
             return self * other
         return NotImplemented
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / as_fraction(other))
-        return NotImplemented
-
     def __repr__(self) -> str:
         return " + ".join(_format_component(self.ring, k, v) for k, v in self.parts) or "0"
 
@@ -362,13 +352,6 @@ def unit(ring: Ring, value: Scalar = 1) -> GradedClass:
 def divisor(ring: Ring, coeffs) -> GradedClass:
     """A codimension-1 class: a scalar (multiple of H) or a coefficient vector."""
     return GradedClass.of(ring, {1: coeffs})
-
-
-def h_power(ring: RankOneRing, codim: int, value: Scalar = 1) -> GradedClass:
-    """``value * H^codim`` in a rank-one ring."""
-    if not isinstance(ring, RankOneRing):
-        raise TypeError("h_power only makes sense in a rank-one ring")
-    return GradedClass.of(ring, {codim: value})
 
 
 def ring_degree(ring: Ring, cls: GradedClass, codim: int) -> Fraction:

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 from .chern import ChernVector, segre_dual
 from .exactalg import DataError, as_fraction, binom, ring_degree
 from .report import ScanReport
-from .rr import Curve, HypersurfaceP3, HypersurfaceP4, Surface, as_surface
+from .rr import HypersurfaceP3, HypersurfaceP4, Surface, as_surface
 from .ulrich import chi_powers_p4_hypersurface, h0_powers_p3_hypersurface
 
 NOT_K_NORMAL = "not-k-normal"
@@ -56,21 +56,10 @@ class NormalityVerdict:
     theorem: Optional[str] = None
     witness: Optional[Witness] = None
     notes: Tuple[str, ...] = ()
-    data: Tuple[Tuple[str, object], ...] = ()
 
     @property
     def fired(self) -> bool:
         return self.status == POSITIVE
-
-    @property
-    def failed(self) -> bool:
-        return self.status in (NOT_K_NORMAL, NOT_STRONGLY_K_NORMAL)
-
-    def value(self, name: str):
-        for key, val in self.data:
-            if key == name:
-                return val
-        raise KeyError(name)
 
     @property
     def status_label(self) -> str:
@@ -109,12 +98,15 @@ class CurveCase:
             raise ValueError("need genus >= 0, degree >= 1, rank >= 1")
         if any(p < 2 for p in self.syzygy_levels):
             raise ValueError("syzygy levels start at p = 2")
+        for i, p in enumerate(self.syzygy_levels):
+            if p in self.syzygy_levels[:i]:
+                raise ValueError(f"syzygy level p = {p} is given more than once")
         top = max(0, (self.genus - 1) // 2)
         if self.clifford is not None and not 0 <= self.clifford <= top:
             raise ValueError(f"Clifford index must lie in 0..{top} at genus {self.genus} (got {self.clifford})")
 
 
-def _verdict(rule, holds, relations, lhs, rhs, *, status=POSITIVE, k=None, theorem=None, notes=(), unmet=(), data=()):
+def _verdict(rule, holds, relations, lhs, rhs, *, status=POSITIVE, k=None, theorem=None, notes=(), unmet=()):
     """The one constructor of a verdict from an exact inequality.
 
     The verdict takes ``status`` only when the inequality ``holds`` and no
@@ -131,7 +123,7 @@ def _verdict(rule, holds, relations, lhs, rhs, *, status=POSITIVE, k=None, theor
             rhs if type(rhs) is Fraction else Fraction(rhs),
         )
     return NormalityVerdict(
-        rule, status if holds and not unmet else INCONCLUSIVE, k, theorem, witness, notes + unmet, data
+        rule, status if holds and not unmet else INCONCLUSIVE, k, theorem, witness, notes + unmet
     )
 
 
@@ -139,14 +131,14 @@ def _verdict(rule, holds, relations, lhs, rhs, *, status=POSITIVE, k=None, theor
 # counting obstructions
 
 
-def dimension_test(h0: int, k: int, h0_symk_lower, strong: bool = False, *, notes=(), data=()) -> NormalityVerdict:
+def dimension_test(h0: int, k: int, h0_symk_lower, strong: bool = False, *, notes=()) -> NormalityVerdict:
     """Compare dim S^k H^0 (or dim (H^0)^(x)k in strong mode) with a lower
     bound for the section count of the k-th power.
 
     A strict shortfall proves the multiplication map cannot surject and
     yields a failure verdict; anything else is inconclusive, because the
-    count passing is only a necessary condition.  ``notes`` and ``data``
-    are carried into the verdict unchanged.
+    count passing is only a necessary condition.  ``notes`` are carried
+    into the verdict unchanged.
     """
     if k < 2:
         raise ValueError("k-normality counting starts at k = 2")
@@ -158,7 +150,7 @@ def dimension_test(h0: int, k: int, h0_symk_lower, strong: bool = False, *, note
         rule, status, available = f"{k}-normality-count", NOT_K_NORMAL, binom(h0 + k - 1, k)
     # a count that passes says which way: exactly met or exceeded
     passed = "=" if available == lower else ">"
-    return _verdict(rule, available < lower, ("<", passed), available, lower, status=status, k=k, notes=notes, data=data)
+    return _verdict(rule, available < lower, ("<", passed), available, lower, status=status, k=k, notes=notes)
 
 
 def classify_p3_hypersurface(d: int, r: int) -> Tuple[NormalityVerdict, ...]:
@@ -167,20 +159,16 @@ def classify_p3_hypersurface(d: int, r: int) -> Tuple[NormalityVerdict, ...]:
 
     The 2-normality count passes exactly on {d=2} u {d=3, r>=3} u
     {d=4, r>=6}; the 3-normality slack dim S^3 H^0 - h^0(S^3 E) equals
-    r d (d-1)(r-2)(d(7r+2)+r+8)/72, zero in rank 2 and positive for
-    r >= 3.
+    r d (d-1)(r-2)(d(7r+2)+r+8)/72 (checked here against the counts).
+    It is negative in rank 1 (every odd d >= 3), so the 3-count fails
+    there; it is zero in rank 2 and positive for r >= 3.
     """
     counts = h0_powers_p3_hypersurface(d, r)  # enforces d >= 2 and parity
     h0 = r * d
     slack3_numerator = r * d * (d - 1) * (r - 2) * (d * (7 * r + 2) + r + 8)
     if 72 * (binom(h0 + 2, 3) - counts.sym3) != slack3_numerator:
         raise DataError("3-normality slack disagrees with its closed form")
-    slack3 = Fraction(slack3_numerator, 72)
-    shared = (("d", d), ("r", r), ("h0", h0))
-    return (
-        dimension_test(h0, 2, counts.sym2, data=shared + (("h0_sym2", counts.sym2),)),
-        dimension_test(h0, 3, counts.sym3, data=shared + (("h0_sym3", counts.sym3), ("slack3", slack3))),
-    )
+    return dimension_test(h0, 2, counts.sym2), dimension_test(h0, 3, counts.sym3)
 
 
 def classify_p4_hypersurface(d: int, r: int) -> Tuple[NormalityVerdict, ...]:
@@ -188,20 +176,23 @@ def classify_p4_hypersurface(d: int, r: int) -> Tuple[NormalityVerdict, ...]:
 
     chi is a valid lower bound for h^0 of both powers here (no higher
     obstructions), so chi(E(x)E) > (rd)^2 disproves surjectivity of the
-    multiplication map for every d >= 4, and chi(S^2 E) > binom(rd+1, 2),
-    which happens exactly when 3r > d+4, disproves 2-normality.
+    multiplication map for every d >= 4, and chi(S^2 E) > binom(rd+1, 2)
+    disproves 2-normality.  The 2-count margin factors as
+
+        48 (chi(S^2 E) - binom(rd+1, 2)) = r d (d-1)(d-3)(3r-4-d),
+
+    so for d >= 4 the 2-count fails exactly when 3r > d+4.  Below that
+    range it never fails: the margin is 0 at d = 1 and d = 3, and at
+    d = 2 (even r) it is -r(r-2)/8, negative for every r > 2.
     """
     data = chi_powers_p4_hypersurface(d, r)  # enforces d >= 1 and parity
     h0 = r * d
     notes: Tuple[str, ...] = ("euler characteristic used as a lower bound for h^0",)
     if d < 4:
         notes = notes + ("degree below 4: outside the proved range, raw counts only",)
-    shared = (("d", d), ("r", r), ("h0", h0))
-    tensor2 = shared + (("chi_tensor2", data.chi_tensor2), ("c3_tensor2", data.c3_tensor2))
-    sym2 = shared + (("chi_sym2", data.chi_sym2), ("c3_sym2", data.c3_sym2))
     return (
-        dimension_test(h0, 2, data.chi_tensor2, strong=True, notes=notes, data=tensor2),
-        dimension_test(h0, 2, data.chi_sym2, notes=notes, data=sym2),
+        dimension_test(h0, 2, data.chi_tensor2, strong=True, notes=notes),
+        dimension_test(h0, 2, data.chi_sym2, notes=notes),
     )
 
 
@@ -471,7 +462,6 @@ def surface_acm_criterion(h: int, r: int, c1sq, c1k, c2) -> AcmResult:
         status=NOT_K_NORMAL,
         k=2,
         notes=("caller asserts q = p_g = 0, 0-regular, ample, h = h^0",),
-        data=(("h", h), ("r", r), ("h1_lower", h1_lower)),
     )
     return AcmResult(
         verdict,
@@ -486,11 +476,10 @@ def sectional_curve_criterion(V, E: ChernVector) -> NormalityVerdict:
     deg P(E) = s_n(E*) and the sectional genus is
     1 + ((K + c1) . s_{n-1}(E*) + (n-2) s_n(E*)) / 2, so the test reads
     (3-n) s_n(E*) >= 3 + (K + c1) . s_{n-1}(E*); both forms are computed
-    and must agree identically.  The model must be regular (q = 0).
+    and must agree identically, for n in {2, 3}.  The model must be
+    regular (q = 0).
     """
-    if isinstance(V, Curve):
-        ring, canonical, n = V.ring, V.canonical, 1
-    elif isinstance(V, (Surface, HypersurfaceP3)):
+    if isinstance(V, (Surface, HypersurfaceP3)):
         S = as_surface(V)
         ring, canonical, n = S.lattice, S.canonical, 2
     elif isinstance(V, HypersurfaceP4):
@@ -515,7 +504,6 @@ def sectional_curve_criterion(V, E: ChernVector) -> NormalityVerdict:
         2 * genus + 1,
         theorem="deg P(E) >= 2g+1 for the sectional curve",
         notes=("needs q = 0 and E very ample (caller-asserted)",),
-        data=(("degree", deg), ("sectional_genus", genus), ("margin", margin)),
     )
 
 

@@ -2,7 +2,6 @@
 
 Variety models carry exactly the numerical data the formulas consume:
 
-* :class:`Curve`: genus and polarization degree.
 * :class:`Surface`: an (H, K) intersection lattice, chi(O_S), the
   irregularity q and geometric genus p_g, with the hyperplane and
   canonical classes as lattice vectors.
@@ -41,29 +40,6 @@ from .exactalg import (
 
 
 @dataclass(frozen=True)
-class Curve:
-    """Smooth projective curve with a globally generated ample degree-d polarization."""
-
-    genus: int
-    degree: int
-
-    def __post_init__(self) -> None:
-        if self.genus < 0:
-            raise ValueError("genus must be nonnegative")
-        if self.degree < 1:
-            raise ValueError("polarization degree must be positive")
-
-    @property
-    def ring(self) -> RankOneRing:
-        return RankOneRing(1, Fraction(self.degree))
-
-    @property
-    def canonical(self) -> GradedClass:
-        # K_C has degree 2g-2; expressed in H-units on the degree map.
-        return divisor(self.ring, Fraction(2 * self.genus - 2, self.degree))
-
-
-@dataclass(frozen=True)
 class Surface:
     """Numerical model of an embedded surface: lattice, chi(O), q, p_g."""
 
@@ -77,10 +53,6 @@ class Surface:
         object.__setattr__(self, "chi_o", as_fraction(self.chi_o))
         if self.canonical.ring != self.lattice:
             raise RingMismatchError("canonical class must live in the surface lattice")
-
-    @property
-    def ring(self) -> SurfaceLattice:
-        return self.lattice
 
     @property
     def hyperplane(self) -> GradedClass:
@@ -185,13 +157,6 @@ def as_surface(V) -> Surface:
 
 # ---------------------------------------------------------------------------
 # Euler characteristics
-
-
-def chi_curve(genus: int, E: ChernVector) -> Fraction:
-    """chi(C, E) = deg c1(E) + r (1 - g)."""
-    if E.ring.dim != 1:
-        raise RingMismatchError("chi_curve needs a 1-dimensional ring")
-    return ring_degree(E.ring, E.c1, 1) + E.rank * (1 - genus)
 
 
 def chi_surface(V, E: ChernVector) -> Fraction:

@@ -18,7 +18,6 @@ from fractions import Fraction
 from .chern import ChernVector
 from .exactalg import DataError, numerically_equal, ring_degree
 from .rr import (
-    Curve,
     HypersurfaceP3,
     HypersurfaceP4,
     Surface,
@@ -73,10 +72,6 @@ def make_ulrich(V, rank: int, chern: ChernVector | None = None) -> UlrichData:
         if chern is None:
             raise TypeError("general surface models need explicit Chern data")
         degree = V.degree
-    elif isinstance(V, Curve):
-        if chern is None:
-            raise TypeError("curve models need explicit Chern data")
-        degree = Fraction(V.degree)
     else:
         raise TypeError(f"unsupported variety model {type(V).__name__}")
     h0 = rank * degree

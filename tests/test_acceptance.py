@@ -177,7 +177,7 @@ def test_05_p3_classifier():
                     continue
                 v2, v3 = classify_p3_hypersurface(d, r)
                 assert (v2.status == NOT_K_NORMAL) == ((d, r) not in allowed), (d, r)
-                slack = v3.value("slack3")
+                slack = v3.witness.lhs - v3.witness.rhs
                 if r == 2:
                     assert slack == 0
                 if r >= 3 and d >= 2:

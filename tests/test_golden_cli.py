@@ -116,6 +116,8 @@ REPORT_CASES = {
     ],
     # a Clifford index above (g-1)//2 is an input error
     "error_clifford_out_of_range": ["check", "curve", "--g", "3", "--d", "1", "--cliff", "100"],
+    # so is a syzygy level given twice, which would print its row twice
+    "error_repeated_syzygy_level": ["check", "curve", "--g", "3", "--d", "4", "--p", "2", "--p", "2"],
     # presets: an unknown name and a threefold preset
     "error_unknown_preset": ["check", "preset", "no-such-variety"],
     "check_preset_sextic_threefold_r2": ["check", "preset", "sextic-threefold", "--r", "2"],

@@ -9,10 +9,8 @@ from projnorm import cli, rr
 from projnorm.chern import ChernVector, twist
 from projnorm.exactalg import GradedClass, ParityError, SolverError, binom, ring_degree
 from projnorm.rr import (
-    Curve,
     HypersurfaceP3,
     HypersurfaceP4,
-    chi_curve,
     chi_surface,
     chi_threefold_hypersurface,
     parity_ok,
@@ -21,19 +19,6 @@ from projnorm.rr import (
     surface_model,
 )
 from projnorm.ulrich import casnati_c2, ulrich_c3_p4_hypersurface
-
-
-def test_chi_curve_examples():
-    C = Curve(0, 3)
-    triv = ChernVector.of(C.ring, 1)
-    assert chi_curve(0, triv) == 1
-    # Ulrich line bundle: degree d+g-1 gives chi = d
-    C = Curve(4, 6)
-    L = ChernVector.of(C.ring, 1, Fraction(6 + 4 - 1, 6))
-    assert chi_curve(4, L) == 6
-    # rank 2 at the Ulrich slope gives chi = 2d
-    E = ChernVector.of(C.ring, 2, Fraction(2 * (6 + 4 - 1), 6))
-    assert chi_curve(4, E) == 12
 
 
 def test_chi_surface_structure_sheaf():
@@ -186,25 +171,20 @@ def test_model_validation_errors():
     from projnorm.rr import as_surface, ulrich_c1
 
     with pytest.raises(ValueError):
-        Curve(-1, 3)
-    with pytest.raises(ValueError):
-        Curve(2, 0)
-    with pytest.raises(ValueError):
         HypersurfaceP3(0)
     with pytest.raises(ValueError):
         HypersurfaceP4(0)
     with pytest.raises(TypeError):
-        as_surface(Curve(1, 2))
+        as_surface(HypersurfaceP4(2))
     with pytest.raises(TypeError):
-        ulrich_c1(Curve(1, 2), 2)
+        ulrich_c1(surface_model(4, 0, 0, 2), 2)
     with pytest.raises(ValueError):
         solve_ulrich_chern(HypersurfaceP3(3), 0)
-    C = Curve(2, 3)
     E = ChernVector.of(HypersurfaceP4(2).ring, 1)
     from projnorm.exactalg import RingMismatchError
 
     with pytest.raises(RingMismatchError):
-        chi_curve(2, E)
+        chi_surface(HypersurfaceP3(2), E)
 
 
 @pytest.mark.parametrize(

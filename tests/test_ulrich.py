@@ -50,7 +50,8 @@ def test_integer_closed_forms_match_the_fraction_forms():
                     Fraction(r * d * (d + 1) * ((d + 5) * r + 6), 24),
                     Fraction(r * d * (d + 1) * (r + 2) * (r + 4 + d * (5 * r + 2)), 72),
                 )
-                slack3 = classify_p3_hypersurface(d, r)[1].value("slack3")
+                v3 = classify_p3_hypersurface(d, r)[1]
+                slack3 = v3.witness.lhs - v3.witness.rhs
                 assert _exact(slack3, Fraction) == Fraction(r * d * (d - 1) * (r - 2) * (d * (7 * r + 2) + r + 8), 72)
             data = chi_powers_p4_hypersurface(d, r)
             assert (
@@ -169,10 +170,6 @@ def test_make_ulrich_validation():
     S = surface_model(4, 0, 0, 2)
     with pytest.raises(TypeError):
         make_ulrich(S, 2)  # chern data required on general surfaces
-    from projnorm.rr import Curve
-
-    with pytest.raises(TypeError):
-        make_ulrich(Curve(2, 3), 2)
     with pytest.raises(TypeError):
         make_ulrich("pencil", 2)
     # fractional r*d is flagged

@@ -51,12 +51,7 @@ from .rr import (
     solve_ulrich_chern,
     surface_model,
 )
-from .ulrich import (
-    casnati_c2,
-    chi_powers_p4_hypersurface,
-    h0_powers_p3_hypersurface,
-    ulrich_c3_p4_hypersurface,
-)
+from .ulrich import casnati_c2, ulrich_c3_p4_hypersurface
 from .verify import formula_suite
 
 _CHECK_COLUMNS = ("status", "k", "lhs", "relation", "rhs", "value", "threshold", "notes")
@@ -113,13 +108,12 @@ def check_surface_hyp(d: int, r: int) -> ScanReport:
     V = HypersurfaceP3(d)
     S = V.surface()
     E = solve_ulrich_chern(V, r)
-    counts = h0_powers_p3_hypersurface(d, r)
     h0 = r * d
     lat = S.lattice
     c1sq = ring_degree(lat, E.c1 * E.c1, 2)
     c1k = ring_degree(lat, E.c1 * S.canonical, 2)
     c2 = ring_degree(lat, E.c2, 2)
-    v2, v3 = classify_p3_hypersurface(d, r)
+    v2, v3, counts = classify_p3_hypersurface(d, r)
 
     rows = [
         _value_row("d", d),
@@ -159,8 +153,7 @@ def check_threefold_hyp(d: int, r: int) -> ScanReport:
     E = solve_ulrich_chern(V, r)
     ring = V.ring
     h0 = r * d
-    powers = chi_powers_p4_hypersurface(d, r)
-    strong, plain = classify_p4_hypersurface(d, r)
+    strong, plain, powers = classify_p4_hypersurface(d, r)
     rows = [
         _value_row("d", d),
         _value_row("r", r),
@@ -305,14 +298,14 @@ def _count_cells(v) -> tuple:
 def _p3_cells(d: int, r: int) -> tuple:
     if not parity_ok(r, d):
         return ("odd", None, None, None, None)
-    v2, v3 = classify_p3_hypersurface(d, r)
+    v2, v3, _ = classify_p3_hypersurface(d, r)
     return ("ok", *_count_cells(v2), v3.witness.lhs - v3.witness.rhs)
 
 
 def _p4_cells(d: int, r: int) -> tuple:
     if not parity_ok(r, d):
         return ("odd", None, None, None, None, None, None)
-    strong, plain = classify_p4_hypersurface(d, r)
+    strong, plain, _ = classify_p4_hypersurface(d, r)
     return ("ok", *_count_cells(strong), *_count_cells(plain))
 
 
@@ -551,11 +544,12 @@ def main(argv=None) -> int:
     fmt = args.format_leaf or args.format_root or "table"
     try:
         report, code = dispatch(args)
+        text = report.render(fmt)  # inside: an int past the int->str digit limit is a ValueError
     except (DataError, SolverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        sys.stdout.write(report.render(fmt))
+        sys.stdout.write(text)
     except BrokenPipeError:
         _stdout_to_devnull()
     return code

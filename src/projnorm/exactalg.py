@@ -40,6 +40,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from typing import Callable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -431,35 +432,13 @@ def rand_rational(rng: random.Random) -> Fraction:
     )
 
 
-def _pairs_all(xs: Sequence[int]) -> list:
-    return [xi + xj for xi in xs for xj in xs]
-
-
-def _pairs_leq(xs: Sequence[int]) -> list:
-    return [xs[i] + xs[j] for i in range(len(xs)) for j in range(i, len(xs))]
-
-
-def _pairs_lt(xs: Sequence[int]) -> list:
-    return [xs[i] + xs[j] for i in range(len(xs)) for j in range(i + 1, len(xs))]
-
-
-def _triples_leq(xs: Sequence[int]) -> list:
-    n = len(xs)
-    return [
-        xs[i] + xs[j] + xs[k]
-        for i in range(n)
-        for j in range(i, n)
-        for k in range(j, n)
-    ]
-
-
 #: The splitting oracle's constructions and their derived root multisets;
 #: the oracle handles ``tensor_line`` (a twist by one more root) itself.
 _DERIVED_ROOTS: Mapping[str, Callable] = {
-    "tensor_square": _pairs_all,
-    "sym2": _pairs_leq,
-    "sym3": _triples_leq,
-    "wedge2": _pairs_lt,
+    "tensor_square": lambda xs: [x + y for x in xs for y in xs],
+    "sym2": lambda xs: [x + y for x, y in combinations_with_replacement(xs, 2)],
+    "sym3": lambda xs: [x + y + z for x, y, z in combinations_with_replacement(xs, 3)],
+    "wedge2": lambda xs: [x + y for x, y in combinations(xs, 2)],
 }
 
 

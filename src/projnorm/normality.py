@@ -26,7 +26,7 @@ from .chern import ChernVector, segre_dual
 from .exactalg import DataError, as_fraction, binom, ring_degree
 from .report import ScanReport
 from .rr import HypersurfaceP3, HypersurfaceP4, Surface, as_surface
-from .ulrich import chi_powers_p4_hypersurface, h0_powers_p3_hypersurface
+from .ulrich import PowerCounts, ThreefoldPowerData, chi_powers_p4_hypersurface, h0_powers_p3_hypersurface
 
 NOT_K_NORMAL = "not-k-normal"
 NOT_STRONGLY_K_NORMAL = "not-strongly-k-normal"
@@ -153,31 +153,34 @@ def dimension_test(h0: int, k: int, h0_symk_lower, strong: bool = False, *, note
     return _verdict(rule, available < lower, ("<", passed), available, lower, status=status, k=k, notes=notes)
 
 
-def classify_p3_hypersurface(d: int, r: int) -> Tuple[NormalityVerdict, ...]:
+def classify_p3_hypersurface(d: int, r: int) -> Tuple[NormalityVerdict, NormalityVerdict, PowerCounts]:
     """2- and 3-normality counting verdicts for rank-r Ulrich bundles on a
     degree-d surface in P^3 with det E = O(r(d-1)/2).
 
-    The 2-normality count passes exactly on {d=2} u {d=3, r>=3} u
-    {d=4, r>=6}; the 3-normality slack dim S^3 H^0 - h^0(S^3 E) equals
-    r d (d-1)(r-2)(d(7r+2)+r+8)/72 (checked here against the counts).
-    It is negative in rank 1 (every odd d >= 3), so the 3-count fails
-    there; it is zero in rank 2 and positive for r >= 3.
+    Returns ``(v2, v3, counts)``: the two verdicts, then the PowerCounts
+    they judge.  The 2-normality count passes exactly on {d=2} u
+    {d=3, r>=3} u {d=4, r>=6}; the 3-normality slack dim S^3 H^0 -
+    h^0(S^3 E) equals r d (d-1)(r-2)(d(7r+2)+r+8)/72 (checked here
+    against the counts).  It is negative in rank 1 (every odd d >= 3), so
+    the 3-count fails there; it is zero in rank 2 and positive for r >= 3.
     """
     counts = h0_powers_p3_hypersurface(d, r)  # enforces d >= 2 and parity
     h0 = r * d
     slack3_numerator = r * d * (d - 1) * (r - 2) * (d * (7 * r + 2) + r + 8)
     if 72 * (binom(h0 + 2, 3) - counts.sym3) != slack3_numerator:
         raise DataError("3-normality slack disagrees with its closed form")
-    return dimension_test(h0, 2, counts.sym2), dimension_test(h0, 3, counts.sym3)
+    return dimension_test(h0, 2, counts.sym2), dimension_test(h0, 3, counts.sym3), counts
 
 
-def classify_p4_hypersurface(d: int, r: int) -> Tuple[NormalityVerdict, ...]:
+def classify_p4_hypersurface(d: int, r: int) -> Tuple[NormalityVerdict, NormalityVerdict, ThreefoldPowerData]:
     """Strong-2 and 2-normality verdicts on a degree-d threefold in P^4.
 
-    chi is a valid lower bound for h^0 of both powers here (no higher
-    obstructions), so chi(E(x)E) > (rd)^2 disproves surjectivity of the
-    multiplication map for every d >= 4, and chi(S^2 E) > binom(rd+1, 2)
-    disproves 2-normality.  The 2-count margin factors as
+    Returns ``(strong, plain, powers)``: the two verdicts, then the
+    ThreefoldPowerData they judge.  chi is a valid lower bound for h^0 of
+    both powers here (no higher obstructions), so chi(E(x)E) > (rd)^2
+    disproves surjectivity of the multiplication map for every d >= 4,
+    and chi(S^2 E) > binom(rd+1, 2) disproves 2-normality.  The 2-count
+    margin factors as
 
         48 (chi(S^2 E) - binom(rd+1, 2)) = r d (d-1)(d-3)(3r-4-d),
 
@@ -193,6 +196,7 @@ def classify_p4_hypersurface(d: int, r: int) -> Tuple[NormalityVerdict, ...]:
     return (
         dimension_test(h0, 2, data.chi_tensor2, strong=True, notes=notes),
         dimension_test(h0, 2, data.chi_sym2, notes=notes),
+        data,
     )
 
 
@@ -538,12 +542,12 @@ def ci_example_scan(r_max: int, d_max: int = 34) -> ScanReport:
     rows = []
     for d in range(6, d_max + 1, 2):
         a = d // 2
-        r_min = next((r for r in range(2, r_max + 1) if _ci_margin(r, d) <= 0), None)
+        # the margin is r * coeff + 18d - 12, so coeff > 0 decides every rank without a search
+        coeff = d * d - 30 * d + 44
+        r_min = None if coeff > 0 else next((r for r in range(2, r_max + 1) if _ci_margin(r, d) <= 0), None)
+        note = ""
         if r_min is None:
-            coeff = d * d - 30 * d + 44
             note = "infeasible for every rank" if coeff > 0 else "feasible only above the rank cap"
-        else:
-            note = ""
         r_eval = r_min if r_min is not None else 2
         h0s2 = ci_h0_sym2(r_eval, d)
         dim = Fraction(r_eval * d * (r_eval * d + 1), 2)

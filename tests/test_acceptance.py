@@ -175,7 +175,7 @@ def test_05_p3_classifier():
             for r in range(1, 13):
                 if not parity_ok(r, d):
                     continue
-                v2, v3 = classify_p3_hypersurface(d, r)
+                v2, v3, _ = classify_p3_hypersurface(d, r)
                 assert (v2.status == NOT_K_NORMAL) == ((d, r) not in allowed), (d, r)
                 slack = v3.witness.lhs - v3.witness.rhs
                 if r == 2:
@@ -192,11 +192,11 @@ def test_06_p4_classifier():
             for r in range(1, 13):
                 if not parity_ok(r, d):
                     continue
-                strong, plain = classify_p4_hypersurface(d, r)
+                strong, plain, _ = classify_p4_hypersurface(d, r)
                 assert strong.status == NOT_STRONGLY_K_NORMAL, (d, r)
                 assert strong.witness.lhs < strong.witness.rhs  # chi(ExE) > (rd)^2
                 assert (plain.status == NOT_K_NORMAL) == (3 * r > d + 4), (d, r)
-        _, boundary = classify_p4_hypersurface(5, 3)
+        _, boundary, _ = classify_p4_hypersurface(5, 3)
         assert boundary.status == INCONCLUSIVE
         assert boundary.witness.lhs == 120 == boundary.witness.rhs
 

@@ -1,5 +1,6 @@
 """Verdict logic: counting obstructions, thresholds, criteria, and the family scan."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -64,11 +65,11 @@ def test_dimension_test_int_and_fraction_bounds_agree(strong):
 
 
 def test_p3_classifier_examples():
-    v2, _ = classify_p3_hypersurface(5, 2)
+    v2, _, _ = classify_p3_hypersurface(5, 2)
     assert v2.status == NOT_K_NORMAL
-    v2, _ = classify_p3_hypersurface(3, 2)
+    v2, _, _ = classify_p3_hypersurface(3, 2)
     assert v2.witness == Witness(Fraction(21), "<", Fraction(22))
-    v2, v3 = classify_p3_hypersurface(2, 2)
+    v2, v3, _ = classify_p3_hypersurface(2, 2)
     assert v2.status == INCONCLUSIVE
     assert v3.witness.relation == "=" and v3.witness.lhs == v3.witness.rhs  # slack3 = 0
 
@@ -81,7 +82,7 @@ def test_p3_classifier_allowed_set():
         for r in range(1, 13):
             if (r * (d - 1)) % 2:
                 continue
-            v2, _ = classify_p3_hypersurface(d, r)
+            v2, _, _ = classify_p3_hypersurface(d, r)
             assert (v2.status == INCONCLUSIVE) == ((d, r) in allowed), (d, r)
 
 
@@ -90,7 +91,7 @@ def test_p3_slack_signs():
         for r in range(1, 13):
             if (r * (d - 1)) % 2:
                 continue
-            _, v3 = classify_p3_hypersurface(d, r)
+            _, v3, _ = classify_p3_hypersurface(d, r)
             slack = v3.witness.lhs - v3.witness.rhs
             # independent recomputation from the raw counts
             assert slack == binom(r * d + 2, 3) - h0_powers_p3_hypersurface(d, r).sym3
@@ -109,7 +110,7 @@ def test_p4_classifier_threshold():
         for r in range(1, 31):
             if (r * (d - 1)) % 2:
                 continue
-            strong, plain = classify_p4_hypersurface(d, r)
+            strong, plain, _ = classify_p4_hypersurface(d, r)
             margin = plain.witness.rhs - plain.witness.lhs
             assert 48 * margin == r * d * (d - 1) * (d - 3) * (3 * r - 4 - d), (d, r)
             if d >= 4:
@@ -121,13 +122,13 @@ def test_p4_classifier_threshold():
 
 
 def test_p4_boundary_equality():
-    _, plain = classify_p4_hypersurface(5, 3)
+    _, plain, _ = classify_p4_hypersurface(5, 3)
     assert plain.status == INCONCLUSIVE
     assert plain.witness == Witness(Fraction(120), "=", Fraction(120))
 
 
 def test_p4_low_degree_flagged():
-    strong, plain = classify_p4_hypersurface(3, 2)
+    strong, plain, _ = classify_p4_hypersurface(3, 2)
     assert any("outside the proved range" in note for note in strong.notes)
     assert strong.status == INCONCLUSIVE  # chi equals (rd)^2 exactly at d = 3
     with pytest.raises(ParityError):
@@ -411,7 +412,7 @@ def test_sectional_curve_forms_agree_on_random_data():
 
 
 def test_verdict_accessors():
-    v, _ = classify_p3_hypersurface(4, 2)
+    v, _, _ = classify_p3_hypersurface(4, 2)
     assert v.status == NOT_K_NORMAL and not v.fired
     assert v.status_label == "not-2-normal"
     assert mrc_check(3, 4).fired
@@ -424,6 +425,27 @@ def test_ci_scan_rank_cap_note():
     assert by_d[20]["note"] == "feasible only above the rank cap"
     with pytest.raises(ValueError):
         ci_example_scan(1)
+
+
+def test_ci_scan_searches_only_degrees_the_certificate_leaves_open(monkeypatch):
+    # the rank search stops at r_min, and degrees with d^2 - 30d + 44 > 0 are
+    # never searched, so the rank cap costs nothing beyond the largest r_min
+    from projnorm import normality
+
+    expected = ci_example_scan(41)  # 41 is r_min at d = 28, the largest
+    r_mins = [row.values[expected.columns.index("r_min")] for row in expected.rows]
+    budget = sum(r - 1 for r in r_mins if r is not None)
+    calls = Counter()
+    margin = normality._ci_margin
+
+    def counted(r, d):
+        calls[d] += 1
+        assert sum(calls.values()) <= budget, "the rank search ran past r_min"
+        return margin(r, d)
+
+    monkeypatch.setattr(normality, "_ci_margin", counted)
+    assert ci_example_scan(10**12).rows == expected.rows
+    assert not calls[30] and not calls[32] and not calls[34]
 
 
 def test_curve_case_validation():

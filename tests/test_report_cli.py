@@ -2,9 +2,11 @@
 
 import io
 import json
+import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -213,6 +215,58 @@ def test_scans_call_each_traced_function_once_per_cell(monkeypatch):
     calls.clear()
     cli.scan_curve(5, 4)
     assert calls == {"curve_thresholds": 6 * 4, "mrc_check": 3 * 4}
+
+
+def test_hypersurface_checks_evaluate_each_closed_form_once(monkeypatch):
+    # the value rows and the verdicts of one check come from one classifier
+    # call; each function is counted in every projnorm namespace that binds
+    # it, as bench/tracing.py wraps it, so a direct call from cli is seen too
+    from projnorm import cli, normality, ulrich
+
+    calls = Counter()
+    for module, name in (
+        (normality, "classify_p3_hypersurface"),
+        (normality, "classify_p4_hypersurface"),
+        (ulrich, "h0_powers_p3_hypersurface"),
+        (ulrich, "chi_powers_p4_hypersurface"),
+        (normality, "dimension_test"),
+    ):
+        inner = getattr(module, name)
+
+        def wrapper(*args, _inner=inner, _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.partition(".")[0] == "projnorm" and getattr(mod, name, None) is inner:
+                monkeypatch.setattr(mod, name, wrapper)
+
+    cli.check_surface_hyp(5, 2)
+    assert calls == {"classify_p3_hypersurface": 1, "h0_powers_p3_hypersurface": 1, "dimension_test": 3}
+    calls.clear()
+    cli.check_threefold_hyp(5, 3)
+    assert calls == {"classify_p4_hypersurface": 1, "chi_powers_p4_hypersurface": 1, "dimension_test": 2}
+
+
+def test_cli_value_past_the_int_digit_limit_is_an_input_error():
+    # a report cell too long for str(int) is rejected like any bad input:
+    # exit 2, one error line, nothing on stdout
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli("check", "curve", "--g", "9" * 400, "--d", "9" * 400)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_cli_csv_format():

@@ -15,7 +15,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import fields
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -86,7 +85,7 @@ def _acm_rows(acm) -> list:
     """The ACM-criterion verdict followed by its degeneracy-locus data, in field order."""
     deg = acm.degeneracy
     return [_verdict_row(acm.verdict)] + [
-        _value_row(f"degeneracy_{f.name}", getattr(deg, f.name)) for f in fields(deg)
+        _value_row(f"degeneracy_{name}", value) for name, value in zip(deg._fields, deg)
     ]
 
 
@@ -521,10 +520,10 @@ def _add_commands(parser, dest: str, commands: dict, selected: set) -> None:
 
 def _parse_ranks(spec: str):
     lo, sep, hi = spec.partition("..")
-    if not sep:
-        value = int(spec)
-        return range(value, value + 1)
-    ranks = range(int(lo), int(hi) + 1)
+    try:
+        ranks = range(int(lo), int(hi if sep else lo) + 1)
+    except ValueError:
+        raise ValueError(f"ranks must be N or LO..HI, got {spec!r}") from None
     if not ranks:
         raise ValueError(f"empty rank range {spec!r}")
     return ranks

@@ -39,8 +39,7 @@ GENERIC_NOTE = "generic statement: holds for the general member, not pointwise"
 NP_CONJECTURE_NOTE = "conjectured (not asserted): level p should already follow from d > g+1+p"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """The evaluated inequality behind a verdict."""
 
     lhs: Fraction
@@ -48,8 +47,7 @@ class Witness:
     rhs: Fraction
 
 
-@dataclass(frozen=True)
-class NormalityVerdict:
+class NormalityVerdict(NamedTuple):
     rule: str
     status: str
     k: Optional[int] = None
@@ -158,11 +156,16 @@ def classify_p3_hypersurface(d: int, r: int) -> Tuple[NormalityVerdict, Normalit
     degree-d surface in P^3 with det E = O(r(d-1)/2).
 
     Returns ``(v2, v3, counts)``: the two verdicts, then the PowerCounts
-    they judge.  The 2-normality count passes exactly on {d=2} u
-    {d=3, r>=3} u {d=4, r>=6}; the 3-normality slack dim S^3 H^0 -
-    h^0(S^3 E) equals r d (d-1)(r-2)(d(7r+2)+r+8)/72 (checked here
-    against the counts).  It is negative in rank 1 (every odd d >= 3), so
-    the 3-count fails there; it is zero in rank 2 and positive for r >= 3.
+    they judge.  The 2-count margin factors as
+
+        24 (h^0(S^2 E) - binom(rd+1, 2)) = r d (d-1)(r(d-5)+6),
+
+    whose last factor is >= 6 from d = 5 on, so the 2-normality count
+    passes exactly on {d=2} u {d=3, r>=3} u {d=4, r>=6} over every
+    degree.  The 3-normality slack dim S^3 H^0 - h^0(S^3 E) equals
+    r d (d-1)(r-2)(d(7r+2)+r+8)/72 (checked here against the counts).
+    It is negative in rank 1 (every odd d >= 3), so the 3-count fails
+    there; it is zero in rank 2 and positive for r >= 3.
     """
     counts = h0_powers_p3_hypersurface(d, r)  # enforces d >= 2 and parity
     h0 = r * d
@@ -223,8 +226,7 @@ KKO_TUPLES = {
 KKO_DEGREE_WINDOW = "d in {g, g+1}"
 
 
-@dataclass(frozen=True)
-class KkoRow:
+class KkoRow(NamedTuple):
     h: int
     genus_floor: int
     j: int
@@ -401,8 +403,7 @@ def curve_verdicts(case: CurveCase) -> Tuple[NormalityVerdict, ...]:
 # surface criteria
 
 
-@dataclass(frozen=True)
-class DegeneracyData:
+class DegeneracyData(NamedTuple):
     """Numerical data of the degeneracy-locus construction behind the
     surface criterion: Z is cut by `sections` general sections of the
     dual exterior square of the syzygy bundle, sits on a curve C in
@@ -418,8 +419,7 @@ class DegeneracyData:
     h1_lower_rr: Fraction
 
 
-@dataclass(frozen=True)
-class AcmResult:
+class AcmResult(NamedTuple):
     verdict: NormalityVerdict
     degeneracy: DegeneracyData
 

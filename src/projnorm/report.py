@@ -17,15 +17,14 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 _FRACTION_RE = re.compile(r"^-?\d+/\d+$")
 
 Cell = object  # int | bool | str | Fraction | None
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     params: tuple
     values: tuple
 

@@ -12,8 +12,8 @@ agree exactly in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chern import ChernVector
 from .exactalg import DataError, numerically_equal, ring_degree
@@ -27,8 +27,7 @@ from .rr import (
 )
 
 
-@dataclass(frozen=True)
-class UlrichData:
+class UlrichData(NamedTuple):
     """An Ulrich bundle's numerical footprint: variety, rank, Chern data, h^0 = r*d."""
 
     variety: object
@@ -37,8 +36,7 @@ class UlrichData:
     h0: int
 
 
-@dataclass(frozen=True)
-class PowerCounts:
+class PowerCounts(NamedTuple):
     """Global section counts of the square and cube operations."""
 
     tensor2: int
@@ -46,8 +44,7 @@ class PowerCounts:
     sym3: int
 
 
-@dataclass(frozen=True)
-class ThreefoldPowerData:
+class ThreefoldPowerData(NamedTuple):
     """Euler characteristics and third Chern numbers of E(x)E and S^2 E."""
 
     chi_tensor2: int

@@ -1,5 +1,6 @@
 """Verdict logic: counting obstructions, thresholds, criteria, and the family scan."""
 
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -21,6 +22,10 @@ from projnorm.normality import (
     KKO_GENUS_FLOOR,
     KKO_TUPLES,
     THRESHOLD_RULES,
+    AcmResult,
+    DegeneracyData,
+    KkoRow,
+    NormalityVerdict,
     Witness,
     ci_example_scan,
     classify_p3_hypersurface,
@@ -34,8 +39,9 @@ from projnorm.normality import (
     sectional_curve_criterion,
     surface_acm_criterion,
 )
+from projnorm.report import Row
 from projnorm.rr import HypersurfaceP3, HypersurfaceP4, solve_ulrich_chern, surface_model
-from projnorm.ulrich import h0_powers_p3_hypersurface
+from projnorm.ulrich import PowerCounts, ThreefoldPowerData, UlrichData, h0_powers_p3_hypersurface
 
 
 def test_dimension_test_examples():
@@ -75,15 +81,19 @@ def test_p3_classifier_examples():
 
 
 def test_p3_classifier_allowed_set():
-    allowed = {(2, r) for r in range(2, 13, 2)}
-    allowed |= {(3, r) for r in range(3, 13)}
-    allowed |= {(4, r) for r in range(6, 13, 2)}
-    for d in range(2, 13):
-        for r in range(1, 13):
+    # the last factor of the 2-count margin is >= 6 from d = 5 on, so the
+    # allowed set below holds for every degree, not only on this grid
+    def allowed(d, r):
+        return d == 2 or (d == 3 and r >= 3) or (d == 4 and r >= 6)
+
+    for d in range(2, 61):
+        for r in range(1, 51):
             if (r * (d - 1)) % 2:
                 continue
-            v2, _, _ = classify_p3_hypersurface(d, r)
-            assert (v2.status == INCONCLUSIVE) == ((d, r) in allowed), (d, r)
+            v2, _, counts = classify_p3_hypersurface(d, r)
+            margin = 24 * (counts.sym2 - binom(r * d + 1, 2))
+            assert margin == r * d * (d - 1) * (r * (d - 5) + 6), (d, r)
+            assert (v2.status == INCONCLUSIVE) == allowed(d, r), (d, r)
 
 
 def test_p3_slack_signs():
@@ -462,3 +472,35 @@ def test_curve_case_validation():
         for cliff in (-1, top + 1):
             with pytest.raises(ValueError, match="Clifford index"):
                 CurveCase(genus=g, degree=1, clifford=cliff)
+
+
+#: Field names of every per-cell record, in order.
+RECORD_FIELDS = {
+    Row: ("params", "values"),
+    Witness: ("lhs", "relation", "rhs"),
+    NormalityVerdict: ("rule", "status", "k", "theorem", "witness", "notes"),
+    KkoRow: ("h", "genus_floor", "j", "a", "b", "bound", "ok"),
+    # the row order of the check surface and surface-hyp reports
+    DegeneracyData: ("sections", "z_length", "curve_multiple", "curve_genus", "h0_lower", "h1_lower", "h1_lower_rr"),
+    AcmResult: ("verdict", "degeneracy"),
+    PowerCounts: ("tensor2", "sym2", "sym3"),
+    ThreefoldPowerData: ("chi_tensor2", "chi_sym2", "c3_tensor2", "c3_sym2"),
+    UlrichData: ("variety", "rank", "chern", "h0"),
+}
+
+
+@pytest.mark.parametrize("record", list(RECORD_FIELDS), ids=lambda record: record.__name__)
+def test_records_are_immutable_named_tuples(record):
+    fields = RECORD_FIELDS[record]
+    assert issubclass(record, tuple) and not dataclasses.is_dataclass(record)
+    assert record._fields == fields
+    instance = record(*range(len(fields)))
+    assert instance == tuple(range(len(fields)))
+    with pytest.raises(AttributeError):
+        setattr(instance, fields[0], None)
+
+
+def test_verdict_defaults():
+    verdict = NormalityVerdict("r", POSITIVE)
+    assert (verdict.k, verdict.theorem, verdict.witness, verdict.notes) == (None, None, None, ())
+    assert verdict.fired and verdict.status_label == POSITIVE

@@ -382,6 +382,15 @@ def test_cli_parse_ranks_single_value():
     assert list(_parse_ranks("2..5")) == [2, 3, 4, 5]
 
 
+def test_cli_parse_ranks_names_the_accepted_forms():
+    from projnorm.cli import _parse_ranks
+
+    for spec in ("a", "1..x", "1..2..3", "..3", ""):
+        with pytest.raises(ValueError) as info:
+            _parse_ranks(spec)
+        assert str(info.value) == f"ranks must be N or LO..HI, got {spec!r}"
+
+
 def test_cli_verify_formulas_rejects_empty_rank_range():
     code, out, err = run_cli("verify-formulas", "--ranks", "3..1", "--trials", "2")
     assert code == 2 and out == ""

@@ -92,15 +92,18 @@ def bundle_from_numerators(ring: RankOneRing, nums: Sequence[int], D: int) -> Ch
     """:func:`bundle_from_roots` for the roots ``n / D``, ``n`` in ``nums``.
 
     e_i is summed over the integer numerators and c_i is the one division
-    e_i / D^i; ``D`` need not be in lowest terms against ``nums``.
+    e_i / D^i; ``D`` need not be in lowest terms against ``nums``.  Each
+    c_i is already exact, so its class is built without coercion.
     """
     if not isinstance(ring, RankOneRing):
         raise TypeError("Chern roots live in a rank-one ring")
     up_to = min(3, ring.dim)
     e = elementary_symmetric(nums, up_to)
-    classes = {k: GradedClass.of(ring, {k: Fraction(e[k], D**k)}) for k in range(1, up_to + 1)}
-    zero = GradedClass.zero(ring)
-    return ChernVector(len(nums), classes.get(1, zero), classes.get(2, zero), classes.get(3, zero))
+    classes = []
+    for k in range(1, 4):
+        c = Fraction(e[k], D**k) if k <= up_to else 0
+        classes.append(GradedClass(ring, ((k, c),) if c else ()))
+    return ChernVector(len(nums), *classes)
 
 
 def satisfies_rank_vanishing(E: ChernVector) -> bool:

@@ -231,6 +231,14 @@ class GradedClass:
     structural equality is semantic equality.  :meth:`of` coerces values
     from outside into that shape; arithmetic trusts its own parts and
     builds results without coercing them again.
+
+    ``+``, ``-`` and ``*`` between classes first check the ring, by
+    identity and then by equality, so a mismatch raises
+    :class:`RingMismatchError` even when one side is zero.  ``+`` and
+    ``*`` combine two single-component operands directly; other operands
+    go through a codimension map, and ``-`` negates the right operand's
+    parts in that same pass.  A scalar multiple (``q * a`` or ``a * q``)
+    takes an ``int`` or ``Fraction``; ``bool`` raises ``TypeError``.
     """
 
     ring: Ring
@@ -275,55 +283,82 @@ class GradedClass:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _check_ring(self, other: "GradedClass") -> None:
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise RingMismatchError("classes live in different rings")
-
     def __add__(self, other: "GradedClass") -> "GradedClass":
-        if not isinstance(other, GradedClass):
+        if type(other) is not GradedClass:
             return NotImplemented
-        self._check_ring(other)
-        if not other.parts:
+        ring = self.ring
+        if other.ring is not ring and other.ring != ring:
+            raise RingMismatchError("classes live in different rings")
+        b = other.parts
+        if not b:
             return self
-        if not self.parts:
+        a = self.parts
+        if not a:
             return other
-        acc = dict(self.parts)
-        for k, v in other.parts:
+        if len(a) == 1 and len(b) == 1:
+            (i, x), = a
+            (j, y), = b
+            if i == j:
+                s = x + y
+                return GradedClass(ring, ((i, s),) if s else ())
+            return GradedClass(ring, (a[0], b[0]) if i < j else (b[0], a[0]))
+        acc = dict(a)
+        for k, v in b:
             acc[k] = acc[k] + v if k in acc else v
-        return GradedClass._exact(self.ring, acc)
+        return GradedClass._exact(ring, acc)
 
     def __neg__(self) -> "GradedClass":
-        return GradedClass(self.ring, tuple((k, -v) for k, v in self.parts))
+        return GradedClass(self.ring, tuple([(k, -v) for k, v in self.parts]))
 
     def __sub__(self, other: "GradedClass") -> "GradedClass":
-        return self + (-other)
+        if type(other) is not GradedClass:
+            return NotImplemented
+        ring = self.ring
+        if other.ring is not ring and other.ring != ring:
+            raise RingMismatchError("classes live in different rings")
+        b = other.parts
+        if not b:
+            return self
+        acc = dict(self.parts)
+        for k, v in b:
+            v = -v
+            acc[k] = acc[k] + v if k in acc else v
+        return GradedClass._exact(ring, acc)
 
     def __mul__(self, other):
-        if isinstance(other, GradedClass):
-            self._check_ring(other)
-            ring = self.ring
-            # two divisors on a surface lattice pair through the Gram matrix
-            pair = ring.pair if isinstance(ring, SurfaceLattice) else None
-            acc: dict = {}
-            for i, a in self.parts:
-                for j, b in other.parts:
-                    k = i + j
-                    if k > ring.dim:
-                        continue
-                    c = pair(a, b) if pair and i == j == 1 else a * b
-                    acc[k] = acc[k] + c if k in acc else c
-            return GradedClass._exact(ring, acc)
-        if isinstance(other, bool):
-            raise TypeError(f"expected an integer or Fraction, got {other!r}")
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return GradedClass.zero(self.ring)
-            return GradedClass(self.ring, tuple((k, v * other) for k, v in self.parts))
-        return NotImplemented
+        if type(other) is not GradedClass:
+            return self.__rmul__(other)
+        ring = self.ring
+        if other.ring is not ring and other.ring != ring:
+            raise RingMismatchError("classes live in different rings")
+        n = ring.dim
+        # two divisors on a surface lattice pair through the Gram matrix
+        pair = ring.pair if type(ring) is SurfaceLattice else None
+        a, b = self.parts, other.parts
+        if len(a) == 1 and len(b) == 1:
+            (i, x), = a
+            (j, y), = b
+            k = i + j
+            if k > n:
+                return GradedClass(ring, ())
+            c = x * y if pair is None or i != 1 or j != 1 else pair(x, y)
+            return GradedClass(ring, ((k, c),) if c else ())
+        acc: dict = {}
+        for i, x in a:
+            for j, y in b:
+                k = i + j
+                if k > n:
+                    break  # codimensions ascend, so the rest truncate too
+                c = x * y if pair is None or i != 1 or j != 1 else pair(x, y)
+                acc[k] = acc[k] + c if k in acc else c
+        return GradedClass._exact(ring, acc)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
+        # ``type`` rather than ``isinstance``: a bool is not a scalar here
+        if type(other) is int or type(other) is Fraction:
+            if not other:
+                return GradedClass(self.ring, ())
+            return GradedClass(self.ring, tuple([(k, v * other) for k, v in self.parts]))
         return NotImplemented
 
     def __repr__(self) -> str:

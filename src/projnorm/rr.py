@@ -217,6 +217,9 @@ def solve_ulrich_chern(V, rank: int) -> ChernVector:
     chi(E(-p)) = 0 for p = 1..n for the remaining Chern numbers: c2 on
     surfaces, (c2, c3) on threefolds.  chi(E(-p)) is affine in them, so
     each row comes from evaluating it at zero and at each unit point.
+    Those n point bundles are built once per solve, and each row's
+    twisting class -p*h once per row; every row is still evaluated at
+    every point, n^2 evaluations of chi in all.
     The first n-1 rows are solved exactly and row n must agree; a
     singular principal system or an inconsistent last row raises
     SolverError instead of guessing.
@@ -239,14 +242,12 @@ def solve_ulrich_chern(V, rank: int) -> ChernVector:
     names = ", ".join(f"c{k}" for k in range(2, n + 1))
     zero = [0] * (n - 1)
     units = [[int(i == j) for j in range(n - 1)] for i in range(n - 1)]
-
-    def chi_at(p, x):
-        return chi(twist(ChernVector.of(ring, rank, c1, *x), -p * h))
-
+    points = [ChernVector.of(ring, rank, c1, *x) for x in [zero, *units]]
     rows = []  # chi(E(-p)) = a.x + b is affine in the unknowns x; (a, b) for p = 1..n
     for p in range(1, n + 1):
-        b = chi_at(p, zero)
-        rows.append(([chi_at(p, e) - b for e in units], b))
+        L = -p * h
+        b, *at_units = [chi(twist(E, L)) for E in points]
+        rows.append(([v - b for v in at_units], b))
     *principal, (last, b_last) = rows
     det = _det([a for a, _ in principal])
     if det == 0:

@@ -294,6 +294,32 @@ def test_bundle_from_roots_matches_fraction_expansion(dim, h_degree, roots, base
     assert bundle_from_numerators(ring, nums, D) == _fraction_expansion(ring, fractions)
 
 
+@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize(
+    "nums,D",
+    [
+        ([], 1),
+        ([0], 1),
+        ([3, -3], 2),  # e1 = 0
+        ([2, 2, -1], 3),  # e2 = 0
+        ([1, -1, 0], 1),  # e1 = e3 = 0
+        ([2, 0, 0], 5),  # e2 = e3 = 0
+        ([1, 2, 4, -7], 6),
+    ],
+)
+def test_bundle_from_numerators_matches_the_coerced_build(dim, nums, D):
+    # the oracle compares with ==, so the exact build must equal the one
+    # GradedClass.of gives; on a surface ring c3 truncates to zero
+    ring = RankOneRing(dim, Fraction(2))
+    e = elementary_symmetric(nums, 3)
+    expected = ChernVector.of(ring, len(nums), *(Fraction(e[k], D**k) for k in (1, 2, 3)))
+    got = bundle_from_numerators(ring, nums, D)
+    assert got == expected
+    assert all(type(v) is Fraction for c in (got.c1, got.c2, got.c3) for _, v in c.parts)
+    if dim == 2:
+        assert got.c3.is_zero
+
+
 @given(st.lists(st.integers(-(10**15), 10**15), max_size=8), st.integers(0, 9))
 def test_elementary_symmetric_keeps_integers_integral(values, up_to):
     e = elementary_symmetric(values, up_to)

@@ -1,6 +1,7 @@
 """Ring arithmetic, degree maps, rational round-trips, and the splitting oracle."""
 
 import dataclasses
+import operator
 from fractions import Fraction
 
 import pytest
@@ -121,15 +122,33 @@ def _rank_one_classes(ring):
     )
 
 
-#: Pairs of classes on one ring, for every ring shape and dimension.
+def _single_component_classes(ring):
+    # one component in any codimension (zero values give the zero class),
+    # so the single-component paths of +, - and * are drawn in every codim
+    def build(codim, a, b):
+        value = (a, b) if isinstance(ring, SurfaceLattice) and codim == 1 else a
+        return GradedClass.of(ring, {codim: value})
+
+    component = st.one_of(st.just(0), fractions)
+    return st.builds(build, st.integers(0, ring.dim), component, component)
+
+
+def _classes_on(ring, mixed):
+    return st.one_of(mixed, _single_component_classes(ring))
+
+
+#: Pairs of classes on one ring, for every ring shape and dimension; each
+#: side is a mixed class or a single-component one.
 same_ring_pairs = st.one_of(
     *(
         st.tuples(classes, classes)
         for classes in (
-            surface_classes,
-            rank3_classes,
-            _rank_one_classes(RankOneRing(1, Fraction(3))),
-            _rank_one_classes(RankOneRing(2, Fraction(5))),
+            _classes_on(QUARTIC_K3, surface_classes),
+            _classes_on(rank3, rank3_classes),
+            *(
+                _classes_on(ring, _rank_one_classes(ring))
+                for ring in (RankOneRing(1, Fraction(3)), RankOneRing(2, Fraction(5)))
+            ),
         )
     )
 )
@@ -161,6 +180,69 @@ def test_arithmetic_results_keep_exact_sorted_nonzero_parts(pair, q):
         True * a
     with pytest.raises(TypeError):
         a * False
+
+
+def _reference_sum(a, b, sign):
+    acc = dict(a.parts)
+    for k, v in dict(b.parts).items():
+        v = v * sign
+        acc[k] = acc[k] + v if k in acc else v
+    return GradedClass.of(a.ring, acc)
+
+
+def _reference_product(a, b):
+    # the convolution over codimensions; two surface divisors pair
+    ring = a.ring
+    acc = {}
+    for i, x in dict(a.parts).items():
+        for j, y in dict(b.parts).items():
+            c = ring.pair(x, y) if isinstance(ring, SurfaceLattice) and i == j == 1 else x * y
+            acc[i + j] = acc[i + j] + c if i + j in acc else c
+    return GradedClass.of(ring, acc)
+
+
+@settings(max_examples=150)
+@given(same_ring_pairs, st.one_of(st.integers(-5, 5), fractions))
+def test_arithmetic_matches_the_reference_convolution(pair, q):
+    a, b = pair
+    # every pair of single components of a and b, so each codimension pair
+    # meets the single-component paths whatever was drawn
+    singles = [(GradedClass(a.ring, (x,)), GradedClass(b.ring, (y,))) for x in a.parts for y in b.parts]
+    for x, y in [(a, b), (a, -a), *singles]:
+        assert x + y == _reference_sum(x, y, 1)
+        assert x - y == _reference_sum(x, y, -1)
+        assert x * y == _reference_product(x, y)
+    scaled = GradedClass.of(a.ring, {k: v * q for k, v in dict(a.parts).items()})
+    assert q * a == scaled
+    assert a * q == scaled
+
+
+def test_ring_mismatch_raises_for_every_operator():
+    ring, other = RankOneRing(2, Fraction(4)), RankOneRing(2, Fraction(3))
+    line = SurfaceLattice(("H",), ((4,),))
+    for foreign_ring in (other, line):
+        for a in (divisor(ring, 1), GradedClass.zero(ring)):
+            for b in (divisor(foreign_ring, 1), GradedClass.zero(foreign_ring)):
+                for x, y in ((a, b), (b, a)):
+                    for op in (operator.add, operator.sub, operator.mul):
+                        with pytest.raises(RingMismatchError):
+                            op(x, y)
+
+
+def test_equal_but_distinct_rings_still_combine():
+    first, second = RankOneRing(3, Fraction(1)), RankOneRing(3, Fraction(1))
+    assert first is not second and first == second
+    x, y = divisor(first, 2), divisor(second, 3)
+    assert x + y == divisor(first, 5)
+    assert x - y == divisor(first, -1)
+    assert x * y == GradedClass.of(first, {2: 6})
+    assert x + GradedClass.zero(second) == x
+    lattice, twin = (SurfaceLattice(("H", "K"), ((4, 1), (1, 0))) for _ in range(2))
+    assert lattice is not twin
+    u, v = divisor(lattice, (1, 2)), divisor(twin, (3, 0))
+    assert u + v == divisor(lattice, (4, 2))
+    assert u - v == divisor(lattice, (-2, 2))
+    assert u * v == GradedClass.of(lattice, {2: 18})
 
 
 @settings(max_examples=60)

@@ -54,7 +54,7 @@ class ChernVector:
         for cls, grade in ((self.c1, 1), (self.c2, 2), (self.c3, 3)):
             if cls.ring is not ring and cls.ring != ring:
                 raise RingMismatchError("Chern classes live in different rings")
-            if not cls.is_zero and cls.grade() != grade:
+            if not cls.is_zero and cls.codim != grade:
                 raise ValueError(f"c{grade} must be homogeneous of codimension {grade}")
 
     @property
@@ -102,7 +102,7 @@ def bundle_from_numerators(ring: RankOneRing, nums: Sequence[int], D: int) -> Ch
     classes = []
     for k in range(1, 4):
         c = Fraction(e[k], D**k) if k <= up_to else 0
-        classes.append(GradedClass(ring, ((k, c),) if c else ()))
+        classes.append(GradedClass(ring, k, c) if c else GradedClass(ring))
     return ChernVector(len(nums), *classes)
 
 
@@ -216,7 +216,7 @@ def twist(E: ChernVector, L) -> ChernVector:
         L = GradedClass.of(E.ring, {1: L})
     if L.ring is not E.ring and L.ring != E.ring:
         raise RingMismatchError("twisting class lives in a different ring")
-    if not L.is_zero and L.grade() != 1:
+    if not L.is_zero and L.codim != 1:
         raise ValueError("can only twist by a codimension-1 class")
     r = E.rank
     L2 = L * L

@@ -15,6 +15,10 @@ downstream:
   matrix, while codimension-2 classes are stored as already-integrated
   rationals.
 
+A :class:`GradedClass` is homogeneous: one codimension and one component.
+Sums over several codimensions, such as a Chern or Todd class, are kept as
+tuples of graded pieces.
+
 The module also houses the randomized splitting-principle oracle used to
 validate every closed-form Chern-class construction: formal Chern roots
 are drawn as exact rationals, the derived root multiset of a construction
@@ -41,7 +45,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -220,66 +224,63 @@ def _coerce_component(ring: Ring, codim: int, value):
     return as_fraction(value)
 
 
+_MIXED = "a class has one codimension; keep a mixed sum as graded pieces"
+
+
 @dataclass(frozen=True)
 class GradedClass:
-    """A (possibly mixed-degree) numerical class in a truncated ring.
+    """A homogeneous numerical class in a truncated ring.
 
-    ``parts`` pairs each codimension with the component in that ring's
-    shape.  The invariant: components are exact (``Fraction``, or a
-    :class:`DivisorVector` of them for surface divisors), never zero, and
-    in ascending codimension no higher than the ring dimension, so
-    structural equality is semantic equality.  :meth:`of` coerces values
-    from outside into that shape; arithmetic trusts its own parts and
-    builds results without coercing them again.
+    A nonzero class has one codimension ``codim``, no higher than the ring
+    dimension, and one exact nonzero component ``value`` in that ring's
+    shape: a ``Fraction``, or a :class:`DivisorVector` of them for surface
+    divisors.  The zero class has neither (both are None), so structural
+    equality is semantic equality.  A sum over several codimensions (a
+    Chern character, a Todd class) is a tuple of graded pieces instead.
+    :meth:`of` coerces values from outside into that shape; arithmetic
+    trusts its own components and builds results without coercing them
+    again.
 
     ``+``, ``-`` and ``*`` between classes first check the ring, by
     identity and then by equality, so a mismatch raises
     :class:`RingMismatchError` even when one side is zero.  ``+`` and
-    ``*`` combine two single-component operands directly; other operands
-    go through a codimension map, and ``-`` negates the right operand's
-    parts in that same pass.  A scalar multiple (``q * a`` or ``a * q``)
-    takes an ``int`` or ``Fraction``; ``bool`` raises ``TypeError``.
+    ``-`` of two nonzero classes in different codimensions raise
+    ``ValueError``.  A scalar multiple (``q * a`` or ``a * q``) takes an
+    ``int`` or ``Fraction``; ``bool`` raises ``TypeError``.
     """
 
     ring: Ring
-    parts: tuple
+    codim: Optional[int] = None
+    value: object = None
 
     @staticmethod
     def of(ring: Ring, components: Mapping[int, object]) -> "GradedClass":
-        parts = []
-        for codim in sorted(components):
-            if codim < 0:
+        """The class with the given components, at most one of them nonzero."""
+        codim = value = None
+        for k, v in components.items():
+            if k < 0:
                 raise ValueError("negative codimension")
-            if codim > ring.dim:
+            if k > ring.dim:
                 continue  # truncation
-            value = _coerce_component(ring, codim, components[codim])
-            if value:
-                parts.append((codim, value))
-        return GradedClass(ring, tuple(parts))
-
-    @staticmethod
-    def _exact(ring: Ring, acc: dict) -> "GradedClass":
-        # ``acc`` maps codimensions within the ring to exact components
-        return GradedClass(ring, tuple([(k, acc[k]) for k in sorted(acc) if acc[k]]))
+            v = _coerce_component(ring, k, v)
+            if v:
+                if value is not None:
+                    raise ValueError(_MIXED)
+                codim, value = k, v
+        return GradedClass(ring, codim, value)
 
     @staticmethod
     def zero(ring: Ring) -> "GradedClass":
-        return GradedClass(ring, ())
+        return GradedClass(ring)
 
     def component(self, codim: int):
-        for k, value in self.parts:
-            if k == codim:
-                return value
+        if codim == self.codim:
+            return self.value
         return _coerce_component(self.ring, codim, 0)
 
     @property
     def is_zero(self) -> bool:
-        return not self.parts
-
-    def grade(self):
-        """The unique grade of a homogeneous class, or None if zero/mixed."""
-        parts = self.parts
-        return parts[0][0] if len(parts) == 1 else None
+        return self.codim is None
 
     # -- arithmetic ---------------------------------------------------
 
@@ -289,26 +290,20 @@ class GradedClass:
         ring = self.ring
         if other.ring is not ring and other.ring != ring:
             raise RingMismatchError("classes live in different rings")
-        b = other.parts
-        if not b:
+        k = other.codim
+        if k is None:
             return self
-        a = self.parts
-        if not a:
+        if self.codim is None:
             return other
-        if len(a) == 1 and len(b) == 1:
-            (i, x), = a
-            (j, y), = b
-            if i == j:
-                s = x + y
-                return GradedClass(ring, ((i, s),) if s else ())
-            return GradedClass(ring, (a[0], b[0]) if i < j else (b[0], a[0]))
-        acc = dict(a)
-        for k, v in b:
-            acc[k] = acc[k] + v if k in acc else v
-        return GradedClass._exact(ring, acc)
+        if self.codim != k:
+            raise ValueError(_MIXED)
+        s = self.value + other.value
+        return GradedClass(ring, k, s) if s else GradedClass(ring)
 
     def __neg__(self) -> "GradedClass":
-        return GradedClass(self.ring, tuple([(k, -v) for k, v in self.parts]))
+        if self.codim is None:
+            return self
+        return GradedClass(self.ring, self.codim, -self.value)
 
     def __sub__(self, other: "GradedClass") -> "GradedClass":
         if type(other) is not GradedClass:
@@ -316,14 +311,15 @@ class GradedClass:
         ring = self.ring
         if other.ring is not ring and other.ring != ring:
             raise RingMismatchError("classes live in different rings")
-        b = other.parts
-        if not b:
+        k = other.codim
+        if k is None:
             return self
-        acc = dict(self.parts)
-        for k, v in b:
-            v = -v
-            acc[k] = acc[k] + v if k in acc else v
-        return GradedClass._exact(ring, acc)
+        if self.codim is None:
+            return -other
+        if self.codim != k:
+            raise ValueError(_MIXED)
+        s = self.value + -other.value  # a DivisorVector has + and unary - only
+        return GradedClass(ring, k, s) if s else GradedClass(ring)
 
     def __mul__(self, other):
         if type(other) is not GradedClass:
@@ -331,38 +327,24 @@ class GradedClass:
         ring = self.ring
         if other.ring is not ring and other.ring != ring:
             raise RingMismatchError("classes live in different rings")
-        n = ring.dim
+        i, j = self.codim, other.codim
+        if i is None or j is None or i + j > ring.dim:
+            return GradedClass(ring)
+        x, y = self.value, other.value
         # two divisors on a surface lattice pair through the Gram matrix
-        pair = ring.pair if type(ring) is SurfaceLattice else None
-        a, b = self.parts, other.parts
-        if len(a) == 1 and len(b) == 1:
-            (i, x), = a
-            (j, y), = b
-            k = i + j
-            if k > n:
-                return GradedClass(ring, ())
-            c = x * y if pair is None or i != 1 or j != 1 else pair(x, y)
-            return GradedClass(ring, ((k, c),) if c else ())
-        acc: dict = {}
-        for i, x in a:
-            for j, y in b:
-                k = i + j
-                if k > n:
-                    break  # codimensions ascend, so the rest truncate too
-                c = x * y if pair is None or i != 1 or j != 1 else pair(x, y)
-                acc[k] = acc[k] + c if k in acc else c
-        return GradedClass._exact(ring, acc)
+        c = ring.pair(x, y) if i == j == 1 and type(ring) is SurfaceLattice else x * y
+        return GradedClass(ring, i + j, c) if c else GradedClass(ring)
 
     def __rmul__(self, other):
         # ``type`` rather than ``isinstance``: a bool is not a scalar here
         if type(other) is int or type(other) is Fraction:
-            if not other:
-                return GradedClass(self.ring, ())
-            return GradedClass(self.ring, tuple([(k, v * other) for k, v in self.parts]))
+            if not other or self.codim is None:
+                return GradedClass(self.ring)
+            return GradedClass(self.ring, self.codim, self.value * other)
         return NotImplemented
 
     def __repr__(self) -> str:
-        return " + ".join(_format_component(self.ring, k, v) for k, v in self.parts) or "0"
+        return "0" if self.codim is None else _format_component(self.ring, self.codim, self.value)
 
 
 def _format_component(ring: Ring, codim: int, value) -> str:
@@ -419,18 +401,17 @@ def numerically_equal(a: GradedClass, b: GradedClass) -> bool:
     intersection matrix is degenerate and distinct vectors can pair
     identically against everything.  Divisor components are therefore
     compared through their pairings with every generator; all other
-    components are canonical and compared directly.
+    components are canonical and compared directly.  Two nonzero classes
+    in different codimensions are never equal.
     """
     if a.ring != b.ring:
         raise RingMismatchError("classes live in different rings")
-    ring = a.ring
-    for k, comp in (a - b).parts:
-        if k == 1 and isinstance(ring, SurfaceLattice):
-            if any(ring.pair(comp, ring.generator(i)) for i in range(len(ring.basis))):
-                return False
-        else:
-            return False
-    return True
+    if a.codim != b.codim and not (a.is_zero or b.is_zero):
+        return False
+    ring, diff = a.ring, a - b
+    if diff.codim == 1 and isinstance(ring, SurfaceLattice):
+        return not any(ring.pair(diff.value, ring.generator(i)) for i in range(len(ring.basis)))
+    return diff.is_zero
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,12 @@ Variety models carry exactly the numerical data the formulas consume:
   irregularity q and geometric genus p_g, with the hyperplane and
   canonical classes as lattice vectors.
 * :class:`HypersurfaceP3` / :class:`HypersurfaceP4`: smooth degree-d
-  hypersurfaces with rank-one class group; canonical class, chi(O) and
-  tangent Chern classes are derived from d.
+  hypersurfaces; canonical class, chi(O) and tangent Chern classes are
+  derived from d.
 
 An Ulrich bundle for a degree-d polarization has chi of every twist
 E(-p), 1 <= p <= dim, equal to zero; with the first Chern class pinned to
-(r/2)(K + (n+1)H) on rank-one class groups, those vanishings form a
+(r/2)(K + (n+1)H), that is det E = O(r(d-1)/2), those vanishings form a
 linear system that determines the remaining Chern numbers.
 :func:`solve_ulrich_chern` solves that system exactly and is
 cross-checked downstream against independent closed forms.
@@ -79,7 +79,15 @@ def surface_model(
 
 @dataclass(frozen=True)
 class HypersurfaceP3:
-    """Smooth degree-d surface in P^3 with rank-one class group."""
+    """Smooth degree-d surface in P^3.
+
+    The model pins det E = O(r(d-1)/2) for a rank-r Ulrich bundle E.
+    That is forced where the Picard group is ZH: on the plane and, by
+    Noether-Lefschetz, only on a very general surface of degree d >= 4.
+    The smooth quadric has Picard group Z^2, the smooth cubic Z^7, and a
+    special surface of degree >= 4 can have more classes; there the pinned
+    c1 is one choice among several.
+    """
 
     degree: int
     _surface: Surface = field(init=False, repr=False, compare=False)
@@ -104,7 +112,8 @@ class HypersurfaceP3:
 
 @dataclass(frozen=True)
 class HypersurfaceP4:
-    """Smooth degree-d threefold in P^4; class group generated by H.
+    """Smooth degree-d threefold in P^4; by Lefschetz its Picard group is
+    ZH, so det E = O(r(d-1)/2) is forced for a rank-r Ulrich bundle E.
 
     ``ring`` is built once with the hypersurface, so every class made on
     it shares one ring object.  So is ``todd``, the graded pieces td_0..td_3
@@ -202,7 +211,7 @@ def require_even(r: int, d: int) -> None:
 
 
 def ulrich_c1(V, rank: int) -> GradedClass:
-    """First Chern class (r/2)(K + (n+1)H) on a rank-one class group."""
+    """First Chern class (r/2)(K + (n+1)H) = (r(d-1)/2)H pinned on hypersurface models."""
     if not isinstance(V, (HypersurfaceP3, HypersurfaceP4)):
         raise TypeError("the first Chern class is pinned only on hypersurface models")
     require_even(rank, V.degree)

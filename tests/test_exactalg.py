@@ -91,79 +91,51 @@ def test_lattice_requires_symmetry():
         SurfaceLattice(("H", "K"), ((1, 2), (3, 4)))
 
 
-def _rand_class(draw_parts, ring):
-    return GradedClass.of(ring, draw_parts)
-
-
-surface_classes = st.builds(
-    lambda a, b, c, d: GradedClass.of(QUARTIC_K3, {0: a, 1: (b, c), 2: d}),
-    fractions,
-    fractions,
-    fractions,
-    fractions,
-)
-
-rank3 = RankOneRing(3, Fraction(2))
-rank3_classes = st.builds(
-    lambda a, b, c, d: GradedClass.of(rank3, {0: a, 1: b, 2: c, 3: d}),
-    fractions,
-    fractions,
-    fractions,
-    fractions,
-)
-
-
-def _rank_one_classes(ring):
-    # zero components are common, so cancellation and zero classes get drawn
-    component = st.one_of(st.just(0), fractions)
-    return st.builds(
-        lambda values: GradedClass.of(ring, dict(enumerate(values))),
-        st.lists(component, min_size=ring.dim + 1, max_size=ring.dim + 1),
-    )
-
-
-def _single_component_classes(ring):
-    # one component in any codimension (zero values give the zero class),
-    # so the single-component paths of +, - and * are drawn in every codim
+def _classes(ring, codims):
+    # one component in a codimension drawn from ``codims``; zero values are
+    # common, so cancellation and zero classes get drawn
     def build(codim, a, b):
         value = (a, b) if isinstance(ring, SurfaceLattice) and codim == 1 else a
         return GradedClass.of(ring, {codim: value})
 
     component = st.one_of(st.just(0), fractions)
-    return st.builds(build, st.integers(0, ring.dim), component, component)
+    return st.builds(build, codims, component, component)
 
 
-def _classes_on(ring, mixed):
-    return st.one_of(mixed, _single_component_classes(ring))
+def _pairs(ring):
+    # half the pairs share a codimension, so + and - have a sum to check
+    codims = st.integers(0, ring.dim)
+    shared = codims.flatmap(lambda k: st.tuples(_classes(ring, st.just(k)), _classes(ring, st.just(k))))
+    return st.one_of(shared, st.tuples(_classes(ring, codims), _classes(ring, codims)))
 
 
-#: Pairs of classes on one ring, for every ring shape and dimension; each
-#: side is a mixed class or a single-component one.
+rank3 = RankOneRing(3, Fraction(2))
+surface_classes = _classes(QUARTIC_K3, st.integers(0, 2))
+
+#: Pairs of classes on one ring, for every ring shape and dimension.
 same_ring_pairs = st.one_of(
-    *(
-        st.tuples(classes, classes)
-        for classes in (
-            _classes_on(QUARTIC_K3, surface_classes),
-            _classes_on(rank3, rank3_classes),
-            *(
-                _classes_on(ring, _rank_one_classes(ring))
-                for ring in (RankOneRing(1, Fraction(3)), RankOneRing(2, Fraction(5)))
-            ),
-        )
-    )
+    *(_pairs(ring) for ring in (QUARTIC_K3, rank3, RankOneRing(1, Fraction(3)), RankOneRing(2, Fraction(5))))
 )
 
 
-def _assert_exact_parts(cls):
-    codims = [k for k, _ in cls.parts]
-    assert codims == sorted(set(codims)) and all(0 <= k <= cls.ring.dim for k in codims)
-    for k, value in cls.parts:
-        assert value
-        if isinstance(cls.ring, SurfaceLattice) and k == 1:
-            assert type(value) is DivisorVector and len(value) == len(cls.ring.basis)
-            assert all(type(x) is Fraction for x in value)
-        else:
-            assert type(value) is Fraction
+def _components(cls):
+    return {} if cls.is_zero else {cls.codim: cls.value}
+
+
+def _mixed(a, b):
+    return not (a.is_zero or b.is_zero) and a.codim != b.codim
+
+
+def _assert_normal_form(cls):
+    if cls.is_zero:
+        assert cls.value is None
+        return
+    assert 0 <= cls.codim <= cls.ring.dim and cls.value
+    if isinstance(cls.ring, SurfaceLattice) and cls.codim == 1:
+        assert type(cls.value) is DivisorVector and len(cls.value) == len(cls.ring.basis)
+        assert all(type(x) is Fraction for x in cls.value)
+    else:
+        assert type(cls.value) is Fraction
 
 
 @settings(max_examples=150)
@@ -171,9 +143,12 @@ def _assert_exact_parts(cls):
 def test_arithmetic_results_keep_exact_sorted_nonzero_parts(pair, q):
     # results skip GradedClass.of, so they must already be in its normal form
     a, b = pair
-    for result in (a + b, a - b, a - a, a * b, q * a, a * q):
-        _assert_exact_parts(result)
-        assert result == GradedClass.of(result.ring, dict(result.parts))
+    results = [a * b, a - a, q * a, a * q]
+    if not _mixed(a, b):
+        results += [a + b, a - b]
+    for result in results:
+        _assert_normal_form(result)
+        assert result == GradedClass.of(result.ring, _components(result))
     assert (a - a).is_zero
     assert a + GradedClass.zero(a.ring) is a
     with pytest.raises(TypeError):
@@ -183,8 +158,8 @@ def test_arithmetic_results_keep_exact_sorted_nonzero_parts(pair, q):
 
 
 def _reference_sum(a, b, sign):
-    acc = dict(a.parts)
-    for k, v in dict(b.parts).items():
+    acc = _components(a)
+    for k, v in _components(b).items():
         v = v * sign
         acc[k] = acc[k] + v if k in acc else v
     return GradedClass.of(a.ring, acc)
@@ -194,8 +169,8 @@ def _reference_product(a, b):
     # the convolution over codimensions; two surface divisors pair
     ring = a.ring
     acc = {}
-    for i, x in dict(a.parts).items():
-        for j, y in dict(b.parts).items():
+    for i, x in _components(a).items():
+        for j, y in _components(b).items():
             c = ring.pair(x, y) if isinstance(ring, SurfaceLattice) and i == j == 1 else x * y
             acc[i + j] = acc[i + j] + c if i + j in acc else c
     return GradedClass.of(ring, acc)
@@ -205,16 +180,37 @@ def _reference_product(a, b):
 @given(same_ring_pairs, st.one_of(st.integers(-5, 5), fractions))
 def test_arithmetic_matches_the_reference_convolution(pair, q):
     a, b = pair
-    # every pair of single components of a and b, so each codimension pair
-    # meets the single-component paths whatever was drawn
-    singles = [(GradedClass(a.ring, (x,)), GradedClass(b.ring, (y,))) for x in a.parts for y in b.parts]
-    for x, y in [(a, b), (a, -a), *singles]:
-        assert x + y == _reference_sum(x, y, 1)
-        assert x - y == _reference_sum(x, y, -1)
+    for x, y in [(a, b), (a, -a)]:
+        for op, sign in ((operator.add, 1), (operator.sub, -1)):
+            if _mixed(x, y):
+                with pytest.raises(ValueError):
+                    op(x, y)
+            else:
+                assert op(x, y) == _reference_sum(x, y, sign)
         assert x * y == _reference_product(x, y)
-    scaled = GradedClass.of(a.ring, {k: v * q for k, v in dict(a.parts).items()})
+    scaled = GradedClass.of(a.ring, {k: v * q for k, v in _components(a).items()})
     assert q * a == scaled
     assert a * q == scaled
+
+
+def test_mixed_input_is_refused():
+    ring = RankOneRing(3, Fraction(2))
+    for x, y in (
+        (divisor(ring, 3), GradedClass.of(ring, {2: 5})),
+        (unit(QUARTIC_K3, 2), divisor(QUARTIC_K3, (0, 1))),
+        (divisor(QUARTIC_K3, (1, 0)), GradedClass.of(QUARTIC_K3, {2: 3})),
+    ):
+        for u, v in ((x, y), (y, x)):
+            for op in (operator.add, operator.sub):
+                with pytest.raises(ValueError):
+                    op(u, v)
+    with pytest.raises(ValueError):
+        GradedClass.of(ring, {1: 3, 2: 5})
+    with pytest.raises(ValueError):
+        GradedClass.of(QUARTIC_K3, {0: 1, 1: (0, 1)})
+    # zero and truncated components leave one codimension
+    assert GradedClass.of(ring, {1: 3, 2: 0, 4: 7}) == divisor(ring, 3)
+    assert GradedClass.of(QUARTIC_K3, {1: (0, 0), 2: 3}) == GradedClass.of(QUARTIC_K3, {2: 3})
 
 
 def test_ring_mismatch_raises_for_every_operator():
@@ -245,26 +241,42 @@ def test_equal_but_distinct_rings_still_combine():
     assert u * v == GradedClass.of(lattice, {2: 18})
 
 
+def _triples(ring):
+    # a and b share a codimension, so a + b is a class
+    codims = st.integers(0, ring.dim)
+    return codims.flatmap(
+        lambda k: st.tuples(_classes(ring, st.just(k)), _classes(ring, st.just(k)), _classes(ring, codims))
+    )
+
+
 @settings(max_examples=60)
-@given(surface_classes, surface_classes, surface_classes)
-def test_surface_ring_laws(a, b, c):
-    assert a * b == b * a
+@given(_triples(QUARTIC_K3))
+def test_surface_ring_laws(triple):
+    a, b, c = triple
+    assert a * b == b * a and a * c == c * a
     assert (a + b) * c == a * c + b * c
 
 
 @settings(max_examples=60)
-@given(rank3_classes, rank3_classes, rank3_classes)
-def test_rank_one_ring_laws(a, b, c):
-    assert a * b == b * a
+@given(_triples(rank3))
+def test_rank_one_ring_laws(triple):
+    a, b, c = triple
+    assert a * b == b * a and a * c == c * a
     assert (a + b) * c == a * c + b * c
 
 
 @given(surface_classes, surface_classes, surface_classes)
 def test_truncation_kills_high_degree(a, b, c):
-    # any triple product of pure divisors lands above the surface dimension
+    # a product of classes lands in the sum of their codimensions, and
+    # vanishes above the surface dimension
+    product = a * b * c
+    codims = [x.codim for x in (a, b, c)]
+    if None in codims or sum(codims) > QUARTIC_K3.dim:
+        assert product.is_zero
+    else:
+        assert product.is_zero or product.codim == sum(codims)
     da = divisor(QUARTIC_K3, (1, 2))
-    product = da * da * da
-    assert product.is_zero
+    assert (da * da * da).is_zero
 
 
 def test_elementary_symmetric_matches_expansion():
@@ -361,6 +373,8 @@ def test_structural_equality_implies_numerical(a, b):
     assert numerically_equal(a, a)
     if a == b:
         assert numerically_equal(a, b)
+    if _mixed(a, b):
+        assert not numerically_equal(a, b)
 
 
 def test_numerical_equality_sees_lattice_relations():
@@ -374,6 +388,12 @@ def test_numerical_equality_sees_lattice_relations():
     assert numerically_equal(a, b)
     c = divisor(QUARTIC_K3, (4, 0))
     assert not numerically_equal(a, c)
+    k = divisor(QUARTIC_K3, (0, 1))
+    assert numerically_equal(k, GradedClass.zero(QUARTIC_K3))
+    # nonzero classes in different codimensions are never equal, even a
+    # numerically trivial divisor
+    for other in (unit(QUARTIC_K3), GradedClass.of(QUARTIC_K3, {2: 1})):
+        assert not numerically_equal(k, other) and not numerically_equal(other, a)
 
 
 def test_constructor_validation_errors():
@@ -393,15 +413,9 @@ def test_constructor_validation_errors():
 
 def test_graded_class_helpers():
     ring = RankOneRing(3, Fraction(2))
-    cls = divisor(ring, 3) + GradedClass.of(ring, {2: 5})
-    assert cls.grade() is None  # mixed
-    assert divisor(ring, 3).grade() == 1
-    assert GradedClass.zero(ring).grade() is None
+    assert divisor(ring, 3).codim == 1
+    assert GradedClass.zero(ring).codim is None
     assert Fraction(1, 3) * divisor(ring, 3) == divisor(ring, 1)
-    assert "H^2" in repr(cls)
-    assert repr(GradedClass.zero(ring)) == "0"
-    lattice_cls = divisor(QUARTIC_K3, (1, -2)) + unit(QUARTIC_K3, 5)
-    assert "K" in repr(lattice_cls) and "1" in repr(lattice_cls)
 
 
 def test_ring_shape_follows_the_ring_not_the_vector_length():
@@ -415,16 +429,16 @@ def test_ring_shape_follows_the_ring_not_the_vector_length():
     assert (h * h).component(2) == 4
 
 
-def test_mixed_class_repr_in_both_ring_shapes():
+def test_class_repr_in_both_ring_shapes():
     ring = RankOneRing(3, Fraction(2))
-    mixed = unit(ring, 2) + divisor(ring, Fraction(-1, 3)) + GradedClass.of(ring, {3: 5})
-    assert repr(mixed) == "2*1 + -1/3*H + 5*H^3"
-    lattice_mixed = (
-        unit(QUARTIC_K3, 2)
-        + divisor(QUARTIC_K3, (1, Fraction(-1, 2)))
-        + GradedClass.of(QUARTIC_K3, {2: 3})
-    )
-    assert repr(lattice_mixed) == "2*1 + (1*H + -1/2*K) + 3@2"
+    assert repr(GradedClass.zero(ring)) == "0"
+    assert repr(unit(ring, 2)) == "2*1"
+    assert repr(divisor(ring, Fraction(-1, 3))) == "-1/3*H"
+    assert repr(GradedClass.of(ring, {3: 5})) == "5*H^3"
+    assert repr(GradedClass.zero(QUARTIC_K3)) == "0"
+    assert repr(unit(QUARTIC_K3, 2)) == "2*1"
+    assert repr(divisor(QUARTIC_K3, (1, Fraction(-1, 2)))) == "(1*H + -1/2*K)"
+    assert repr(GradedClass.of(QUARTIC_K3, {2: 3})) == "3@2"
     assert repr(divisor(QUARTIC_K3, (0, 7))) == "(7*K)"
 
 

@@ -442,13 +442,22 @@ def test_cli_divisor_spec_error():
     assert code == 2 and "divisor spec" in err
 
 
-def test_cross_process_determinism_under_hash_randomization():
+def _child_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH, so a
+    child interpreter imports projnorm without an install."""
     import os
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_cross_process_determinism_under_hash_randomization():
     import subprocess
     import sys
 
     def run(hashseed):
-        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        env = dict(_child_env(), PYTHONHASHSEED=hashseed)
         return subprocess.run(
             [sys.executable, "-m", "projnorm", "--format", "json", "scan", "ci", "--rmax", "9"],
             capture_output=True,
@@ -482,10 +491,8 @@ def test_closed_stdout_pipe_keeps_exit_code_and_quiet_stderr(command, code, unbu
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = unbuffered

@@ -67,11 +67,14 @@ class ChernVector:
 
         Scalars mean multiples of H^k (of the first lattice generator in
         codimension 1 on surfaces); sequences give divisor coefficients.
+        Each ``c_k`` that is not already a class goes through
+        ``GradedClass.of(ring, k, value)``, so it is zero above the ring
+        dimension.
         """
         def coerce(value, grade):
             if isinstance(value, GradedClass):
                 return value
-            return GradedClass.of(ring, {grade: value})
+            return GradedClass.of(ring, grade, value)
 
         return ChernVector(rank, coerce(c1, 1), coerce(c2, 2), coerce(c3, 3))
 
@@ -213,7 +216,7 @@ def twist(E: ChernVector, L) -> ChernVector:
     c_k(E (x) L) = sum_i binom(r-i, k-i) c_i(E) L^(k-i).
     """
     if isinstance(L, (int, Fraction)):
-        L = GradedClass.of(E.ring, {1: L})
+        L = GradedClass.of(E.ring, 1, L)
     if L.ring is not E.ring and L.ring != E.ring:
         raise RingMismatchError("twisting class lives in a different ring")
     if not L.is_zero and L.codim != 1:
@@ -244,7 +247,7 @@ def segre_dual(E: ChernVector, up_to: int) -> Tuple[GradedClass, ...]:
     cdual = [unit(ring), -E.c1, E.c2, -E.c3]
     s = [unit(ring)]
     for k in range(1, up_to + 1):
-        acc = GradedClass.zero(ring)
+        acc = GradedClass(ring)
         for i in range(1, k + 1):
             acc = acc + cdual[i] * s[k - i]
         s.append(-acc)
@@ -277,7 +280,7 @@ def graded_product(a: Sequence[GradedClass], b: Sequence[GradedClass]) -> Tuple[
     n = ring.dim
     out = []
     for k in range(n + 1):
-        acc = GradedClass.zero(ring)
+        acc = GradedClass(ring)
         for i in range(k + 1):
             if i < len(a) and (k - i) < len(b):
                 acc = acc + a[i] * b[k - i]

@@ -187,8 +187,7 @@ def check_curve(args) -> ScanReport:
         syzygy_levels=tuple(args.p or ()),
         clifford=args.cliff,
         very_ample=args.very_ample,
-        curve_general=args.general,
-        bundle_general=args.general,
+        general=args.general,
     )
     rows = [
         _value_row("g", case.genus),
@@ -309,7 +308,7 @@ def _p4_cells(d: int, r: int) -> tuple:
 
 
 def _curve_cells(g: int, d: int) -> tuple:
-    case = CurveCase(g, d, syzygy_levels=(2,), very_ample=True, curve_general=True, bundle_general=True)
+    case = CurveCase(g, d, syzygy_levels=(2,), very_ample=True, general=True)
     pn, n1, np2, _, sharp = curve_thresholds(case)  # the Clifford row has no index here
     return (pn.fired, n1.fired, np2.fired, sharp.fired, mrc_check(g, d).fired if g >= 3 else None)
 

@@ -15,9 +15,10 @@ downstream:
   matrix, while codimension-2 classes are stored as already-integrated
   rationals.
 
-A :class:`GradedClass` is homogeneous: one codimension and one component.
-Sums over several codimensions, such as a Chern or Todd class, are kept as
-tuples of graded pieces.
+A :class:`GradedClass` is homogeneous: one codimension and one component,
+built by ``GradedClass.of(ring, codim, value)``.  Sums over several
+codimensions, such as a Chern or Todd class, are kept as tuples of graded
+pieces.
 
 The module also houses the randomized splitting-principle oracle used to
 validate every closed-form Chern-class construction: formal Chern roots
@@ -224,9 +225,6 @@ def _coerce_component(ring: Ring, codim: int, value):
     return as_fraction(value)
 
 
-_MIXED = "a class has one codimension; keep a mixed sum as graded pieces"
-
-
 @dataclass(frozen=True)
 class GradedClass:
     """A homogeneous numerical class in a truncated ring.
@@ -237,16 +235,16 @@ class GradedClass:
     divisors.  The zero class has neither (both are None), so structural
     equality is semantic equality.  A sum over several codimensions (a
     Chern character, a Todd class) is a tuple of graded pieces instead.
-    :meth:`of` coerces values from outside into that shape; arithmetic
-    trusts its own components and builds results without coercing them
-    again.
+    ``GradedClass(ring)`` is the zero class.  :meth:`of` builds a class
+    from one outside value, coerced into that shape; arithmetic trusts
+    its own components and builds results without coercing them again.
 
-    ``+``, ``-`` and ``*`` between classes first check the ring, by
-    identity and then by equality, so a mismatch raises
-    :class:`RingMismatchError` even when one side is zero.  ``+`` and
-    ``-`` of two nonzero classes in different codimensions raise
-    ``ValueError``.  A scalar multiple (``q * a`` or ``a * q``) takes an
-    ``int`` or ``Fraction``; ``bool`` raises ``TypeError``.
+    ``+`` and ``*`` between classes first check the ring, by identity and
+    then by equality, so a mismatch raises :class:`RingMismatchError` even
+    when one side is zero.  ``a - b`` is ``a + -b``.  ``+`` and ``-`` of
+    two nonzero classes in different codimensions raise ``ValueError``.
+    A scalar multiple (``q * a`` or ``a * q``) takes an ``int`` or
+    ``Fraction``; ``bool`` raises ``TypeError``.
     """
 
     ring: Ring
@@ -254,24 +252,14 @@ class GradedClass:
     value: object = None
 
     @staticmethod
-    def of(ring: Ring, components: Mapping[int, object]) -> "GradedClass":
-        """The class with the given components, at most one of them nonzero."""
-        codim = value = None
-        for k, v in components.items():
-            if k < 0:
-                raise ValueError("negative codimension")
-            if k > ring.dim:
-                continue  # truncation
-            v = _coerce_component(ring, k, v)
-            if v:
-                if value is not None:
-                    raise ValueError(_MIXED)
-                codim, value = k, v
-        return GradedClass(ring, codim, value)
-
-    @staticmethod
-    def zero(ring: Ring) -> "GradedClass":
-        return GradedClass(ring)
+    def of(ring: Ring, codim: int, value) -> "GradedClass":
+        """The class ``value`` in codimension ``codim``; zero above ``ring.dim``."""
+        if codim < 0:
+            raise ValueError("negative codimension")
+        if codim > ring.dim:
+            return GradedClass(ring)  # truncation
+        value = _coerce_component(ring, codim, value)
+        return GradedClass(ring, codim, value) if value else GradedClass(ring)
 
     def component(self, codim: int):
         if codim == self.codim:
@@ -296,7 +284,7 @@ class GradedClass:
         if self.codim is None:
             return other
         if self.codim != k:
-            raise ValueError(_MIXED)
+            raise ValueError("a class has one codimension; keep a mixed sum as graded pieces")
         s = self.value + other.value
         return GradedClass(ring, k, s) if s else GradedClass(ring)
 
@@ -308,18 +296,7 @@ class GradedClass:
     def __sub__(self, other: "GradedClass") -> "GradedClass":
         if type(other) is not GradedClass:
             return NotImplemented
-        ring = self.ring
-        if other.ring is not ring and other.ring != ring:
-            raise RingMismatchError("classes live in different rings")
-        k = other.codim
-        if k is None:
-            return self
-        if self.codim is None:
-            return -other
-        if self.codim != k:
-            raise ValueError(_MIXED)
-        s = self.value + -other.value  # a DivisorVector has + and unary - only
-        return GradedClass(ring, k, s) if s else GradedClass(ring)
+        return self + -other
 
     def __mul__(self, other):
         if type(other) is not GradedClass:
@@ -364,12 +341,12 @@ def _format_component(ring: Ring, codim: int, value) -> str:
 
 def unit(ring: Ring, value: Scalar = 1) -> GradedClass:
     """The codimension-0 class ``value * [X]``."""
-    return GradedClass.of(ring, {0: value})
+    return GradedClass.of(ring, 0, value)
 
 
 def divisor(ring: Ring, coeffs) -> GradedClass:
     """A codimension-1 class: a scalar (multiple of H) or a coefficient vector."""
-    return GradedClass.of(ring, {1: coeffs})
+    return GradedClass.of(ring, 1, coeffs)
 
 
 def ring_degree(ring: Ring, cls: GradedClass, codim: int) -> Fraction:

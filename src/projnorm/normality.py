@@ -79,7 +79,8 @@ class CurveCase:
     Ulrich bundles here are semistable of slope d + g - 1 whatever the
     rank, so the degree thresholds need no separate slope input and
     ``rank`` feeds only the ``h0`` row, never a verdict.  ``very_ample``
-    is stored, but no rule needs it yet.
+    is stored, but no rule needs it yet.  ``general`` says that both the
+    curve and the bundle are general; the generic rules need it.
     """
 
     genus: int
@@ -88,8 +89,7 @@ class CurveCase:
     syzygy_levels: Tuple[int, ...] = ()
     clifford: Optional[int] = None
     very_ample: bool = False
-    curve_general: bool = False
-    bundle_general: bool = False
+    general: bool = False
 
     def __post_init__(self) -> None:
         if self.genus < 0 or self.degree < 1 or self.rank < 1:
@@ -278,7 +278,7 @@ class CurveRule(NamedTuple):
 #: Hypotheses a curve rule may need: a test on the CurveCase and the note when it fails.
 CURVE_NEEDS = {
     "clifford": (lambda case: case.clifford is not None, "Clifford index not supplied"),
-    "general": (lambda case: case.curve_general and case.bundle_general, "generality flags not set"),
+    "general": (lambda case: case.general, "generality flags not set"),
     "genus-3": (lambda case: case.genus >= 3, "needs genus >= 3"),
 }
 
@@ -527,9 +527,13 @@ def ci_h0_sym2(r: int, d: int) -> Fraction:
     return Fraction(r * d, 96) * (r * d * d + 18 * (r + 1) * d + 44 * r + 36)
 
 
-def ci_example_scan(r_max: int, d_max: int = 34) -> ScanReport:
+#: Largest degree of the complete-intersection scan, which runs d = 6, 8, ..., 34.
+_CI_MAX_DEGREE = 34
+
+
+def ci_example_scan(r_max: int) -> ScanReport:
     """Feasibility of the 2-normality count over the (2, a) complete
-    intersection family, d = 2a.
+    intersection family, d = 2a, for the even degrees 6..34.
 
     For each even degree the minimal rank r >= 2 whose count passes is
     reported (feasibility is upward-closed in r wherever it occurs); for
@@ -540,7 +544,7 @@ def ci_example_scan(r_max: int, d_max: int = 34) -> ScanReport:
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
     rows = []
-    for d in range(6, d_max + 1, 2):
+    for d in range(6, _CI_MAX_DEGREE + 1, 2):
         a = d // 2
         # the margin is r * coeff + 18d - 12, so coeff > 0 decides every rank without a search
         coeff = d * d - 30 * d + 44

@@ -190,7 +190,7 @@ def chi_threefold_hypersurface(X: HypersurfaceP4, E: ChernVector) -> Fraction:
         raise RingMismatchError("bundle does not live on the given threefold")
     td = X.todd
     ch = chern_character(E)
-    total = GradedClass.zero(ring)
+    total = GradedClass(ring)
     for i in range(4):
         total = total + ch[i] * td[3 - i]
     return ring_degree(ring, total, 3)

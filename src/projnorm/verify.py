@@ -101,42 +101,29 @@ _SAMPLED = (
 )
 
 
-def _surface_counts_ok(d_range, r_range) -> bool:
-    for d in d_range:
-        V = HypersurfaceP3(d)
-        S = V.surface()
-        for r in r_range:
-            if not parity_ok(r, d):
-                continue
-            E = solve_ulrich_chern(V, r)
-            counts = h0_powers_p3_hypersurface(d, r)
-            got = (
-                chi_surface(S, tensor_square(E)),
-                chi_surface(S, sym2(E)),
-                chi_surface(S, sym3(E)),
-            )
-            if got != (counts.tensor2, counts.sym2, counts.sym3):
-                return False
-    return True
+def _surface_powers(V, E) -> tuple:
+    S = V.surface()
+    return chi_surface(S, tensor_square(E)), chi_surface(S, sym2(E)), chi_surface(S, sym3(E))
 
 
-def _threefold_counts_ok(d_range, r_range) -> bool:
+def _threefold_powers(V, E) -> tuple:
+    t2, s2 = tensor_square(E), sym2(E)
+    return (
+        chi_threefold_hypersurface(V, t2),
+        chi_threefold_hypersurface(V, s2),
+        ring_degree(V.ring, t2.c3, 3),
+        ring_degree(V.ring, s2.c3, 3),
+    )
+
+
+def _count_paths_ok(model, powers, closed_form, d_range, r_range) -> bool:
+    """Whether ``powers(V, E)``, computed through Riemann-Roch from the
+    solved Ulrich Chern data E of each parity-valid rank on V = model(d),
+    equals the closed-form record ``closed_form(d, r)``."""
     for d in d_range:
-        V = HypersurfaceP4(d)
+        V = model(d)
         for r in r_range:
-            if not parity_ok(r, d):
-                continue
-            E = solve_ulrich_chern(V, r)
-            data = chi_powers_p4_hypersurface(d, r)
-            t2, s2 = tensor_square(E), sym2(E)
-            ring = V.ring
-            got = (
-                chi_threefold_hypersurface(V, t2),
-                chi_threefold_hypersurface(V, s2),
-                ring_degree(ring, t2.c3, 3),
-                ring_degree(ring, s2.c3, 3),
-            )
-            if got != (data.chi_tensor2, data.chi_sym2, data.c3_tensor2, data.c3_sym2):
+            if parity_ok(r, d) and powers(V, solve_ulrich_chern(V, r)) != closed_form(d, r):
                 return False
     return True
 
@@ -179,8 +166,11 @@ def formula_suite(ranks=range(1, 7), trials: int = 20, seed: int = DEFAULT_SEED)
             stream += 1
             add(name, f"r={r}", _sampled_ok(check, r, max(1, trials // thinning), random.Random(seed + stream)))
 
-    add("surface-count-paths", "d=2..6, r<=4", _surface_counts_ok(range(2, 7), range(1, 5)))
-    add("threefold-count-paths", "d=2..6, r<=4", _threefold_counts_ok(range(2, 7), range(2, 5)))
+    for name, model, powers, closed_form, r_range in (
+        ("surface-count-paths", HypersurfaceP3, _surface_powers, h0_powers_p3_hypersurface, range(1, 5)),
+        ("threefold-count-paths", HypersurfaceP4, _threefold_powers, chi_powers_p4_hypersurface, range(2, 5)),
+    ):
+        add(name, "d=2..6, r<=4", _count_paths_ok(model, powers, closed_form, range(2, 7), r_range))
     add("threefold-chi-structure-sheaf", "d=1..8", _chi_structure_sheaf_ok(range(1, 9)))
 
     report = ScanReport.build(

@@ -252,7 +252,7 @@ def test_08_complete_intersection_scan():
 
 def test_09_curve_thresholds():
     def body():
-        case = CurveCase(genus=3, degree=4, curve_general=True, bundle_general=True, very_ample=True)
+        case = CurveCase(genus=3, degree=4, general=True, very_ample=True)
         sharp = {v.rule: v for v in curve_thresholds(case)}["general-sharp-degree"]
         assert sharp.status == POSITIVE
         assert sharp.witness.lhs == 25 == sharp.witness.rhs  # (2d-3)^2 = 8g+1
@@ -267,8 +267,7 @@ def test_09_curve_thresholds():
                 degree=1,
                 clifford=min(2, max(0, (g - 1) // 2)),
                 very_ample=True,
-                curve_general=True,
-                bundle_general=True,
+                general=True,
             )
             for row in THRESHOLD_RULES + (MRC_RULE,):
                 for x in range(2, 9) if row is SYZYGY_RULE else (case,):

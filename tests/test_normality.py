@@ -146,7 +146,7 @@ def test_p4_low_degree_flagged():
 
 
 def test_curve_thresholds_examples():
-    case = CurveCase(genus=3, degree=4, curve_general=True, bundle_general=True, very_ample=True)
+    case = CurveCase(genus=3, degree=4, general=True, very_ample=True)
     by_rule = {v.rule: v for v in curve_thresholds(case)}
     sharp = by_rule["general-sharp-degree"]
     assert sharp.status == POSITIVE
@@ -223,8 +223,7 @@ def test_a_verdict_with_an_unmet_hypothesis_is_inconclusive():
                 degree=d,
                 clifford=cliff,
                 very_ample=general,
-                curve_general=general,
-                bundle_general=general,
+                general=general,
             )
             for v in curve_verdicts(case):
                 unmet = _UNMET.intersection(v.notes)

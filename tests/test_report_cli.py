@@ -295,10 +295,28 @@ def test_formula_suite_rejects_an_empty_rank_range_before_any_check(monkeypatch)
     def no_check(*args):
         raise AssertionError("a check ran")
 
-    for name in ("splitting_oracle", "_sampled_ok", "_surface_counts_ok", "_threefold_counts_ok", "_chi_structure_sheaf_ok"):
+    for name in ("splitting_oracle", "_sampled_ok", "_count_paths_ok", "_chi_structure_sheaf_ok"):
         monkeypatch.setattr(verify, name, no_check)
     with pytest.raises(ValueError, match="empty rank range"):
         verify.formula_suite(ranks=())
+
+
+def test_count_paths_catch_a_perturbed_closed_form():
+    from projnorm import verify
+    from projnorm.rr import HypersurfaceP3, HypersurfaceP4
+    from projnorm.ulrich import chi_powers_p4_hypersurface, h0_powers_p3_hypersurface
+
+    for model, powers, closed_form in (
+        (HypersurfaceP3, verify._surface_powers, h0_powers_p3_hypersurface),
+        (HypersurfaceP4, verify._threefold_powers, chi_powers_p4_hypersurface),
+    ):
+        assert verify._count_paths_ok(model, powers, closed_form, range(2, 5), range(1, 4))
+        for i in range(len(closed_form(3, 2))):
+            def perturbed(d, r):
+                record = closed_form(d, r)
+                return record._replace(**{record._fields[i]: record[i] + 1})
+
+            assert not verify._count_paths_ok(model, powers, perturbed, range(2, 5), range(1, 4))
 
 
 from fractions import Fraction as _F

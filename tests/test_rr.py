@@ -204,7 +204,7 @@ def test_solver_guards_raise(model, n, chi_name, monkeypatch):
 
     def blind(V, E):
         # the top Chern class never reaches chi, so the last unknown drops out
-        return true_chi(V, dataclasses.replace(E, **{f"c{n}": GradedClass.zero(E.ring)}))
+        return true_chi(V, dataclasses.replace(E, **{f"c{n}": GradedClass(E.ring)}))
 
     def shifted(V, E):
         return true_chi(V, E) + (1 if twist_of(E) == n else 0)

@@ -96,7 +96,10 @@ def bundle_from_numerators(ring: RankOneRing, nums: Sequence[int], D: int) -> Ch
 
     e_i is summed over the integer numerators and c_i is the one division
     e_i / D^i; ``D`` need not be in lowest terms against ``nums``.  Each
-    c_i is already exact, so its class is built without coercion.
+    c_i is already exact, so its class is built without coercion.  With
+    ``D == 1`` the roots are integers and c_i holds the ``int`` e_i, so
+    closed forms evaluated on it stay in ints; otherwise c_i is a
+    ``Fraction``.
     """
     if not isinstance(ring, RankOneRing):
         raise TypeError("Chern roots live in a rank-one ring")
@@ -104,7 +107,7 @@ def bundle_from_numerators(ring: RankOneRing, nums: Sequence[int], D: int) -> Ch
     e = elementary_symmetric(nums, up_to)
     classes = []
     for k in range(1, 4):
-        c = Fraction(e[k], D**k) if k <= up_to else 0
+        c = 0 if k > up_to else e[k] if D == 1 else Fraction(e[k], D**k)
         classes.append(GradedClass(ring, k, c) if c else GradedClass(ring))
     return ChernVector(len(nums), *classes)
 
@@ -127,6 +130,10 @@ def validate_rank_vanishing(E: ChernVector) -> None:
 
 # ---------------------------------------------------------------------------
 # derived bundles
+#
+# Each ``//`` coefficient below is exact for every rank r: its numerator
+# vanishes modulo the divisor at every residue of r.  Integer Chern data
+# therefore stays integer through these closed forms.
 
 
 def tensor_square(E: ChernVector) -> ChernVector:
@@ -136,7 +143,7 @@ def tensor_square(E: ChernVector) -> ChernVector:
     c1sq = E.c1 * E.c1
     c2 = (2 * r * r - r - 1) * c1sq + (2 * r) * E.c2
     c3 = (
-        Fraction(2, 3) * (2 * r**3 - 3 * r**2 - 2 * r + 3) * (c1sq * E.c1)
+        (2 * (2 * r - 3) * (r - 1) * (r + 1) // 3) * (c1sq * E.c1)
         + (4 * r * r - 2 * r - 4) * (E.c1 * E.c2)
         + (2 * r) * E.c3
     )
@@ -148,9 +155,9 @@ def sym2(E: ChernVector) -> ChernVector:
     r = E.rank
     c1 = (r + 1) * E.c1
     c1sq = E.c1 * E.c1
-    c2 = Fraction((r + 2) * (r - 1), 2) * c1sq + (r + 2) * E.c2
+    c2 = ((r + 2) * (r - 1) // 2) * c1sq + (r + 2) * E.c2
     c3 = (
-        Fraction((r + 3) * (r - 1) * (r - 2), 6) * (c1sq * E.c1)
+        ((r + 3) * (r - 1) * (r - 2) // 6) * (c1sq * E.c1)
         + (r * r + 2 * r - 4) * (E.c1 * E.c2)
         + (r + 4) * E.c3
     )
@@ -166,10 +173,10 @@ def sym3(E: ChernVector) -> ChernVector:
     if E.ring.dim >= 3:
         raise ValueError("S^3 Chern data is modeled through degree 2; use a ring of dimension <= 2")
     r = E.rank
-    c1 = Fraction((r + 2) * (r + 1), 2) * E.c1
+    c1 = ((r + 2) * (r + 1) // 2) * E.c1
     c2 = (
-        Fraction((r - 1) * (r + 2) * (r * r + 5 * r + 8), 8) * (E.c1 * E.c1)
-        + Fraction((r + 2) * (r + 3), 2) * E.c2
+        ((r - 1) * (r + 2) * (r * r + 5 * r + 8) // 8) * (E.c1 * E.c1)
+        + ((r + 2) * (r + 3) // 2) * E.c2
     )
     return ChernVector.of(E.ring, r * (r + 1) * (r + 2) // 6, c1, c2)
 

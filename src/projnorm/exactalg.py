@@ -1,8 +1,9 @@
 """Exact arithmetic in truncated numerical class rings.
 
-Every scalar in this package is an arbitrary-precision rational
-(``fractions.Fraction``); nothing on the computation path ever touches
-floating point.  Two ring shapes cover all the varieties handled
+Every scalar in this package is exact: a Python ``int`` where the value
+is integral by construction, an arbitrary-precision rational
+(``fractions.Fraction``) otherwise; nothing on the computation path ever
+touches floating point.  Two ring shapes cover all the varieties handled
 downstream:
 
 * :class:`RankOneRing` (dimension ``n``, degree ``d``): a class in
@@ -16,9 +17,11 @@ downstream:
   rationals.
 
 A :class:`GradedClass` is homogeneous: one codimension and one component,
-built by ``GradedClass.of(ring, codim, value)``.  Sums over several
-codimensions, such as a Chern or Todd class, are kept as tuples of graded
-pieces.
+built by ``GradedClass.of(ring, codim, value)``, which coerces the value
+to ``Fraction`` (or a vector of them), so every class that can reach a
+report prints as a rational.  The class is a ``typing.NamedTuple``.  Sums
+over several codimensions, such as a Chern or Todd class, are kept as
+tuples of graded pieces.
 
 The module also houses the randomized splitting-principle oracle used to
 validate every closed-form Chern-class construction: formal Chern roots
@@ -34,9 +37,11 @@ the rational roots as integer numerators over the lcm ``D`` of their
 denominators, derived multisets are summed as those numerators, and
 :func:`elementary_symmetric` keeps integer input integral.  Since ``e_k``
 is homogeneous of degree ``k``, each Chern class is then one exact
-division ``Fraction(e_k, D**k)``.  The oracle hands a derived multiset's
-numerators and ``D`` straight to :func:`~projnorm.chern.bundle_from_numerators`,
-so the expected side never becomes ``Fraction`` roots.
+division ``Fraction(e_k, D**k)``.  Every identity the oracle tests is
+weighted-homogeneous in the roots, so it evaluates both sides at the
+integer numerators themselves (the roots scaled by ``D``), where that
+division is not needed: Chern classes of integer roots are ints, and the
+closed forms keep them ints (see :func:`splitting_oracle`).
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -225,26 +230,34 @@ def _coerce_component(ring: Ring, codim: int, value):
     return as_fraction(value)
 
 
-@dataclass(frozen=True)
-class GradedClass:
+class GradedClass(NamedTuple):
     """A homogeneous numerical class in a truncated ring.
 
     A nonzero class has one codimension ``codim``, no higher than the ring
     dimension, and one exact nonzero component ``value`` in that ring's
-    shape: a ``Fraction``, or a :class:`DivisorVector` of them for surface
-    divisors.  The zero class has neither (both are None), so structural
-    equality is semantic equality.  A sum over several codimensions (a
-    Chern character, a Todd class) is a tuple of graded pieces instead.
-    ``GradedClass(ring)`` is the zero class.  :meth:`of` builds a class
-    from one outside value, coerced into that shape; arithmetic trusts
-    its own components and builds results without coercing them again.
+    shape: a ``Fraction`` (or an ``int``, for root data with integer
+    numerators), or a :class:`DivisorVector` of them for surface divisors.
+    The zero class has neither (both are None), so structural equality is
+    semantic equality, and equal classes hash equal also when one value is
+    an ``int`` and the other a ``Fraction``.  A sum over several
+    codimensions (a Chern character, a Todd class) is a tuple of graded
+    pieces instead.  ``GradedClass(ring)`` is the zero class.  :meth:`of`
+    builds a class from one outside value, coerced into that shape;
+    arithmetic trusts its own components and builds results without
+    coercing them again.
 
     ``+`` and ``*`` between classes first check the ring, by identity and
     then by equality, so a mismatch raises :class:`RingMismatchError` even
     when one side is zero.  ``a - b`` is ``a + -b``.  ``+`` and ``-`` of
     two nonzero classes in different codimensions raise ``ValueError``.
     A scalar multiple (``q * a`` or ``a * q``) takes an ``int`` or
-    ``Fraction``; ``bool`` raises ``TypeError``.
+    ``Fraction``; ``bool``, ``float`` and every other operand raise
+    ``TypeError``, as does ``a + x`` for anything but a class.
+
+    The class is an immutable ``typing.NamedTuple`` of ``(ring, codim,
+    value)``.  Two tuple behaviours remain and are accepted: a class
+    equals the bare tuple of its fields, and ``tuple + class``
+    concatenates the two as tuples.
     """
 
     ring: Ring
@@ -286,12 +299,12 @@ class GradedClass:
         if self.codim != k:
             raise ValueError("a class has one codimension; keep a mixed sum as graded pieces")
         s = self.value + other.value
-        return GradedClass(ring, k, s) if s else GradedClass(ring)
+        return _new(GradedClass, (ring, k, s)) if s else GradedClass(ring)
 
     def __neg__(self) -> "GradedClass":
         if self.codim is None:
             return self
-        return GradedClass(self.ring, self.codim, -self.value)
+        return _new(GradedClass, (self.ring, self.codim, -self.value))
 
     def __sub__(self, other: "GradedClass") -> "GradedClass":
         if type(other) is not GradedClass:
@@ -310,18 +323,22 @@ class GradedClass:
         x, y = self.value, other.value
         # two divisors on a surface lattice pair through the Gram matrix
         c = ring.pair(x, y) if i == j == 1 and type(ring) is SurfaceLattice else x * y
-        return GradedClass(ring, i + j, c) if c else GradedClass(ring)
+        return _new(GradedClass, (ring, i + j, c)) if c else GradedClass(ring)
 
     def __rmul__(self, other):
         # ``type`` rather than ``isinstance``: a bool is not a scalar here
         if type(other) is int or type(other) is Fraction:
             if not other or self.codim is None:
                 return GradedClass(self.ring)
-            return GradedClass(self.ring, self.codim, self.value * other)
+            return _new(GradedClass, (self.ring, self.codim, self.value * other))
         return NotImplemented
 
     def __repr__(self) -> str:
         return "0" if self.codim is None else _format_component(self.ring, self.codim, self.value)
+
+
+#: Builds a class from its field tuple without the keyword-default wrapper.
+_new = tuple.__new__
 
 
 def _format_component(ring: Ring, codim: int, value) -> str:
@@ -404,8 +421,9 @@ def elementary_symmetric(values: Sequence[Scalar], up_to: int) -> list:
     which keeps every step here in Python ints.
     """
     e = [1] + [0] * up_to
+    degrees = range(min(up_to, len(values)), 0, -1)
     for x in values:
-        for k in range(min(up_to, len(values)), 0, -1):
+        for k in degrees:
             e[k] += e[k - 1] * x
     return e
 
@@ -413,7 +431,7 @@ def elementary_symmetric(values: Sequence[Scalar], up_to: int) -> list:
 def over_common_denominator(values: Sequence[Scalar]) -> tuple:
     """``(numerators, D)`` with ``D`` the lcm of the denominators of
     ``values`` (1 for none) and ``values[i] == numerators[i] / D``."""
-    values = [as_fraction(x) for x in values]
+    values = [x if type(x) is int else as_fraction(x) for x in values]
     D = math.lcm(*(x.denominator for x in values))
     return [x.numerator * (D // x.denominator) for x in values], D
 
@@ -444,12 +462,29 @@ def splitting_oracle(
 ) -> bool:
     """Check a closed-form Chern construction against formal root expansion.
 
-    For each trial, ``rank`` random rational Chern roots are drawn (plus a
-    line-bundle root for ``tensor_line``), the derived root multiset of the
-    construction is formed from their integer numerators over a common
-    denominator, and the Chern classes it induces are compared exactly
-    with ``closed_form`` applied to the input bundle.  Returns True
-    iff every trial agrees in rank and in every modeled Chern class.
+    For each trial, ``rank`` random rational Chern roots ``x`` are drawn
+    (plus a line-bundle root for ``tensor_line``) and written as integer
+    numerators over their common denominator ``D``
+    (:func:`over_common_denominator`).  Both sides are then evaluated at
+    the integer point ``D*x``: ``closed_form`` on the bundle with those
+    integer roots, and the Chern classes of the construction's derived
+    root multiset, formed from the same numerators.  Returns True iff
+    every trial agrees in rank and in every modeled Chern class.
+
+    Why the integer point is as strong a test as ``x``: every identity
+    checked here is weighted-homogeneous (``c_k`` has degree ``k`` in the
+    roots, and each derived root is a sum of roots), so the difference
+    ``P`` of the two sides in codimension ``k`` satisfies
+    ``P(D*x) = D**k * P(x)``, which is zero iff ``P(x)`` is.  Even
+    without homogeneity the detection bound is unchanged: given the drawn
+    denominators ``q_i``, ``D*x`` is ``p_i * (D // q_i)`` with each
+    numerator ``p_i`` uniform on [-100, 100], and a nonzero polynomial
+    stays nonzero under that invertible diagonal scaling, so by
+    Schwartz-Zippel a trial misses a nonzero difference of degree ``k``
+    with probability at most ``k / 201``, as at ``x``.  At integer roots
+    the bundle's classes are ints, and the closed forms' integer
+    coefficients keep their products ints; only the twist divisor, built
+    by :func:`divisor`, is a ``Fraction``.
 
     ``closed_form`` maps a ChernVector to a ChernVector, except for
     ``tensor_line`` where it takes ``(bundle, divisor)`` (the twist rule).
@@ -469,17 +504,16 @@ def splitting_oracle(
     rng = random.Random(seed)
     for _ in range(trials):
         roots = [rand_rational(rng) for _ in range(rank)]
-        bundle = bundle_from_roots(ring, roots)
         if construction == "tensor_line":
             t = rand_rational(rng)
-            (*nums, t_num), D = over_common_denominator(roots + [t])
+            (*nums, t_num), _ = over_common_denominator(roots + [t])
             derived = [x + t_num for x in nums]
-            actual = closed_form(bundle, divisor(ring, t))
+            actual = closed_form(bundle_from_roots(ring, nums), divisor(ring, t_num))
         else:
-            nums, D = over_common_denominator(roots)
+            nums, _ = over_common_denominator(roots)
             derived = _DERIVED_ROOTS[construction](nums)
-            actual = closed_form(bundle)
-        expected = bundle_from_numerators(ring, derived, D)
+            actual = closed_form(bundle_from_roots(ring, nums))
+        expected = bundle_from_numerators(ring, derived, 1)
         if not isinstance(actual, ChernVector) or actual != expected:
             return False
     return True

@@ -65,10 +65,16 @@ _ORACLES = (
 
 def _sampled_ok(check, rank: int, trials: int, rng: random.Random) -> bool:
     """Whether ``check(bundle, roots)`` holds for ``trials`` bundles with
-    ``rank`` random roots each, drawn from ``rng``."""
+    ``rank`` random roots each, drawn from ``rng``.
+
+    Each check is weighted-homogeneous in the roots, so, as in
+    :func:`~projnorm.exactalg.splitting_oracle`, it runs at the integer
+    numerators of the drawn rationals over their common denominator: the
+    same test, in ints.
+    """
     ring = RankOneRing(3, Fraction(1))
     for _ in range(trials):
-        roots = [rand_rational(rng) for _ in range(rank)]
+        roots, _ = over_common_denominator([rand_rational(rng) for _ in range(rank)])
         if not check(bundle_from_roots(ring, roots), roots):
             return False
     return True
@@ -84,11 +90,10 @@ def _character_square(E, roots) -> bool:
 
 
 def _sym_k_c1(E, roots) -> bool:
-    nums, D = over_common_denominator(roots)
     for k in range(1, 5):
-        derived = [sum(c) for c in combinations_with_replacement(nums, k)]
+        derived = [sum(c) for c in combinations_with_replacement(roots, k)]
         e1 = elementary_symmetric(derived, 1)[1]
-        if sym_k_c1(E, k).component(1) != Fraction(e1, D):
+        if sym_k_c1(E, k).component(1) != e1:
             return False
     return True
 

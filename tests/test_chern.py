@@ -32,11 +32,13 @@ from projnorm.exactalg import (
     binom,
     divisor,
     elementary_symmetric,
+    over_common_denominator,
     rand_rational,
     ring_degree,
     unit,
 )
 from projnorm.normality import surface_acm_criterion
+from projnorm.verify import _character_square, _whitney
 
 K3 = SurfaceLattice(("H", "K"), ((4, 0), (0, 0)))
 P3RING = RankOneRing(3, Fraction(1))
@@ -305,6 +307,7 @@ def test_bundle_from_roots_matches_fraction_expansion(dim, h_degree, roots, base
         ([1, -1, 0], 1),  # e1 = e3 = 0
         ([2, 0, 0], 5),  # e2 = e3 = 0
         ([1, 2, 4, -7], 6),
+        ([2, -3, 5], 1),  # integer roots: every c_i a nonzero int
     ],
 )
 def test_bundle_from_numerators_matches_the_coerced_build(dim, nums, D):
@@ -315,7 +318,9 @@ def test_bundle_from_numerators_matches_the_coerced_build(dim, nums, D):
     expected = ChernVector.of(ring, len(nums), *(Fraction(e[k], D**k) for k in (1, 2, 3)))
     got = bundle_from_numerators(ring, nums, D)
     assert got == expected
-    assert all(type(c.value) is Fraction for c in (got.c1, got.c2, got.c3) if not c.is_zero)
+    # the scalar contract: ints for integer roots (D == 1), Fractions otherwise
+    scalar = int if D == 1 else Fraction
+    assert all(type(c.value) is scalar for c in (got.c1, got.c2, got.c3) if not c.is_zero)
     if dim == 2:
         assert got.c3.is_zero
 
@@ -325,3 +330,93 @@ def test_elementary_symmetric_keeps_integers_integral(values, up_to):
     e = elementary_symmetric(values, up_to)
     assert all(type(x) is int for x in e)
     assert e == elementary_symmetric([Fraction(x) for x in values], up_to)
+
+
+# ---------------------------------------------------------------------------
+# integer evaluation points: the oracle and the sampled checks run at the
+# numerators D*x of rational roots x, which is sound because every closed
+# form is weighted-homogeneous, c_k of degree k in the roots
+
+
+def _scaled(cls, D):
+    """A class at the roots D*x, from its value at x: c_k scales by D^k."""
+    return cls if cls.is_zero else D**cls.codim * cls
+
+
+def _scaled_bundle(E, D):
+    return ChernVector(E.rank, *(_scaled(c, D) for c in (E.c1, E.c2, E.c3)))
+
+
+rational_root = st.builds(Fraction, st.integers(-100, 100), st.sampled_from((1, 2, 3, 5, 7)))
+rational_roots = st.lists(rational_root, min_size=1, max_size=8)
+
+
+def _integer_point(roots):
+    nums, D = over_common_denominator(roots)
+    assert all(type(n) is int for n in nums)
+    return nums, D
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_roots, rational_root)
+def test_closed_forms_at_the_numerators_scale_by_powers_of_the_denominator(roots, t):
+    nums, D = _integer_point(roots)
+    for closed_form in (tensor_square, sym2, sym3, wedge2):
+        ring = RankOneRing(2 if closed_form is sym3 else 3, Fraction(1))
+        at_ints = closed_form(bundle_from_roots(ring, nums))
+        assert at_ints == _scaled_bundle(closed_form(bundle_from_roots(ring, roots)), D)
+        # integer roots and integer coefficients: no Fraction anywhere
+        assert all(type(c.value) is int for c in (at_ints.c1, at_ints.c2, at_ints.c3) if not c.is_zero)
+    (*nums, t_num), D = _integer_point(roots + [t])
+    at_ints = twist(bundle_from_roots(P3RING, nums), divisor(P3RING, t_num))
+    assert at_ints == _scaled_bundle(twist(bundle_from_roots(P3RING, roots), divisor(P3RING, t)), D)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_roots)
+def test_sampled_check_sides_at_the_numerators_scale_by_powers_of_the_denominator(roots):
+    nums, D = _integer_point(roots)
+    E_int, E = bundle_from_roots(P3RING, nums), bundle_from_roots(P3RING, roots)
+    # _whitney: both sides of S^2 E + Lambda^2 E = E (x) E
+    for side in (lambda F: direct_sum(sym2(F), wedge2(F)), tensor_square):
+        assert side(E_int) == _scaled_bundle(side(E), D)
+    # _character_square: both sides of ch(E)^2 = ch(E (x) E), piece by piece
+    for side in (lambda F: graded_product(chern_character(F), chern_character(F)),
+                 lambda F: chern_character(tensor_square(F))):
+        assert side(E_int) == tuple(_scaled(piece, D) for piece in side(E))
+    assert _whitney(E_int, nums) and _character_square(E_int, nums)
+
+
+# ---------------------------------------------------------------------------
+# integral closed-form coefficients: (closed form, Chern data the coefficient
+# multiplies, the class it lands in, numerator, divisor m, the former
+# Fraction polynomial, its degree in r)
+
+INTEGRAL_COEFFICIENTS = [
+    (tensor_square, (1, 0), "c3", lambda r: 2 * (2 * r - 3) * (r - 1) * (r + 1), 3,
+     lambda r: Fraction(2, 3) * (2 * r**3 - 3 * r**2 - 2 * r + 3), 3),
+    (sym2, (1, 0), "c2", lambda r: (r + 2) * (r - 1), 2, lambda r: Fraction((r + 2) * (r - 1), 2), 2),
+    (sym2, (1, 0), "c3", lambda r: (r + 3) * (r - 1) * (r - 2), 6,
+     lambda r: Fraction((r + 3) * (r - 1) * (r - 2), 6), 3),
+    (sym3, (1, 0), "c1", lambda r: (r + 2) * (r + 1), 2, lambda r: Fraction((r + 2) * (r + 1), 2), 2),
+    (sym3, (1, 0), "c2", lambda r: (r - 1) * (r + 2) * (r * r + 5 * r + 8), 8,
+     lambda r: Fraction((r - 1) * (r + 2) * (r * r + 5 * r + 8), 8), 4),
+    (sym3, (0, 1), "c2", lambda r: (r + 2) * (r + 3), 2, lambda r: Fraction((r + 2) * (r + 3), 2), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "closed_form,data,slot,numerator,m,former,degree",
+    INTEGRAL_COEFFICIENTS,
+    ids=[f"{case[0].__name__}-{case[2]}-{case[1]}" for case in INTEGRAL_COEFFICIENTS],
+)
+def test_integral_coefficients_divide_exactly_for_every_rank(closed_form, data, slot, numerator, m, former, degree):
+    # an integer polynomial's value mod m depends only on r mod m, so a
+    # zero remainder at every residue proves divisibility for every r
+    assert all(numerator(r) % m == 0 for r in range(m))
+    # two polynomials of degree <= deg agreeing at deg + 1 points are equal
+    ring = RankOneRing(2 if closed_form is sym3 else 3, Fraction(1))
+    for r in range(1, degree + 2):
+        assert numerator(r) // m == former(r)
+        E = ChernVector.of(ring, r, *data)
+        assert getattr(closed_form(E), slot).component(int(slot[1])) == former(r)

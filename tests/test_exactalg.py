@@ -475,3 +475,27 @@ def test_absent_component_is_a_zero_of_the_ring_shape():
     for codim in (1, 2):
         zero = rank_one.component(codim)
         assert isinstance(zero, Fraction) and zero == 0
+
+
+@pytest.mark.parametrize("a", [divisor(RankOneRing(3, Fraction(2)), Fraction(3, 2)), divisor(QUARTIC_K3, (1, 2))])
+def test_graded_class_is_a_class_before_it_is_a_tuple(a):
+    # the class inherits tuple's sequence operators (tuple.__rmul__ repeats,
+    # tuple.__add__ concatenates); its own overrides must answer instead
+    for bad in (lambda: a + (1,), lambda: a * True, lambda: True * a, lambda: a * 2.5, lambda: a * "x"):
+        with pytest.raises(TypeError):
+            bad()
+    for scaled in (2 * a, a * 2):
+        assert type(scaled) is GradedClass and scaled == a + a
+    with pytest.raises(AttributeError):
+        a.codim = 2
+    # the two accepted tuple behaviours
+    assert a == (a.ring, a.codim, a.value)
+    assert (1,) + a == (1, a.ring, a.codim, a.value)
+
+
+def test_equal_classes_hash_equal_across_int_and_fraction_values():
+    ring = RankOneRing(3, Fraction(1))
+    as_int, as_fraction_ = GradedClass(ring, 2, 6), GradedClass.of(ring, 2, 6)
+    assert type(as_int.value) is int and type(as_fraction_.value) is Fraction
+    assert as_int == as_fraction_ and hash(as_int) == hash(as_fraction_)
+    assert len({as_int, as_fraction_, GradedClass(ring), GradedClass(ring)}) == 2

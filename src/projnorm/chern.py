@@ -12,9 +12,8 @@ form, and the two must agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .exactalg import (
     DataError,
@@ -29,8 +28,14 @@ from .exactalg import (
 )
 
 
-@dataclass(frozen=True)
-class ChernVector:
+class _ChernFields(NamedTuple):
+    rank: int
+    c1: GradedClass
+    c2: GradedClass
+    c3: GradedClass
+
+
+class ChernVector(_ChernFields):
     """Rank plus graded Chern classes c1, c2, c3 of an abstract bundle.
 
     c2 and c3 are stored as (possibly zero) graded classes; on rings of
@@ -40,22 +45,48 @@ class ChernVector:
     is not enforced in the constructor because formal solutions of the
     numerical constraints (for example rank-1 data on a surface that
     cannot carry such a bundle) are legitimately representable.
+
+    ``ChernVector(rank, c1, c2, c3)``, :meth:`of`, ``_make`` and
+    ``_replace`` check their input: the rank is a nonnegative ``int`` (not
+    a ``bool``), each ``c_k`` is a :class:`GradedClass`, all three live in
+    one ring, and a nonzero ``c_k`` has codimension ``k``.  The closed
+    forms in this module build their results with the unchecked
+    ``_new(ChernVector, fields)`` (``tuple.__new__``), because classes
+    made from one checked vector are homogeneous on its ring by
+    construction.
+
+    The vector is an immutable ``typing.NamedTuple`` of ``(rank, c1, c2,
+    c3)``.  ``+`` and ``*`` raise ``TypeError`` (a direct sum is
+    :func:`direct_sum`, not concatenation).  Two tuple behaviours remain
+    and are accepted: a vector equals the bare tuple of its fields, and
+    ``tuple + vector`` concatenates the two as tuples.
     """
 
-    rank: int
-    c1: GradedClass
-    c2: GradedClass
-    c3: GradedClass
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.rank < 0:
+    def __new__(cls, rank: int, c1: GradedClass, c2: GradedClass, c3: GradedClass) -> "ChernVector":
+        return cls._make((rank, c1, c2, c3))
+
+    @classmethod
+    def _make(cls, fields) -> "ChernVector":
+        """The vector of the four ``fields``, checked; ``ChernVector(...)``
+        and ``_replace`` build through here."""
+        rank, c1, c2, c3 = fields
+        if not isinstance(rank, int) or isinstance(rank, bool):
+            raise TypeError(f"rank must be an int, got {rank!r}")
+        if rank < 0:
             raise ValueError("rank must be nonnegative")
-        ring = self.c1.ring
-        for cls, grade in ((self.c1, 1), (self.c2, 2), (self.c3, 3)):
-            if cls.ring is not ring and cls.ring != ring:
+        for grade, c in enumerate((c1, c2, c3), 1):
+            if not isinstance(c, GradedClass):
+                raise TypeError(f"c{grade} must be a GradedClass, got {type(c).__name__}")
+            if c.ring is not c1.ring and c.ring != c1.ring:
                 raise RingMismatchError("Chern classes live in different rings")
-            if not cls.is_zero and cls.codim != grade:
+            if c.codim is not None and c.codim != grade:
                 raise ValueError(f"c{grade} must be homogeneous of codimension {grade}")
+        return _new(cls, (rank, c1, c2, c3))
+
+    # no concatenation or repetition: a sum of bundles is ``direct_sum``
+    __add__ = __mul__ = __rmul__ = None
 
     @property
     def ring(self) -> Ring:
@@ -77,6 +108,11 @@ class ChernVector:
             return GradedClass.of(ring, grade, value)
 
         return ChernVector(rank, coerce(c1, 1), coerce(c2, 2), coerce(c3, 3))
+
+
+#: Builds a vector from its field tuple without the constructor's checks;
+#: for results whose classes are homogeneous on one ring by construction.
+_new = tuple.__new__
 
 
 def bundle_from_roots(ring: RankOneRing, roots: Sequence[Fraction]) -> ChernVector:
@@ -109,7 +145,7 @@ def bundle_from_numerators(ring: RankOneRing, nums: Sequence[int], D: int) -> Ch
     for k in range(1, 4):
         c = 0 if k > up_to else e[k] if D == 1 else Fraction(e[k], D**k)
         classes.append(GradedClass(ring, k, c) if c else GradedClass(ring))
-    return ChernVector(len(nums), *classes)
+    return _new(ChernVector, (len(nums), *classes))
 
 
 def satisfies_rank_vanishing(E: ChernVector) -> bool:
@@ -147,7 +183,7 @@ def tensor_square(E: ChernVector) -> ChernVector:
         + (4 * r * r - 2 * r - 4) * (E.c1 * E.c2)
         + (2 * r) * E.c3
     )
-    return ChernVector(r * r, c1, c2, c3)
+    return _new(ChernVector, (r * r, c1, c2, c3))
 
 
 def sym2(E: ChernVector) -> ChernVector:
@@ -161,7 +197,7 @@ def sym2(E: ChernVector) -> ChernVector:
         + (r * r + 2 * r - 4) * (E.c1 * E.c2)
         + (r + 4) * E.c3
     )
-    return ChernVector(r * (r + 1) // 2, c1, c2, c3)
+    return _new(ChernVector, (r * (r + 1) // 2, c1, c2, c3))
 
 
 def sym3(E: ChernVector) -> ChernVector:
@@ -192,7 +228,7 @@ def wedge2(E: ChernVector) -> ChernVector:
         + (r - 2) ** 2 * (E.c1 * E.c2)
         + (r - 4) * E.c3
     )
-    return ChernVector(r * (r - 1) // 2, c1, c2, c3)
+    return _new(ChernVector, (r * (r - 1) // 2, c1, c2, c3))
 
 
 def sym_k_c1(E: ChernVector, k: int) -> GradedClass:
@@ -209,12 +245,12 @@ def direct_sum(E: ChernVector, F: ChernVector) -> ChernVector:
     c1 = E.c1 + F.c1
     c2 = E.c2 + E.c1 * F.c1 + F.c2
     c3 = E.c3 + E.c2 * F.c1 + E.c1 * F.c2 + F.c3
-    return ChernVector(E.rank + F.rank, c1, c2, c3)
+    return _new(ChernVector, (E.rank + F.rank, c1, c2, c3))
 
 
 def dual(E: ChernVector) -> ChernVector:
     """Sign flip on the odd Chern classes."""
-    return ChernVector(E.rank, -E.c1, E.c2, -E.c3)
+    return _new(ChernVector, (E.rank, -E.c1, E.c2, -E.c3))
 
 
 def twist(E: ChernVector, L) -> ChernVector:
@@ -238,7 +274,7 @@ def twist(E: ChernVector, L) -> ChernVector:
         + binom(r - 1, 2) * (E.c1 * L2)
         + binom(r, 3) * (L2 * L)
     )
-    return ChernVector(r, c1, c2, c3)
+    return _new(ChernVector, (r, c1, c2, c3))
 
 
 def segre_dual(E: ChernVector, up_to: int) -> Tuple[GradedClass, ...]:

@@ -14,7 +14,11 @@ E(-p), 1 <= p <= dim, equal to zero; with the first Chern class pinned to
 (r/2)(K + (n+1)H), that is det E = O(r(d-1)/2), those vanishings form a
 linear system that determines the remaining Chern numbers.
 :func:`solve_ulrich_chern` solves that system exactly and is
-cross-checked downstream against independent closed forms.
+cross-checked downstream against independent closed forms.  It runs on
+point bundles in ints, with one coercion at the result: the bundles it
+twists and evaluates hold ``int`` Chern data, and only the solved vector
+is built through :meth:`ChernVector.of`, so every class it returns is
+``Fraction``-valued.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from functools import partial
 
 from .chern import ChernVector, chern_character, twist
 from .exactalg import (
+    DivisorVector,
     GradedClass,
     ParityError,
     RankOneRing,
@@ -226,9 +231,15 @@ def solve_ulrich_chern(V, rank: int) -> ChernVector:
     chi(E(-p)) = 0 for p = 1..n for the remaining Chern numbers: c2 on
     surfaces, (c2, c3) on threefolds.  chi(E(-p)) is affine in them, so
     each row comes from evaluating it at zero and at each unit point.
-    Those n point bundles are built once per solve, and each row's
-    twisting class -p*h once per row; every row is still evaluated at
-    every point, n^2 evaluations of chi in all.
+    Point bundles in ints, one coercion at the result: the n point
+    bundles and the twisting class h hold ``int`` values (a vector of
+    them for the divisors on P^3), built once per solve and without
+    coercion.  On P^4 each twist then stays in ints up to the halves and
+    sixths of the Chern character; on P^3 its intersection numbers come
+    from the lattice's rational Gram matrix.  Every row is still
+    evaluated at every point, n^2 evaluations of chi in all.  The
+    solution is returned through :meth:`ChernVector.of`, so its classes
+    are ``Fraction``-valued.
     The first n-1 rows are solved exactly and row n must agree; a
     singular principal system or an inconsistent last row raises
     SolverError instead of guessing.
@@ -245,13 +256,16 @@ def solve_ulrich_chern(V, rank: int) -> ChernVector:
         ring, chi = V.ring, partial(chi_threefold_hypersurface, V)
     else:
         raise TypeError("Ulrich Chern data can be solved only on hypersurface models")
-    c1 = ulrich_c1(V, rank)
-    h = divisor(ring, 1)
+    c1 = ulrich_c1(V, rank)  # raises ParityError unless r(d-1) is even
     n = ring.dim
     names = ", ".join(f"c{k}" for k in range(2, n + 1))
-    zero = [0] * (n - 1)
-    units = [[int(i == j) for j in range(n - 1)] for i in range(n - 1)]
-    points = [ChernVector.of(ring, rank, c1, *x) for x in [zero, *units]]
+    # points[0] is the zero point and points[j - 1] has c_j = 1, j = 2..n
+    c1_int = _int_class(ring, 1, rank * (V.degree - 1) // 2)
+    points = [
+        ChernVector(rank, c1_int, _int_class(ring, 2, int(j == 2)), _int_class(ring, 3, int(j == 3)))
+        for j in range(1, n + 1)
+    ]
+    h = _int_class(ring, 1, 1)
     rows = []  # chi(E(-p)) = a.x + b is affine in the unknowns x; (a, b) for p = 1..n
     for p in range(1, n + 1):
         L = -p * h
@@ -266,6 +280,17 @@ def solve_ulrich_chern(V, rank: int) -> ChernVector:
     if sum(a * xj for a, xj in zip(last, x)) + b_last != 0:
         raise SolverError(f"inconsistent twist constraints for ({names})")
     return ChernVector.of(ring, rank, c1, *x)
+
+
+def _int_class(ring, codim: int, value: int) -> GradedClass:
+    """The class ``value * H^codim`` with an ``int`` value, built without
+    coercion: a divisor on a surface lattice holds the vector
+    ``(value, 0, ...)`` on its generators, H first."""
+    if not value:
+        return GradedClass(ring)
+    if codim == 1 and isinstance(ring, SurfaceLattice):
+        value = DivisorVector((value,) + (0,) * (len(ring.basis) - 1))
+    return GradedClass(ring, codim, value)
 
 
 def _det(matrix: list) -> Fraction:

@@ -420,3 +420,75 @@ def test_integral_coefficients_divide_exactly_for_every_rank(closed_form, data, 
         assert numerator(r) // m == former(r)
         E = ChernVector.of(ring, r, *data)
         assert getattr(closed_form(E), slot).component(int(slot[1])) == former(r)
+
+
+# ---------------------------------------------------------------------------
+# ChernVector: a checked immutable tuple whose closed forms skip the checks
+
+
+def test_chern_vector_rejects_outside_input_of_the_wrong_type():
+    H, z = divisor(K3, (1, 0)), GradedClass(K3)
+    for rank in (2.5, True, Fraction(2), "2"):
+        with pytest.raises(TypeError):
+            ChernVector(rank, H, z, z)
+    for classes in ((5, z, z), (H, 14, z), (H, z, None), ((1, 0), z, z)):
+        with pytest.raises(TypeError):
+            ChernVector(2, *classes)
+    with pytest.raises(TypeError):
+        ChernVector.of(K3, True)
+    # the tuple constructors check too
+    with pytest.raises(TypeError):
+        ChernVector._make((2.5, H, z, z))
+    with pytest.raises(TypeError):
+        k3_ulrich_rank2()._replace(rank=True)
+
+
+def test_chern_vector_is_a_bundle_before_it_is_a_tuple():
+    E = k3_ulrich_rank2()
+    with pytest.raises(AttributeError):
+        E.rank = 3
+    with pytest.raises(AttributeError):
+        E.c4 = GradedClass(K3)
+    with pytest.raises(ValueError):
+        E._replace(c2=divisor(K3, (1, 0)))
+    assert E._replace(rank=3) == ChernVector.of(K3, 3, (3, 0), 14)
+    # no concatenation or repetition: a sum of bundles is direct_sum
+    for bad in (lambda: E + E, lambda: E + (1,), lambda: E * 2, lambda: 2 * E):
+        with pytest.raises(TypeError):
+            bad()
+    # equal vectors hash equal, also across int and Fraction values
+    same = ChernVector.of(K3, 2, (3, 0), 14)
+    assert same == E and hash(same) == hash(E) and len({E, same}) == 1
+    as_int = bundle_from_numerators(P3RING, [2, -3, 5], 1)
+    as_fraction_ = ChernVector.of(P3RING, 3, 4, -11, -30)
+    assert as_int == as_fraction_ and hash(as_int) == hash(as_fraction_)
+    # the two accepted tuple behaviours
+    assert E == (E.rank, E.c1, E.c2, E.c3)
+    assert (1,) + E == (1, E.rank, E.c1, E.c2, E.c3)
+
+
+small_rational = st.builds(Fraction, st.integers(-30, 30), st.sampled_from((1, 2, 3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from((P3RING, K3)),
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.lists(small_rational, min_size=6, max_size=6),
+    st.lists(st.integers(-100, 100), min_size=8, max_size=8),
+    st.integers(1, 7),
+)
+def test_closed_form_results_pass_the_constructor_checks(ring, r, s, q, nums, D):
+    # the closed forms build their results unchecked; rebuilding each one
+    # through the checked constructor shows those checks could not fire
+    def bundle(rank, a, b, c2, c3):
+        return ChernVector.of(ring, rank, (a, b) if ring is K3 else a, c2, c3)
+
+    E, F = bundle(r, *q[:4]), bundle(s, q[4], q[5], q[0], q[1])
+    L = divisor(ring, (q[2], q[5]) if ring is K3 else q[2])
+    results = [tensor_square(E), sym2(E), wedge2(E), direct_sum(E, F), dual(E), twist(E, L)]
+    if ring is P3RING:
+        results.append(bundle_from_numerators(ring, nums[:r], D))
+    for result in results:
+        assert ChernVector(*result) == result

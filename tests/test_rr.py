@@ -1,6 +1,5 @@
 """Riemann-Roch values and the Ulrich Chern solver against independent closed forms."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -204,7 +203,7 @@ def test_solver_guards_raise(model, n, chi_name, monkeypatch):
 
     def blind(V, E):
         # the top Chern class never reaches chi, so the last unknown drops out
-        return true_chi(V, dataclasses.replace(E, **{f"c{n}": GradedClass(E.ring)}))
+        return true_chi(V, E._replace(**{f"c{n}": GradedClass(E.ring)}))
 
     def shifted(V, E):
         return true_chi(V, E) + (1 if twist_of(E) == n else 0)
@@ -263,3 +262,62 @@ def test_p4_solver_builds_one_hypersurface(monkeypatch):
     # and its 9 evaluations share the one Todd class built with the model
     assert built == [5]
     assert tangents == [5]
+
+
+def _scalars(cls) -> tuple:
+    """The scalars a class holds: none for zero, each coefficient of a surface divisor."""
+    if cls.is_zero:
+        return ()
+    return tuple(cls.value) if isinstance(cls.value, tuple) else (cls.value,)
+
+
+def _ulrich_chern(V, d, r) -> ChernVector:
+    """The Chern data the solve must return, from closed forms: Casnati's c2
+    on surfaces (c1 = aH, H^2 = d, K = (d-4)H); on threefolds
+    c2 = r(d-1)(3r(d-1) - 2d + 4)/24 H^2 and c3 from its closed form."""
+    a = Fraction(r * (d - 1), 2)
+    if isinstance(V, HypersurfaceP3):
+        c2 = casnati_c2(a * a * d, a * d * (d - 4), r, d, V.chi_o)
+        return ChernVector.of(V.surface().lattice, r, (a, 0), c2)
+    c2 = Fraction(r * (d - 1) * (3 * r * (d - 1) - 2 * d + 4), 24)
+    return ChernVector.of(V.ring, r, a, c2, ulrich_c3_p4_hypersurface(d, r) / d)
+
+
+@pytest.mark.parametrize(
+    "model, chi_name", [(HypersurfaceP3, "chi_surface"), (HypersurfaceP4, "chi_threefold_hypersurface")]
+)
+def test_solver_evaluates_integer_points_and_returns_fractions(model, chi_name, monkeypatch):
+    true_chi, true_twist = getattr(rr, chi_name), rr.twist
+    twisted, evaluated = [], []
+
+    def recorded_twist(E, L):
+        twisted.append((E, L))
+        return true_twist(E, L)
+
+    def recorded_chi(V, E):
+        evaluated.append(E)
+        return true_chi(V, E)
+
+    monkeypatch.setattr(rr, "twist", recorded_twist)
+    monkeypatch.setattr(rr, chi_name, recorded_chi)
+    for d in range(1, 12):
+        V = model(d)
+        for r in range(1, 7):
+            if not parity_ok(r, d):
+                continue
+            twisted.clear()
+            evaluated.clear()
+            E = solve_ulrich_chern(V, r)
+            n = E.ring.dim
+            assert len(twisted) == len(evaluated) == n * n
+            # the point bundles and the twisting classes hold ints only
+            for F, L in twisted:
+                assert all(type(x) is int for c in (F.c1, F.c2, F.c3, L) for x in _scalars(c))
+            # so does every bundle chi sees, except that on a surface the
+            # pairings c1.L and L^2 in c2 go through the rational Gram matrix
+            for F in evaluated:
+                assert all(type(x) is int for c in (F.c1, F.c3) for x in _scalars(c))
+                assert all(type(x) is int if n == 3 else x.denominator == 1 for x in _scalars(F.c2))
+            # one coercion at the result: Fraction classes, the values of the closed forms
+            assert all(type(x) is Fraction for c in (E.c1, E.c2, E.c3) for x in _scalars(c))
+            assert E == _ulrich_chern(V, d, r)

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
@@ -114,43 +113,72 @@ def binom(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 # rings
 
+#: Builds a record from its field tuple without its constructor: without
+#: the keyword-default wrapper of a class, or the checks of a ring.
+_new = tuple.__new__
 
-@dataclass(frozen=True)
-class RankOneRing:
-    """Truncated ring Q[H]/(H^(dim+1)) with a degree map H^dim -> h_degree."""
 
+class _RankOneFields(NamedTuple):
     dim: int
     h_degree: Fraction
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.dim <= 3:
+
+class RankOneRing(_RankOneFields):
+    """Truncated ring Q[H]/(H^(dim+1)) with a degree map H^dim -> h_degree.
+
+    ``RankOneRing(dim, h_degree)``, ``_make`` and ``_replace`` check that
+    ``dim`` lies in 1..3 and coerce ``h_degree`` to ``Fraction``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, dim: int, h_degree: Scalar) -> "RankOneRing":
+        return cls._make((dim, h_degree))
+
+    @classmethod
+    def _make(cls, fields) -> "RankOneRing":
+        dim, h_degree = fields
+        if not 1 <= dim <= 3:
             raise ValueError("only dimensions 1..3 are modeled")
-        object.__setattr__(self, "h_degree", as_fraction(self.h_degree))
+        return _new(cls, (dim, as_fraction(h_degree)))
 
     def __repr__(self) -> str:
         return f"RankOneRing(dim={self.dim}, H^{self.dim}={self.h_degree})"
 
 
-@dataclass(frozen=True)
-class SurfaceLattice:
+class _LatticeFields(NamedTuple):
+    basis: tuple
+    gram: tuple
+
+
+class SurfaceLattice(_LatticeFields):
     """Divisor lattice of a surface with a symmetric intersection matrix.
 
     ``basis`` names the generators, by convention ("H", "K") with H the
     hyperplane class and K the canonical class.  Codimension-2 classes are
     kept as already-integrated rationals, which is all any surface formula
     downstream consumes.
+
+    ``SurfaceLattice(basis, gram)``, ``_make`` and ``_replace`` check that
+    the basis is not empty and that ``gram`` is a symmetric square matrix
+    of its size; they store the names as ``str`` and the entries as
+    ``Fraction``, both in tuples.
     """
 
-    basis: tuple
-    gram: tuple
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        basis = tuple(str(s) for s in self.basis)
+    def __new__(cls, basis: Sequence[str], gram: Sequence[Sequence[Scalar]]) -> "SurfaceLattice":
+        return cls._make((basis, gram))
+
+    @classmethod
+    def _make(cls, fields) -> "SurfaceLattice":
+        basis, gram = fields
+        basis = tuple(str(s) for s in basis)
         if not basis:
             raise ValueError("a surface lattice needs at least one generator")
         n = len(basis)
         rows = []
-        for row in self.gram:
+        for row in gram:
             row = tuple(as_fraction(v) for v in row)
             if len(row) != n:
                 raise ValueError("intersection matrix shape does not match basis")
@@ -162,8 +190,7 @@ class SurfaceLattice:
             for j in range(i):
                 if gram[i][j] != gram[j][i]:
                     raise ValueError("intersection matrix must be symmetric")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "gram", gram)
+        return _new(cls, (basis, gram))
 
     @property
     def dim(self) -> int:
@@ -335,10 +362,6 @@ class GradedClass(NamedTuple):
 
     def __repr__(self) -> str:
         return "0" if self.codim is None else _format_component(self.ring, self.codim, self.value)
-
-
-#: Builds a class from its field tuple without the keyword-default wrapper.
-_new = tuple.__new__
 
 
 def _format_component(ring: Ring, codim: int, value) -> str:

@@ -18,7 +18,6 @@ explicit generality flags and carry a "generic statement" note.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Tuple
 
@@ -68,8 +67,17 @@ class NormalityVerdict(NamedTuple):
         return self.status
 
 
-@dataclass(frozen=True)
-class CurveCase:
+class _CurveFields(NamedTuple):
+    genus: int
+    degree: int
+    rank: int
+    syzygy_levels: Tuple[int, ...]
+    clifford: Optional[int]
+    very_ample: bool
+    general: bool
+
+
+class CurveCase(_CurveFields):
     """Numerical data of an Ulrich bundle on a polarized curve.
 
     ``clifford`` is the Clifford index of the curve, the minimum of
@@ -81,27 +89,41 @@ class CurveCase:
     ``rank`` feeds only the ``h0`` row, never a verdict.  ``very_ample``
     is stored, but no rule needs it yet.  ``general`` says that both the
     curve and the bundle are general; the generic rules need it.
+
+    ``CurveCase(...)``, ``_make`` and ``_replace`` check the genus,
+    degree and rank, that each syzygy level is at least 2 and given once,
+    and that a known Clifford index lies in its range.
     """
 
-    genus: int
-    degree: int
-    rank: int = 1
-    syzygy_levels: Tuple[int, ...] = ()
-    clifford: Optional[int] = None
-    very_ample: bool = False
-    general: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.genus < 0 or self.degree < 1 or self.rank < 1:
+    def __new__(
+        cls,
+        genus: int,
+        degree: int,
+        rank: int = 1,
+        syzygy_levels: Tuple[int, ...] = (),
+        clifford: Optional[int] = None,
+        very_ample: bool = False,
+        general: bool = False,
+    ) -> "CurveCase":
+        return cls._make((genus, degree, rank, syzygy_levels, clifford, very_ample, general))
+
+    @classmethod
+    def _make(cls, fields) -> "CurveCase":
+        fields = tuple(fields)
+        genus, degree, rank, syzygy_levels, clifford, _, _ = fields
+        if genus < 0 or degree < 1 or rank < 1:
             raise ValueError("need genus >= 0, degree >= 1, rank >= 1")
-        if any(p < 2 for p in self.syzygy_levels):
+        if any(p < 2 for p in syzygy_levels):
             raise ValueError("syzygy levels start at p = 2")
-        for i, p in enumerate(self.syzygy_levels):
-            if p in self.syzygy_levels[:i]:
+        for i, p in enumerate(syzygy_levels):
+            if p in syzygy_levels[:i]:
                 raise ValueError(f"syzygy level p = {p} is given more than once")
-        top = max(0, (self.genus - 1) // 2)
-        if self.clifford is not None and not 0 <= self.clifford <= top:
-            raise ValueError(f"Clifford index must lie in 0..{top} at genus {self.genus} (got {self.clifford})")
+        top = max(0, (genus - 1) // 2)
+        if clifford is not None and not 0 <= clifford <= top:
+            raise ValueError(f"Clifford index must lie in 0..{top} at genus {genus} (got {clifford})")
+        return tuple.__new__(cls, fields)
 
 
 def _verdict(rule, holds, relations, lhs, rhs, *, status=POSITIVE, k=None, theorem=None, notes=(), unmet=()):

@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Tuple
@@ -29,25 +28,40 @@ class Row(NamedTuple):
     values: tuple
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    """A titled table: parameter columns, value columns, one provenance tag per value column."""
-
+class _ReportFields(NamedTuple):
     title: str
     params: Tuple[str, ...]
     columns: Tuple[str, ...]
     provenance: Tuple[str, ...]
     rows: Tuple[Row, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.provenance) != len(self.columns):
+
+class ScanReport(_ReportFields):
+    """A titled table: parameter columns, value columns, one provenance tag per value column.
+
+    ``ScanReport(...)``, ``_make`` and ``_replace`` check that there is one
+    provenance tag per value column, that every row has the header's
+    shape and that no parameter or column name repeats.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, title: str, params: tuple, columns: tuple, provenance: tuple, rows: tuple) -> "ScanReport":
+        return cls._make((title, params, columns, provenance, rows))
+
+    @classmethod
+    def _make(cls, fields) -> "ScanReport":
+        fields = tuple(fields)
+        _, params, columns, provenance, rows = fields
+        if len(provenance) != len(columns):
             raise ValueError("need exactly one provenance tag per value column")
-        for row in self.rows:
-            if len(row.params) != len(self.params) or len(row.values) != len(self.columns):
+        for row in rows:
+            if len(row.params) != len(params) or len(row.values) != len(columns):
                 raise ValueError("row shape does not match the header")
-        for kind, names in (("parameter", self.params), ("column", self.columns)):
+        for kind, names in (("parameter", params), ("column", columns)):
             if len(set(names)) != len(names):
                 raise ValueError(f"repeated {kind} name in {names!r}")
+        return tuple.__new__(cls, fields)
 
     @staticmethod
     def build(title, params, columns, provenance, rows) -> "ScanReport":

@@ -23,9 +23,9 @@ is built through :meth:`ChernVector.of`, so every class it returns is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from .chern import ChernVector, chern_character, twist
 from .exactalg import (
@@ -44,20 +44,34 @@ from .exactalg import (
 )
 
 
-@dataclass(frozen=True)
-class Surface:
-    """Numerical model of an embedded surface: lattice, chi(O), q, p_g."""
-
+class _SurfaceFields(NamedTuple):
     lattice: SurfaceLattice
     chi_o: Fraction
     irregularity: int
     geometric_genus: int
     canonical: GradedClass
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "chi_o", as_fraction(self.chi_o))
-        if self.canonical.ring != self.lattice:
+
+class Surface(_SurfaceFields):
+    """Numerical model of an embedded surface: lattice, chi(O), q, p_g.
+
+    ``Surface(...)``, ``_make`` and ``_replace`` coerce ``chi_o`` to
+    ``Fraction`` and check that the canonical class lives in the lattice.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, lattice: SurfaceLattice, chi_o: Scalar, irregularity: int, geometric_genus: int, canonical: GradedClass
+    ) -> "Surface":
+        return cls._make((lattice, chi_o, irregularity, geometric_genus, canonical))
+
+    @classmethod
+    def _make(cls, fields) -> "Surface":
+        lattice, chi_o, irregularity, geometric_genus, canonical = fields
+        if canonical.ring != lattice:
             raise RingMismatchError("canonical class must live in the surface lattice")
+        return tuple.__new__(cls, (lattice, as_fraction(chi_o), irregularity, geometric_genus, canonical))
 
     @property
     def hyperplane(self) -> GradedClass:
@@ -82,8 +96,41 @@ def surface_model(
     return Surface(lattice, as_fraction(chi_o), irregularity, geometric_genus, canonical)
 
 
-@dataclass(frozen=True)
-class HypersurfaceP3:
+class _Hypersurface:
+    """A smooth hypersurface model, named by its degree.
+
+    The data a model derives from its degree is built once, at
+    construction, and is not part of its value: equality, hashing and
+    ``repr`` see the type and the degree only.  No attribute can be
+    assigned or deleted.
+    """
+
+    __slots__ = ("degree",)
+
+    def __init__(self, degree: int) -> None:
+        if degree < 1:
+            raise ValueError("degree must be positive")
+        object.__setattr__(self, "degree", degree)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.degree == other.degree
+
+    def __hash__(self) -> int:
+        return hash((self.degree,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(degree={self.degree})"
+
+
+class HypersurfaceP3(_Hypersurface):
     """Smooth degree-d surface in P^3.
 
     The model pins det E = O(r(d-1)/2) for a rank-r Ulrich bundle E.
@@ -94,14 +141,12 @@ class HypersurfaceP3:
     c1 is one choice among several.
     """
 
-    degree: int
-    _surface: Surface = field(init=False, repr=False, compare=False)
+    __slots__ = ("_surface",)
 
-    def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError("degree must be positive")
+    def __init__(self, degree: int) -> None:
+        super().__init__(degree)
         # K = (d-4)H, so H.K = d(d-4) and K^2 = d(d-4)^2 on the H-lattice.
-        d = self.degree
+        d = degree
         surface = surface_model(d, d * (d - 4), d * (d - 4) ** 2, self.chi_o, geometric_genus=int(self.chi_o) - 1)
         object.__setattr__(self, "_surface", surface)
 
@@ -115,8 +160,7 @@ class HypersurfaceP3:
         return self._surface
 
 
-@dataclass(frozen=True)
-class HypersurfaceP4:
+class HypersurfaceP4(_Hypersurface):
     """Smooth degree-d threefold in P^4; by Lefschetz its Picard group is
     ZH, so det E = O(r(d-1)/2) is forced for a rank-r Ulrich bundle E.
 
@@ -125,14 +169,11 @@ class HypersurfaceP4:
     of td(X) that every Riemann-Roch evaluation on the model reads.
     """
 
-    degree: int
-    ring: RankOneRing = field(init=False, repr=False, compare=False)
-    todd: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("ring", "todd")
 
-    def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError("degree must be positive")
-        ring = RankOneRing(3, Fraction(self.degree))
+    def __init__(self, degree: int) -> None:
+        super().__init__(degree)
+        ring = RankOneRing(3, Fraction(degree))
         object.__setattr__(self, "ring", ring)
         # td = 1 + c1(T)/2 + (c1(T)^2 + c2(T))/12 + c1(T) c2(T)/24
         T = self.tangent_chern()

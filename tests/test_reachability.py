@@ -22,6 +22,7 @@ SRC = Path(projnorm.__file__).resolve().parent
 _SURFACE_COUNTS = "surface section counts, to be wired into check surface; named in the cross-check ledger plan"
 _RANK_VANISHING = "the realizability gate on rank-1 hypersurface data"
 _REPR = "debugging output; no report prints a ring or class"
+_MODEL_VALUE = "a hypersurface model is an immutable value named by its degree; no report prints, compares, hashes or assigns one"
 
 #: Functions no report argv enters, and why each is kept.
 UNREACHED = {
@@ -39,6 +40,11 @@ UNREACHED = {
     "exactalg.RankOneRing.__repr__": _REPR,
     "exactalg.SurfaceLattice.__repr__": _REPR,
     "exactalg._format_component": "the component formatter of GradedClass.__repr__",
+    "rr._Hypersurface.__setattr__": _MODEL_VALUE,
+    "rr._Hypersurface.__delattr__": _MODEL_VALUE,
+    "rr._Hypersurface.__eq__": _MODEL_VALUE,
+    "rr._Hypersurface.__hash__": _MODEL_VALUE,
+    "rr._Hypersurface.__repr__": _MODEL_VALUE,
     "cli.entry": "the console-script entry point; the tests call main directly",
     "cli._stdout_to_devnull": "runs only when the reader of stdout has gone (a closed pipe)",
 }

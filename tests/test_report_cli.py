@@ -470,6 +470,21 @@ def _child_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+def test_cli_import_loads_no_dataclass_machinery():
+    """``import projnorm.cli`` loads none of the modules that ``dataclasses``
+    brings in: every CLI process would pay for them at its start."""
+    import subprocess
+    import sys
+
+    probe = "import sys\nbefore = set(sys.modules)\nimport projnorm.cli\nprint(*sorted(set(sys.modules) - before))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env(), check=True, timeout=60
+    )
+    loaded = set(done.stdout.split())
+    assert "projnorm.cli" in loaded
+    assert sorted(loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}) == []
+
+
 def test_cross_process_determinism_under_hash_randomization():
     import subprocess
     import sys

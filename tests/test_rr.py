@@ -243,19 +243,29 @@ def test_p4_ring_is_built_once_per_hypersurface():
     assert repr(HypersurfaceP4(5)) == "HypersurfaceP4(degree=5)"
 
 
+def test_p3_surface_is_derived_data():
+    V = HypersurfaceP3(4)
+    assert V.surface() is V.surface()
+    # the surface is derived data: equality, hashing and repr see the degree only
+    assert HypersurfaceP3(4) == HypersurfaceP3(4) != HypersurfaceP3(5)
+    assert HypersurfaceP3(4) != HypersurfaceP4(4)
+    assert len({HypersurfaceP3(4), HypersurfaceP3(4)}) == 1
+    assert repr(HypersurfaceP3(4)) == "HypersurfaceP3(degree=4)"
+
+
 def test_p4_solver_builds_one_hypersurface(monkeypatch):
     built, tangents = [], []
-    init, tangent_chern = HypersurfaceP4.__post_init__, HypersurfaceP4.tangent_chern
+    init, tangent_chern = HypersurfaceP4.__init__, HypersurfaceP4.tangent_chern
 
-    def counted(self):
-        built.append(self.degree)
-        init(self)
+    def counted(self, degree):
+        built.append(degree)
+        init(self, degree)
 
     def counted_tangent(self):
         tangents.append(self.degree)
         return tangent_chern(self)
 
-    monkeypatch.setattr(HypersurfaceP4, "__post_init__", counted)
+    monkeypatch.setattr(HypersurfaceP4, "__init__", counted)
     monkeypatch.setattr(HypersurfaceP4, "tangent_chern", counted_tangent)
     solve_ulrich_chern(HypersurfaceP4(5), 3)
     # Riemann-Roch runs on the given model, never on a fresh copy of it,

@@ -63,13 +63,11 @@ from .rr import (
     surface_model,
 )
 from .ulrich import (
-    UlrichData,
     casnati_c2,
     chi_powers_p4_hypersurface,
     h0_powers_p3_hypersurface,
     h0_powers_surface,
     h0_powers_surface_det_special,
-    make_ulrich,
     ulrich_c3_p4_hypersurface,
 )
 from .verify import formula_suite

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 from .chern import ChernVector, segre_dual
 from .exactalg import DataError, as_fraction, binom, ring_degree
 from .report import ScanReport
-from .rr import HypersurfaceP3, HypersurfaceP4, Surface, as_surface
+from .rr import HypersurfaceP4, Surface
 from .ulrich import PowerCounts, ThreefoldPowerData, chi_powers_p4_hypersurface, h0_powers_p3_hypersurface
 
 NOT_K_NORMAL = "not-k-normal"
@@ -502,16 +502,16 @@ def sectional_curve_criterion(V, E: ChernVector) -> NormalityVerdict:
     deg P(E) = s_n(E*) and the sectional genus is
     1 + ((K + c1) . s_{n-1}(E*) + (n-2) s_n(E*)) / 2, so the test reads
     (3-n) s_n(E*) >= 3 + (K + c1) . s_{n-1}(E*); both forms are computed
-    and must agree identically, for n in {2, 3}.  The model must be
-    regular (q = 0).
+    and must agree identically, for n in {2, 3}.  V is a :class:`Surface`
+    or a :class:`HypersurfaceP4` and must be regular (q = 0).
     """
-    if isinstance(V, (Surface, HypersurfaceP3)):
-        S = as_surface(V)
-        ring, canonical, n = S.lattice, S.canonical, 2
+    if isinstance(V, Surface):
+        ring = V.lattice
     elif isinstance(V, HypersurfaceP4):
-        ring, canonical, n = V.ring, V.canonical, 3
+        ring = V.ring
     else:
         raise TypeError(f"unsupported variety model {type(V).__name__}")
+    canonical, n = V.canonical, ring.dim
     if E.ring != ring:
         raise ValueError("bundle does not live on the given variety model")
     s = segre_dual(E, n)

@@ -1,13 +1,16 @@
 """Euler characteristics via Riemann-Roch and the Ulrich Chern-class solver.
 
-Variety models carry exactly the numerical data the formulas consume:
+Variety models:
 
-* :class:`Surface`: an (H, K) intersection lattice, chi(O_S), the
-  irregularity q and geometric genus p_g, with the hyperplane and
-  canonical classes as lattice vectors.
+* :class:`Surface`: an (H, K) intersection lattice and chi(O_S), with the
+  hyperplane and canonical classes as lattice vectors.  Its irregularity
+  q and geometric genus p_g record the caller's claim; no formula reads
+  them, and the surface criteria print notes asking the caller to assert
+  q = p_g = 0.
 * :class:`HypersurfaceP3` / :class:`HypersurfaceP4`: smooth degree-d
   hypersurfaces; canonical class, chi(O) and tangent Chern classes are
-  derived from d.
+  derived from d.  Each supplies its own ``ring`` and Euler
+  characteristic ``chi(E)``.
 
 An Ulrich bundle for a degree-d polarization has chi of every twist
 E(-p), 1 <= p <= dim, equal to zero; with the first Chern class pinned to
@@ -24,7 +27,6 @@ is built through :meth:`ChernVector.of`, so every class it returns is
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from typing import NamedTuple
 
 from .chern import ChernVector, chern_character, twist
@@ -56,7 +58,7 @@ class Surface(_SurfaceFields):
     """Numerical model of an embedded surface: lattice, chi(O), q, p_g.
 
     ``Surface(...)``, ``_make`` and ``_replace`` coerce ``chi_o`` to
-    ``Fraction`` and check that the canonical class lives in the lattice.
+    ``Fraction`` and check that the canonical class is zero or a lattice divisor.
     """
 
     __slots__ = ()
@@ -71,6 +73,8 @@ class Surface(_SurfaceFields):
         lattice, chi_o, irregularity, geometric_genus, canonical = fields
         if canonical.ring != lattice:
             raise RingMismatchError("canonical class must live in the surface lattice")
+        if canonical.codim not in (None, 1):
+            raise ValueError("canonical class must be a divisor")
         return tuple.__new__(cls, (lattice, as_fraction(chi_o), irregularity, geometric_genus, canonical))
 
     @property
@@ -98,6 +102,10 @@ def surface_model(
 
 class _Hypersurface:
     """A smooth hypersurface model, named by its degree.
+
+    Every model offers ``degree``, the ``ring`` its classes live in (the
+    surface lattice in P^3, the rank-one ring in P^4) and ``chi(E)``, the
+    Euler characteristic of a bundle on it.
 
     The data a model derives from its degree is built once, at
     construction, and is not part of its value: equality, hashing and
@@ -141,7 +149,7 @@ class HypersurfaceP3(_Hypersurface):
     c1 is one choice among several.
     """
 
-    __slots__ = ("_surface",)
+    __slots__ = ("_surface", "ring")
 
     def __init__(self, degree: int) -> None:
         super().__init__(degree)
@@ -149,6 +157,7 @@ class HypersurfaceP3(_Hypersurface):
         d = degree
         surface = surface_model(d, d * (d - 4), d * (d - 4) ** 2, self.chi_o, geometric_genus=int(self.chi_o) - 1)
         object.__setattr__(self, "_surface", surface)
+        object.__setattr__(self, "ring", surface.lattice)
 
     @property
     def chi_o(self) -> Fraction:
@@ -158,6 +167,9 @@ class HypersurfaceP3(_Hypersurface):
     def surface(self) -> Surface:
         """The numerical surface model, built once with the hypersurface."""
         return self._surface
+
+    def chi(self, E: ChernVector) -> Fraction:
+        return chi_surface(self._surface, E)
 
 
 class HypersurfaceP4(_Hypersurface):
@@ -189,6 +201,9 @@ class HypersurfaceP4(_Hypersurface):
     def canonical(self) -> GradedClass:
         return divisor(self.ring, self.degree - 5)
 
+    def chi(self, E: ChernVector) -> Fraction:
+        return chi_threefold_hypersurface(self, E)
+
     def tangent_chern(self) -> ChernVector:
         """c(T_X) from (1+H)^5 / (1+dH), truncated in degree 3."""
         d = self.degree
@@ -201,22 +216,12 @@ class HypersurfaceP4(_Hypersurface):
         )
 
 
-def as_surface(V) -> Surface:
-    """Coerce a surface-like model (Surface or HypersurfaceP3) to a Surface."""
-    if isinstance(V, HypersurfaceP3):
-        return V.surface()
-    if isinstance(V, Surface):
-        return V
-    raise TypeError(f"expected a surface model, got {type(V).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # Euler characteristics
 
 
-def chi_surface(V, E: ChernVector) -> Fraction:
+def chi_surface(S: Surface, E: ChernVector) -> Fraction:
     """chi(S, E) = r chi(O_S) + (c1^2 - c1.K)/2 - c2."""
-    S = as_surface(V)
     if E.ring != S.lattice:
         raise RingMismatchError("bundle does not live on the given surface")
     c1sq = ring_degree(S.lattice, E.c1 * E.c1, 2)
@@ -258,11 +263,10 @@ def require_even(r: int, d: int) -> None:
 
 def ulrich_c1(V, rank: int) -> GradedClass:
     """First Chern class (r/2)(K + (n+1)H) = (r(d-1)/2)H pinned on hypersurface models."""
-    if not isinstance(V, (HypersurfaceP3, HypersurfaceP4)):
+    if not isinstance(V, _Hypersurface):
         raise TypeError("the first Chern class is pinned only on hypersurface models")
     require_even(rank, V.degree)
-    ring = V.surface().lattice if isinstance(V, HypersurfaceP3) else V.ring
-    return divisor(ring, Fraction(rank * (V.degree - 1), 2))
+    return divisor(V.ring, Fraction(rank * (V.degree - 1), 2))
 
 
 def solve_ulrich_chern(V, rank: int) -> ChernVector:
@@ -290,13 +294,9 @@ def solve_ulrich_chern(V, rank: int) -> ChernVector:
     """
     if rank < 1:
         raise ValueError("rank must be at least 1")
-    if isinstance(V, HypersurfaceP3):
-        S = V.surface()
-        ring, chi = S.lattice, partial(chi_surface, S)
-    elif isinstance(V, HypersurfaceP4):
-        ring, chi = V.ring, partial(chi_threefold_hypersurface, V)
-    else:
+    if not isinstance(V, _Hypersurface):
         raise TypeError("Ulrich Chern data can be solved only on hypersurface models")
+    ring, chi = V.ring, V.chi
     c1 = ulrich_c1(V, rank)  # raises ParityError unless r(d-1) is even
     n = ring.dim
     names = ", ".join(f"c{k}" for k in range(2, n + 1))

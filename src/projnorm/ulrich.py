@@ -16,24 +16,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .chern import ChernVector
-from .exactalg import DataError, numerically_equal, ring_degree
-from .rr import (
-    HypersurfaceP3,
-    HypersurfaceP4,
-    Surface,
-    as_surface,
-    require_even,
-    solve_ulrich_chern,
-)
-
-
-class UlrichData(NamedTuple):
-    """An Ulrich bundle's numerical footprint: variety, rank, Chern data, h^0 = r*d."""
-
-    variety: object
-    rank: int
-    chern: ChernVector
-    h0: int
+from .exactalg import DataError, RingMismatchError, numerically_equal, ring_degree
+from .rr import Surface, require_even
 
 
 class PowerCounts(NamedTuple):
@@ -53,30 +37,6 @@ class ThreefoldPowerData(NamedTuple):
     c3_sym2: Fraction
 
 
-def make_ulrich(V, rank: int, chern: ChernVector | None = None) -> UlrichData:
-    """Assemble Ulrich data; hypersurfaces get their Chern classes solved.
-
-    On general surface models the Chern data cannot be recovered from the
-    model (only c1.H is pinned) and must be supplied.
-    """
-    if isinstance(V, (HypersurfaceP3, HypersurfaceP4)):
-        solved = solve_ulrich_chern(V, rank)
-        if chern is not None and chern != solved:
-            raise DataError("supplied Chern data disagrees with the vanishing constraints")
-        chern = solved
-        degree = Fraction(V.degree)
-    elif isinstance(V, Surface):
-        if chern is None:
-            raise TypeError("general surface models need explicit Chern data")
-        degree = V.degree
-    else:
-        raise TypeError(f"unsupported variety model {type(V).__name__}")
-    h0 = rank * degree
-    if h0.denominator != 1:
-        raise DataError("h^0 = r*d is not an integer")
-    return UlrichData(V, rank, chern, int(h0))
-
-
 def _require_count(num: int, den: int, label: str) -> int:
     """The count ``num/den`` (``den > 0``) as an int, or DataError unless it is one."""
     count, rem = divmod(num, den)
@@ -91,7 +51,6 @@ def h0_powers_surface_det_special(S: Surface, r: int) -> tuple:
     The specialized closed forms in (d, K^2, K.H, chi(O_S)) alone; returned
     as raw rationals so they can be compared against the generic forms.
     """
-    S = as_surface(S)
     d = S.degree
     chi = S.chi_o
     lat = S.lattice
@@ -106,19 +65,21 @@ def h0_powers_surface_det_special(S: Surface, r: int) -> tuple:
     )
 
 
-def h0_powers_surface(U: UlrichData) -> PowerCounts:
-    """Section counts of E(x)E, S^2 E, S^3 E on a surface.
+def h0_powers_surface(S: Surface, E: ChernVector) -> PowerCounts:
+    """Section counts of E(x)E, S^2 E, S^3 E for an Ulrich bundle E on S.
 
-    Uses the closed forms in (c1^2, c1.K, d, chi(O_S), r); when c1 is
-    numerically (r/2)(K + 3H) the specialized forms in (d, K^2, K.H, chi)
-    are evaluated as well and any disagreement flags inconsistent input.
+    Uses the closed forms in (c1^2, c1.K, d, chi(O_S), r), with r the
+    rank of E; when c1 is numerically (r/2)(K + 3H) the specialized forms
+    in (d, K^2, K.H, chi) are evaluated as well and any disagreement flags
+    inconsistent input.
     """
-    S = as_surface(U.variety)
-    r = U.rank
+    lat = S.lattice
+    if E.ring != lat:
+        raise RingMismatchError("bundle does not live on the given surface")
+    r = E.rank
     d = S.degree
     chi = S.chi_o
-    lat = S.lattice
-    c1 = U.chern.c1
+    c1 = E.c1
     c1sq = ring_degree(lat, c1 * c1, 2)
     c1k = ring_degree(lat, c1 * S.canonical, 2)
 

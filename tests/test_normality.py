@@ -41,7 +41,7 @@ from projnorm.normality import (
 )
 from projnorm.report import Row
 from projnorm.rr import HypersurfaceP3, HypersurfaceP4, solve_ulrich_chern, surface_model
-from projnorm.ulrich import PowerCounts, ThreefoldPowerData, UlrichData, h0_powers_p3_hypersurface
+from projnorm.ulrich import PowerCounts, ThreefoldPowerData, h0_powers_p3_hypersurface
 
 
 def test_dimension_test_examples():
@@ -484,7 +484,6 @@ RECORD_FIELDS = {
     AcmResult: ("verdict", "degeneracy"),
     PowerCounts: ("tensor2", "sym2", "sym3"),
     ThreefoldPowerData: ("chi_tensor2", "chi_sym2", "c3_tensor2", "c3_sym2"),
-    UlrichData: ("variety", "rank", "chern", "h0"),
 }
 
 

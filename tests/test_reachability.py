@@ -32,7 +32,6 @@ UNREACHED = {
     "exactalg.numerically_equal": _SURFACE_COUNTS,
     "ulrich.h0_powers_surface": _SURFACE_COUNTS,
     "ulrich.h0_powers_surface_det_special": _SURFACE_COUNTS,
-    "ulrich.make_ulrich": _SURFACE_COUNTS,
     "rr.Surface.hyperplane": "read by h0_powers_surface_det_special",
     "report.ScanReport.from_json": "the README promises that a JSON report reads back into a ScanReport",
     "report._decode": "the cell decoder of ScanReport.from_json",

@@ -12,13 +12,16 @@ from fractions import Fraction
 
 import pytest
 
-from projnorm.exactalg import RankOneRing, RingMismatchError, SurfaceLattice, divisor
+from projnorm.chern import ChernVector
+from projnorm.exactalg import GradedClass, RankOneRing, RingMismatchError, SurfaceLattice, divisor
 from projnorm.normality import CurveCase
 from projnorm.report import Row, ScanReport
-from projnorm.rr import HypersurfaceP3, HypersurfaceP4, Surface, surface_model
+from projnorm.rr import HypersurfaceP3, HypersurfaceP4, Surface, chi_surface, surface_model
 
 LATTICE = SurfaceLattice(("H", "K"), ((4, 0), (0, 0)))
 SURFACE = surface_model(4, 0, 0, 2)
+#: a lattice with H.K != 0, so a canonical class read as zero changes chi
+TILTED = surface_model(4, -8, 16, 1)
 CURVE = CurveCase(genus=5, degree=8, syzygy_levels=(2, 3), clifford=1)
 REPORT = ScanReport("t", ("a",), ("b", "c"), ("p", "q"), (Row((1,), (2, 3)),))
 
@@ -44,6 +47,7 @@ GUARDS = [
     (LATTICE, {"gram": ((4, 0),)}, "shape does not match"),
     (LATTICE, {"gram": ((4, 1), (0, 0))}, "symmetric"),
     (SURFACE, {"canonical": divisor(SurfaceLattice(("H", "K"), ((1, 0), (0, 0))), (0, 1))}, "surface lattice"),
+    (TILTED, {"canonical": GradedClass.of(TILTED.lattice, 2, 5)}, "canonical class must be a divisor"),
     (CURVE, {"genus": -1}, "genus >= 0"),
     (CURVE, {"degree": 0}, "degree >= 1"),
     (CURVE, {"rank": 0}, "rank >= 1"),
@@ -64,7 +68,7 @@ GUARDS = [
     "good, change, message", GUARDS, ids=[f"{type(g).__name__}-{m}" for g, _, m in GUARDS]
 )
 def test_every_guard_raises_on_every_path(good, change, message, path):
-    error = RingMismatchError if type(good) is Surface else ValueError
+    error = RingMismatchError if message == "surface lattice" else ValueError
     with pytest.raises(error, match=message):
         _paths(good, **change)[path]()
 
@@ -83,6 +87,18 @@ def test_coercions_hold_on_every_path(path):
         assert type(_paths(good)[path]()) is type(good) and _paths(good)[path]() == good
 
 
+@pytest.mark.parametrize("path", range(3), ids=["constructor", "_make", "_replace"])
+def test_surface_canonical_may_be_zero(path):
+    zero = _paths(TILTED, canonical=GradedClass(TILTED.lattice))[path]()
+    assert type(zero) is Surface and zero.canonical.is_zero
+
+
+def test_surface_chi_reads_the_canonical_divisor():
+    # c1 = 3H: c1^2 = 36 and c1.K = -24, so chi = 2 + (36 + 24)/2 - 14
+    E = ChernVector.of(TILTED.lattice, 2, (3, 0), 14)
+    assert chi_surface(TILTED, E) == 18
+
+
 @pytest.mark.parametrize(
     "record, name",
     [
@@ -97,6 +113,7 @@ def test_coercions_hold_on_every_path(path):
         (HypersurfaceP4(5), "ring"),
         (HypersurfaceP4(5), "todd"),
         (HypersurfaceP4(5), "extra"),
+        (HypersurfaceP3(4), "ring"),
     ],
 )
 def test_no_field_can_be_assigned(record, name):

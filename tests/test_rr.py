@@ -72,6 +72,14 @@ def test_hypersurface_p3_lattice():
     assert S.chi_o == 5
 
 
+def test_models_supply_ring_and_chi():
+    V, W = HypersurfaceP3(5), HypersurfaceP4(5)
+    assert V.ring is V.surface().lattice
+    E, F = solve_ulrich_chern(V, 2), solve_ulrich_chern(W, 2)
+    assert V.chi(E) == chi_surface(V.surface(), E) == 10
+    assert W.chi(F) == chi_threefold_hypersurface(W, F) == 10
+
+
 def test_solver_matches_casnati_on_surfaces():
     for d in range(2, 11):
         V = HypersurfaceP3(d)
@@ -168,23 +176,27 @@ def test_surface_chi_structure_sheaf_from_monomial_count():
 
 
 def test_model_validation_errors():
-    from projnorm.rr import as_surface, ulrich_c1
+    from projnorm.normality import sectional_curve_criterion
+    from projnorm.rr import ulrich_c1
 
     with pytest.raises(ValueError):
         HypersurfaceP3(0)
     with pytest.raises(ValueError):
         HypersurfaceP4(0)
     with pytest.raises(TypeError):
-        as_surface(HypersurfaceP4(2))
+        # a surface criterion takes the Surface, not the hypersurface model
+        sectional_curve_criterion(HypersurfaceP3(2), ChernVector.of(HypersurfaceP3(2).ring, 1))
     with pytest.raises(TypeError):
         ulrich_c1(surface_model(4, 0, 0, 2), 2)
     with pytest.raises(ValueError):
         solve_ulrich_chern(HypersurfaceP3(3), 0)
+    with pytest.raises(ValueError, match="rank"):
+        solve_ulrich_chern("pencil", 0)  # the rank is checked before the model
     E = ChernVector.of(HypersurfaceP4(2).ring, 1)
     from projnorm.exactalg import RingMismatchError
 
     with pytest.raises(RingMismatchError):
-        chi_surface(HypersurfaceP3(2), E)
+        chi_surface(HypersurfaceP3(2).surface(), E)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from projnorm.chern import ChernVector, sym2, sym3, tensor_square
-from projnorm.exactalg import DataError, ParityError, numerically_equal, ring_degree
+from projnorm.exactalg import DataError, ParityError, RingMismatchError, numerically_equal, ring_degree
 from projnorm.normality import classify_p3_hypersurface
 from projnorm.rr import HypersurfaceP3, HypersurfaceP4, chi_surface, chi_threefold_hypersurface, parity_ok, solve_ulrich_chern, surface_model
 from projnorm.ulrich import (
@@ -13,7 +13,6 @@ from projnorm.ulrich import (
     chi_powers_p4_hypersurface,
     h0_powers_p3_hypersurface,
     h0_powers_surface,
-    make_ulrich,
     ulrich_c3_p4_hypersurface,
 )
 
@@ -91,9 +90,8 @@ def test_surface_counts_match_chi_pipeline():
         for r in range(1, 7):
             if (r * (d - 1)) % 2:
                 continue
-            U = make_ulrich(V, r)
-            counts = h0_powers_surface(U)
-            E = U.chern
+            E = solve_ulrich_chern(V, r)
+            counts = h0_powers_surface(S, E)
             assert counts.tensor2 == chi_surface(S, tensor_square(E))
             assert counts.sym2 == chi_surface(S, sym2(E))
             assert counts.sym3 == chi_surface(S, sym3(E))
@@ -105,31 +103,45 @@ def test_surface_counts_specialization_guard():
     # c1 = (r/2)(K + 3H) holds for every hypersurface case, so the internal
     # cross-check of the specialized forms runs and must pass
     V = HypersurfaceP3(6)
-    U = make_ulrich(V, 2)
+    E = solve_ulrich_chern(V, 2)
     S = V.surface()
-    assert numerically_equal(U.chern.c1, Fraction(2, 2) * (S.canonical + 3 * S.hyperplane))
-    h0_powers_surface(U)  # must not raise
+    assert numerically_equal(E.c1, Fraction(2, 2) * (S.canonical + 3 * S.hyperplane))
+    h0_powers_surface(S, E)  # must not raise
 
 
 def test_surface_counts_flag_non_integer():
     S = surface_model(1, 0, 0, 1)
     E = ChernVector.of(S.lattice, 1, (Fraction(1, 2), 0), 0)
-    U = make_ulrich(S, 1, E)
     with pytest.raises(DataError):
-        h0_powers_surface(U)
+        h0_powers_surface(S, E)
 
 
-def test_make_ulrich_h0():
-    U = make_ulrich(HypersurfaceP3(4), 2)
-    assert U.h0 == 8
-    V = make_ulrich(HypersurfaceP4(5), 3)
-    assert V.h0 == 15
-    with pytest.raises(DataError):
-        bad = ChernVector.of(HypersurfaceP3(4).surface().lattice, 2, (3, 0), 13)
-        make_ulrich(HypersurfaceP3(4), 2, bad)
+def test_surface_counts_take_the_rank_from_the_bundle():
+    # rank 2 with Casnati's c2 on a lattice that is no hypersurface's; the
+    # counts are Riemann-Roch of the powers of this E, rank 2 throughout
+    S = surface_model(9, -9, 9, 1)
+    E = ChernVector.of(S.lattice, 2, (3, 0), 38)
+    counts = h0_powers_surface(S, E)
+    assert counts == (149, 94, 272)
+    assert counts == (chi_surface(S, tensor_square(E)), chi_surface(S, sym2(E)), chi_surface(S, sym3(E)))
+    with pytest.raises(RingMismatchError):
+        h0_powers_surface(HypersurfaceP3(4).surface(), E)
+
+
+def test_solved_ulrich_data_h0():
+    # h^0 = chi = r*d for the solved Chern data, and supplied data that
+    # breaks the vanishing constraints differs from the solution
+    V = HypersurfaceP3(4)
+    assert chi_surface(V.surface(), solve_ulrich_chern(V, 2)) == 8
+    W = HypersurfaceP4(5)
+    assert chi_threefold_hypersurface(W, solve_ulrich_chern(W, 3)) == 15
+    bad = ChernVector.of(V.ring, 2, (3, 0), 13)
+    assert solve_ulrich_chern(V, 2) != bad
 
 
 def test_p4_chi_examples():
+    with pytest.raises(ValueError):
+        chi_powers_p4_hypersurface(0, 2)
     data = chi_powers_p4_hypersurface(4, 2)
     assert data.chi_tensor2 == 70
     assert 70 > (2 * 4) ** 2 - 0 or True  # plain record: 70 exceeds 64
@@ -164,18 +176,3 @@ def test_p4_parity_enforced():
 def test_c3_closed_form_values():
     assert ulrich_c3_p4_hypersurface(3, 3) == 6
     assert ulrich_c3_p4_hypersurface(5, 2) == 0
-
-
-def test_make_ulrich_validation():
-    S = surface_model(4, 0, 0, 2)
-    with pytest.raises(TypeError):
-        make_ulrich(S, 2)  # chern data required on general surfaces
-    with pytest.raises(TypeError):
-        make_ulrich("pencil", 2)
-    # fractional r*d is flagged
-    W = surface_model(Fraction(5, 2), 0, 0, 1)
-    E = ChernVector.of(W.lattice, 1, (1, 0))
-    with pytest.raises(DataError):
-        make_ulrich(W, 1, E)
-    with pytest.raises(ValueError):
-        chi_powers_p4_hypersurface(0, 2)

@@ -139,9 +139,23 @@ def test_solved_ulrich_data_h0():
     assert solve_ulrich_chern(V, 2) != bad
 
 
-def test_p4_chi_examples():
+def test_make_ulrich_validation():
+    # only hypersurface models determine their Ulrich Chern data; general
+    # surfaces need it supplied, and a fractional r*d is flagged in the counts
+    S = surface_model(4, 0, 0, 2)
+    with pytest.raises(TypeError):
+        solve_ulrich_chern(S, 2)
+    with pytest.raises(TypeError):
+        solve_ulrich_chern("pencil", 2)
+    W = surface_model(Fraction(5, 2), 0, 0, 1)
+    E = ChernVector.of(W.lattice, 1, (1, 0))
+    with pytest.raises(DataError):
+        h0_powers_surface(W, E)
     with pytest.raises(ValueError):
         chi_powers_p4_hypersurface(0, 2)
+
+
+def test_p4_chi_examples():
     data = chi_powers_p4_hypersurface(4, 2)
     assert data.chi_tensor2 == 70
     assert 70 > (2 * 4) ** 2 - 0 or True  # plain record: 70 exceeds 64

@@ -25,23 +25,20 @@ tuples of graded pieces.
 
 The module also houses the randomized splitting-principle oracle used to
 validate every closed-form Chern-class construction: formal Chern roots
-are drawn as exact rationals, the derived root multiset of a construction
-is expanded, and the elementary symmetric functions of that multiset are
+are drawn at random, the derived root multiset of a construction is
+expanded, and the elementary symmetric functions of that multiset are
 compared with the closed form.  A polynomial identity that fails anywhere
 fails a random exact evaluation with overwhelming probability, so
 disagreement is proof of an error and repeated agreement is very strong
 evidence, with no tolerance questions.
 
-Root arithmetic runs on integers: :func:`over_common_denominator` writes
-the rational roots as integer numerators over the lcm ``D`` of their
-denominators, derived multisets are summed as those numerators, and
-:func:`elementary_symmetric` keeps integer input integral.  Since ``e_k``
-is homogeneous of degree ``k``, each Chern class is then one exact
-division ``Fraction(e_k, D**k)``.  Every identity the oracle tests is
-weighted-homogeneous in the roots, so it evaluates both sides at the
-integer numerators themselves (the roots scaled by ``D``), where that
-division is not needed: Chern classes of integer roots are ints, and the
-closed forms keep them ints (see :func:`splitting_oracle`).
+Root arithmetic runs on integers.  :func:`root_points` draws every random
+root, as a rational ``p/q``, and yields each point scaled by the lcm ``D``
+of its drawn ``q``: the integers ``p * (D // q)``.  The identities that the
+oracle and :mod:`projnorm.verify` test are weighted-homogeneous in the
+roots, so the scaled point is the same test (see :func:`splitting_oracle`),
+and :func:`elementary_symmetric` keeps integer input integral: Chern classes
+of integer roots are ints, and the closed forms keep them ints.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -459,20 +456,30 @@ def over_common_denominator(values: Sequence[Scalar]) -> tuple:
     return [x.numerator * (D // x.denominator) for x in values], D
 
 
-def rand_rational(rng: random.Random) -> Fraction:
-    return Fraction(
-        rng.randint(-ROOT_NUMERATOR_BOUND, ROOT_NUMERATOR_BOUND),
-        rng.choice(ROOT_DENOMINATORS),
-    )
+def root_points(count: int, trials: int, seed: int) -> Iterator[list]:
+    """``trials`` points of ``count`` random Chern roots each, as integers.
+
+    For each root, ``p = randint(-100, 100)`` and then ``q = choice((1, 2,
+    3, 5))`` are drawn from ``random.Random(seed)``.  A point is yielded as
+    ``[p * (D // q), ...]`` with ``D`` the lcm of its drawn ``q``, which is
+    a multiple of the lcm of the reduced denominators.
+    """
+    rng = random.Random(seed)
+    bound, randint, choice = ROOT_NUMERATOR_BOUND, rng.randint, rng.choice
+    for _ in range(trials):
+        draws = [(randint(-bound, bound), choice(ROOT_DENOMINATORS)) for _ in range(count)]
+        D = math.lcm(*(q for _, q in draws))
+        yield [p * (D // q) for p, q in draws]
 
 
 #: The splitting oracle's constructions and their derived root multisets;
-#: the oracle handles ``tensor_line`` (a twist by one more root) itself.
+#: ``tensor_line`` twists by one more root, the last entry of the point.
 _DERIVED_ROOTS: Mapping[str, Callable] = {
     "tensor_square": lambda xs: [x + y for x in xs for y in xs],
     "sym2": lambda xs: [x + y for x, y in combinations_with_replacement(xs, 2)],
     "sym3": lambda xs: [x + y + z for x, y, z in combinations_with_replacement(xs, 3)],
     "wedge2": lambda xs: [x + y for x, y in combinations(xs, 2)],
+    "tensor_line": lambda xs: [x + xs[-1] for x in xs[:-1]],
 }
 
 
@@ -485,29 +492,24 @@ def splitting_oracle(
 ) -> bool:
     """Check a closed-form Chern construction against formal root expansion.
 
-    For each trial, ``rank`` random rational Chern roots ``x`` are drawn
-    (plus a line-bundle root for ``tensor_line``) and written as integer
-    numerators over their common denominator ``D``
-    (:func:`over_common_denominator`).  Both sides are then evaluated at
-    the integer point ``D*x``: ``closed_form`` on the bundle with those
-    integer roots, and the Chern classes of the construction's derived
-    root multiset, formed from the same numerators.  Returns True iff
-    every trial agrees in rank and in every modeled Chern class.
+    Each trial takes a point of :func:`root_points`: ``rank`` integer Chern
+    roots, with the line-bundle root as the last entry of a ``rank + 1``
+    point for ``tensor_line``.  ``closed_form`` on the bundle with those
+    roots is compared with the Chern classes of the construction's derived
+    root multiset: True iff every trial agrees in rank and in every class.
 
-    Why the integer point is as strong a test as ``x``: every identity
-    checked here is weighted-homogeneous (``c_k`` has degree ``k`` in the
-    roots, and each derived root is a sum of roots), so the difference
-    ``P`` of the two sides in codimension ``k`` satisfies
-    ``P(D*x) = D**k * P(x)``, which is zero iff ``P(x)`` is.  Even
-    without homogeneity the detection bound is unchanged: given the drawn
-    denominators ``q_i``, ``D*x`` is ``p_i * (D // q_i)`` with each
-    numerator ``p_i`` uniform on [-100, 100], and a nonzero polynomial
-    stays nonzero under that invertible diagonal scaling, so by
-    Schwartz-Zippel a trial misses a nonzero difference of degree ``k``
-    with probability at most ``k / 201``, as at ``x``.  At integer roots
-    the bundle's classes are ints, and the closed forms' integer
-    coefficients keep their products ints; only the twist divisor, built
-    by :func:`divisor`, is a ``Fraction``.
+    Why the integer point ``D*x`` is as strong a test as the drawn
+    rationals ``x``: every identity checked here is weighted-homogeneous
+    (``c_k`` has degree ``k`` in the roots, and each derived root is a sum
+    of roots), so the difference ``P`` of the two sides in codimension
+    ``k`` has ``P(D*x) = D**k * P(x)``, zero iff ``P(x)`` is.  Even
+    without homogeneity the detection bound is unchanged: the point is
+    ``p_i * (D // q_i)`` with each numerator ``p_i`` uniform on
+    [-100, 100], a nonzero polynomial stays nonzero under that invertible
+    diagonal scaling, and so by Schwartz-Zippel a trial misses a nonzero
+    difference of degree ``k`` with probability at most ``k / 201``.  At
+    integer roots every class is an int; only the twist divisor, built by
+    :func:`divisor`, is a ``Fraction``.
 
     ``closed_form`` maps a ChernVector to a ChernVector, except for
     ``tensor_line`` where it takes ``(bundle, divisor)`` (the twist rule).
@@ -518,25 +520,19 @@ def splitting_oracle(
         raise ValueError("rank must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if construction != "tensor_line" and construction not in _DERIVED_ROOTS:
+    if construction not in _DERIVED_ROOTS:
         raise ValueError(f"unsupported construction {construction!r}")
 
     # sym3 has no closed third Chern class, so it is checked in a
     # 2-dimensional ring where degree 3 truncates away.
     ring = RankOneRing(2 if construction == "sym3" else 3, Fraction(1))
-    rng = random.Random(seed)
-    for _ in range(trials):
-        roots = [rand_rational(rng) for _ in range(rank)]
-        if construction == "tensor_line":
-            t = rand_rational(rng)
-            (*nums, t_num), _ = over_common_denominator(roots + [t])
-            derived = [x + t_num for x in nums]
-            actual = closed_form(bundle_from_roots(ring, nums), divisor(ring, t_num))
+    derive, twisted = _DERIVED_ROOTS[construction], construction == "tensor_line"
+    for point in root_points(rank + 1 if twisted else rank, trials, seed):
+        if twisted:
+            actual = closed_form(bundle_from_roots(ring, point[:-1]), divisor(ring, point[-1]))
         else:
-            nums, _ = over_common_denominator(roots)
-            derived = _DERIVED_ROOTS[construction](nums)
-            actual = closed_form(bundle_from_roots(ring, nums))
-        expected = bundle_from_numerators(ring, derived, 1)
+            actual = closed_form(bundle_from_roots(ring, point))
+        expected = bundle_from_numerators(ring, derive(point), 1)
         if not isinstance(actual, ChernVector) or actual != expected:
             return False
     return True

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Tuple
 
 from .chern import ChernVector, segre_dual
-from .exactalg import DataError, as_fraction, binom, ring_degree
+from .exactalg import DataError, RingMismatchError, as_fraction, binom, ring_degree
 from .report import ScanReport
 from .rr import HypersurfaceP4, Surface
 from .ulrich import PowerCounts, ThreefoldPowerData, chi_powers_p4_hypersurface, h0_powers_p3_hypersurface
@@ -513,7 +513,7 @@ def sectional_curve_criterion(V, E: ChernVector) -> NormalityVerdict:
         raise TypeError(f"unsupported variety model {type(V).__name__}")
     canonical, n = V.canonical, ring.dim
     if E.ring != ring:
-        raise ValueError("bundle does not live on the given variety model")
+        raise RingMismatchError("bundle does not live on the given variety model")
     s = segre_dual(E, n)
     adjoint = ring_degree(ring, (canonical + E.c1) * s[n - 1], n)
     deg = ring_degree(ring, s[n], n)

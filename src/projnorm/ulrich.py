@@ -1,13 +1,28 @@
 """Closed-form section counts for tensor and symmetric powers of Ulrich bundles.
 
-An Ulrich bundle of rank r for a degree-d polarization has h^0 = r*d and,
-on surfaces, 0-regular tensor operations, so the section counts of E(x)E,
-S^2 E and S^3 E equal their Euler characteristics and reduce to closed
-forms in (c1^2, c1.K, d, chi(O_S), r).  On threefolds only the Euler
-characteristics are available (they bound h^0 from below there).  Every
-formula in this module has a second, independent computation path through
-:mod:`projnorm.rr` and :mod:`projnorm.chern`, and the two are required to
-agree exactly in the test suite.
+An Ulrich bundle E of rank r on X of degree d has h^0 = r*d.  The closed
+forms here are Euler characteristics of E(x)E, S^2 E and S^3 E (in c1^2,
+c1.K, d, chi(O_S) and r on surfaces).  Each reads as h^0 through its own
+vanishing (characteristic 0 throughout):
+
+* surfaces in P^3, h^0 = chi.  The Ulrich resolution
+  ``0 -> O(-1)^(rd) -> O^(rd) -> E -> 0`` on P^3 (Eisenbud, Schreyer and
+  Weyman 2003) restricts to ``0 -> E(-d) -> O_S(-1)^(rd) -> O_S^(rd) -> E
+  -> 0``.  Tensored with E and with E(x)E, with Serre duality, it shows
+  that E(x)E and E(x)E(x)E, so also their summands S^2 E and S^3 E, have
+  no higher cohomology.
+* threefolds in P^4, h^0 >= chi.  The same sequence gives
+  ``H^i(E(x)E) = H^(1-i)(F(x)F(-3))^v`` for i > 0, F = E^v((d-1)H) the
+  Ulrich dual, so h^2 = h^3 = 0 for E(x)E and S^2 E.
+* any surface, h^0 >= chi for S^k E, k = 2, 3.  Ulrich bundles are
+  semistable (Casanellas and Hartshorne 2011), so S^k E is too, and
+  ``h^2(S^k E) = h^0((S^k E)^v (x) K)`` vanishes: by the Ulrich c1.H that
+  bundle has slope ``H.K - k(3H^2 + H.K)/2 < 0``, as H^2 + H.K >= -2.
+
+Not proved: h^0 = chi off P^3, and anything in dimension >= 5, where E(x)E
+can have higher cohomology (chi(E(x)E) < 0 on a degree-9 fivefold in P^6).
+Every formula also has an independent path through :mod:`projnorm.rr` and
+:mod:`projnorm.chern`, and the test suite requires the two to agree exactly.
 """
 
 from __future__ import annotations
@@ -69,27 +84,29 @@ def h0_powers_surface(S: Surface, E: ChernVector) -> PowerCounts:
     """Section counts of E(x)E, S^2 E, S^3 E for an Ulrich bundle E on S.
 
     Uses the closed forms in (c1^2, c1.K, d, chi(O_S), r), with r the
-    rank of E; when c1 is numerically (r/2)(K + 3H) the specialized forms
-    in (d, K^2, K.H, chi) are evaluated as well and any disagreement flags
-    inconsistent input.
+    rank of E.  They assume the Ulrich conditions, so DataError is raised
+    unless ``c1.H = r(3H^2 + H.K)/2`` and c2 is Casnati's
+    (:func:`casnati_c2`).  When c1 is numerically (r/2)(K + 3H) the
+    specialized forms in (d, K^2, K.H, chi) are evaluated as well and any
+    disagreement flags inconsistent input.
     """
-    lat = S.lattice
+    lat, K = S.lattice, S.canonical
     if E.ring != lat:
         raise RingMismatchError("bundle does not live on the given surface")
-    r = E.rank
-    d = S.degree
-    chi = S.chi_o
-    c1 = E.c1
-    c1sq = ring_degree(lat, c1 * c1, 2)
-    c1k = ring_degree(lat, c1 * S.canonical, 2)
+    r, d, chi, c1 = E.rank, S.degree, S.chi_o, E.c1
+    c1sq, c1k, c1h = ring_degree(lat, c1 * c1, 2), ring_degree(lat, c1 * K, 2), ring_degree(lat, c1, 1)
+    ulrich_c1h = Fraction(r * (3 * d + ring_degree(lat, K, 1)), 2)
+    if c1h != ulrich_c1h:
+        raise DataError(f"an Ulrich bundle has c1.H = r(3H^2 + H.K)/2 = {ulrich_c1h}, got {c1h}")
+    c2, ulrich_c2 = ring_degree(lat, E.c2, 2), casnati_c2(c1sq, c1k, r, d, chi)
+    if c2 != ulrich_c2:
+        raise DataError(f"an Ulrich bundle has Casnati's c2 = {ulrich_c2}, got {c2}")
 
     tensor2 = c1sq + r * r * (2 * d - chi)
     sym2 = r * (r + 2) * d + Fraction(c1sq + c1k, 2) - Fraction(r * (r + 3), 2) * chi
-    sym3 = Fraction(r + 2, 6) * (
-        3 * c1sq + 3 * c1k + 3 * r * d * (r + 3) - 2 * r * chi * (r + 4)
-    )
+    sym3 = Fraction(r + 2, 6) * (3 * c1sq + 3 * c1k + 3 * r * d * (r + 3) - 2 * r * chi * (r + 4))
 
-    if numerically_equal(c1, Fraction(r, 2) * (S.canonical + 3 * S.hyperplane)):
+    if numerically_equal(c1, Fraction(r, 2) * (K + 3 * S.hyperplane)):
         if h0_powers_surface_det_special(S, r) != (tensor2, sym2, sym3):
             raise DataError("section counts disagree with their det E = O((r/2)(K+3H)) specialization")
 
@@ -115,8 +132,8 @@ def h0_powers_p3_hypersurface(d: int, r: int) -> PowerCounts:
 def chi_powers_p4_hypersurface(d: int, r: int) -> ThreefoldPowerData:
     """Euler characteristics and c3 numbers on a degree-d threefold in P^4.
 
-    chi equals h^0 - h^1 for these powers (the top cohomology vanishes),
-    so each chi is a lower bound for the section count; the verdict logic
+    h^2 = h^3 = 0 for E(x)E and S^2 E (see the module docstring), so chi
+    is h^0 - h^1, a lower bound for the section count; the verdict logic
     downstream relies on that inequality only, never on equality.
     """
     if d < 1:

@@ -16,7 +16,6 @@ Three families of checks, all exact:
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -38,9 +37,8 @@ from .exactalg import (
     RankOneRing,
     binom,
     elementary_symmetric,
-    over_common_denominator,
-    rand_rational,
     ring_degree,
+    root_points,
     splitting_oracle,
 )
 from .report import ScanReport
@@ -63,23 +61,6 @@ _ORACLES = (
 )
 
 
-def _sampled_ok(check, rank: int, trials: int, rng: random.Random) -> bool:
-    """Whether ``check(bundle, roots)`` holds for ``trials`` bundles with
-    ``rank`` random roots each, drawn from ``rng``.
-
-    Each check is weighted-homogeneous in the roots, so, as in
-    :func:`~projnorm.exactalg.splitting_oracle`, it runs at the integer
-    numerators of the drawn rationals over their common denominator: the
-    same test, in ints.
-    """
-    ring = RankOneRing(3, Fraction(1))
-    for _ in range(trials):
-        roots, _ = over_common_denominator([rand_rational(rng) for _ in range(rank)])
-        if not check(bundle_from_roots(ring, roots), roots):
-            return False
-    return True
-
-
 def _whitney(E, roots) -> bool:
     return direct_sum(sym2(E), wedge2(E)) == tensor_square(E)
 
@@ -99,6 +80,8 @@ def _sym_k_c1(E, roots) -> bool:
 
 
 #: Sampled algebraic checks: (row name, check, divisor of the trial count).
+#: Each ``check(bundle, roots)`` is weighted-homogeneous in the roots, so it
+#: runs at the integer points of :func:`~projnorm.exactalg.root_points`.
 _SAMPLED = (
     ("whitney-tensor-square", _whitney, 1),
     ("character-square", _character_square, 1),
@@ -166,10 +149,12 @@ def formula_suite(ranks=range(1, 7), trials: int = 20, seed: int = DEFAULT_SEED)
         for r in ranks:
             stream += 1
             add(name, f"r={r}", splitting_oracle(construction, r, closed_form, trials, seed + stream))
+    ring = RankOneRing(3, Fraction(1))
     for name, check, thinning in _SAMPLED:
         for r in ranks:
             stream += 1
-            add(name, f"r={r}", _sampled_ok(check, r, max(1, trials // thinning), random.Random(seed + stream)))
+            points = root_points(r, max(1, trials // thinning), seed + stream)
+            add(name, f"r={r}", all(check(bundle_from_roots(ring, p), p) for p in points))
 
     for name, model, powers, closed_form, r_range in (
         ("surface-count-paths", HypersurfaceP3, _surface_powers, h0_powers_p3_hypersurface, range(1, 5)),

@@ -24,7 +24,6 @@ from projnorm.exactalg import (
     RankOneRing,
     binom,
     numerically_equal,
-    rand_rational,
     ring_degree,
     splitting_oracle,
 )
@@ -61,6 +60,7 @@ from projnorm.ulrich import (
     h0_powers_surface_det_special,
     ulrich_c3_p4_hypersurface,
 )
+from rational_roots import rand_rational
 
 
 def run_criterion(number, name, body):

@@ -33,12 +33,12 @@ from projnorm.exactalg import (
     divisor,
     elementary_symmetric,
     over_common_denominator,
-    rand_rational,
     ring_degree,
     unit,
 )
 from projnorm.normality import surface_acm_criterion
 from projnorm.verify import _character_square, _whitney
+from rational_roots import rand_rational
 
 K3 = SurfaceLattice(("H", "K"), ((4, 0), (0, 0)))
 P3RING = RankOneRing(3, Fraction(1))

@@ -1,6 +1,7 @@
 """Ring arithmetic, degree maps, rational round-trips, and the splitting oracle."""
 
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,11 +26,14 @@ from projnorm.exactalg import (
     binom,
     divisor,
     elementary_symmetric,
+    over_common_denominator,
     parse_rational,
     ring_degree,
+    root_points,
     splitting_oracle,
     unit,
 )
+from rational_roots import rand_rational
 
 QUARTIC_K3 = SurfaceLattice(("H", "K"), ((4, 0), (0, 0)))
 
@@ -359,12 +363,47 @@ def test_splitting_oracle_detects_each_perturbed_class(construction, closed_form
     assert not splitting_oracle(construction, 3, perturbed, trials=5, seed=3)
 
 
+def test_root_points_repeat_for_a_seed():
+    points = list(root_points(4, 6, 3))
+    assert points == list(root_points(4, 6, 3))
+    assert points != list(root_points(4, 6, 4))
+    assert len(points) == 6 and all(len(p) == 4 and all(type(x) is int for x in p) for p in points)
+
+
+def test_root_points_scale_the_old_fraction_draws():
+    # the old draws: Fraction(p, q) in the same rng order, written over the
+    # lcm of the reduced denominators; each point is that times an integer
+    factors = set()
+    for count in range(1, 8):
+        rng = random.Random(100 + count)
+        for point in root_points(count, 30, 100 + count):
+            old, _ = over_common_denominator([rand_rational(rng) for _ in range(count)])
+            m = next((x // y for x, y in zip(point, old) if y), 1)
+            assert m >= 1 and point == [m * y for y in old]
+            factors.add(m)
+    assert 1 in factors and max(factors) > 1
+
+
+@pytest.mark.parametrize("construction,closed_form", ORACLE_CASES)
+def test_splitting_oracle_evaluates_at_the_sampled_points(construction, closed_form):
+    # tensor_line draws rank + 1 roots per point and twists by the last one
+    seen = []
+
+    def recording(*args):
+        seen.append(args)
+        return closed_form(*args)
+
+    assert splitting_oracle(construction, 3, recording, trials=4, seed=5)
+    ring = RankOneRing(2 if construction == "sym3" else 3, 1)
+    if construction == "tensor_line":
+        expected = [(bundle_from_roots(ring, p[:-1]), divisor(ring, p[-1])) for p in root_points(4, 4, 5)]
+    else:
+        expected = [(bundle_from_roots(ring, p),) for p in root_points(3, 4, 5)]
+    assert seen == expected
+
+
 @pytest.mark.parametrize("rank", (1, 2))
 def test_rank_vanishing_preserved_by_constructions(rank):
-    import random
-
-    from projnorm.exactalg import rand_rational
-
     rng = random.Random(5)
     ring = RankOneRing(3, Fraction(1))
     ring2 = RankOneRing(2, Fraction(1))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projnorm.chern import ChernVector, segre_dual
-from projnorm.exactalg import ParityError, binom, ring_degree
+from projnorm.exactalg import ParityError, RingMismatchError, binom, ring_degree
 from projnorm.normality import (
     GENERIC_NOTE,
     INCONCLUSIVE,
@@ -348,6 +348,15 @@ def test_sectional_curve_threefold():
     assert v.witness.lhs == ring_degree(V.ring, segre_dual(E, 3)[3], 3)
 
 
+def test_sectional_curve_rejects_a_bundle_on_another_ring():
+    S = surface_model(9, -9, 9, 1)
+    E = ChernVector.of(S.lattice, 2, (2, 0), 11)
+    with pytest.raises(RingMismatchError, match="does not live on the given variety model"):
+        sectional_curve_criterion(HypersurfaceP3(4).surface(), E)
+    with pytest.raises(RingMismatchError):
+        sectional_curve_criterion(HypersurfaceP4(4), E)
+
+
 def test_ci_scan_matches_brute_force():
     report = ci_example_scan(50)
     by_d = {row.params[0]: dict(zip(report.columns, row.values)) for row in report.rows}
@@ -412,7 +421,7 @@ def test_sectional_curve_forms_agree_on_random_data():
         assert _segre_margin(S.lattice, S.canonical, E, 2) == v.witness.lhs - v.witness.rhs
     V = HypersurfaceP4(4)
     from projnorm.chern import bundle_from_roots
-    from projnorm.exactalg import rand_rational
+    from rational_roots import rand_rational
 
     for _ in range(20):
         E = bundle_from_roots(V.ring, [rand_rational(rng) for _ in range(3)])

@@ -295,7 +295,7 @@ def test_formula_suite_rejects_an_empty_rank_range_before_any_check(monkeypatch)
     def no_check(*args):
         raise AssertionError("a check ran")
 
-    for name in ("splitting_oracle", "_sampled_ok", "_count_paths_ok", "_chi_structure_sheaf_ok"):
+    for name in ("splitting_oracle", "root_points", "_count_paths_ok", "_chi_structure_sheaf_ok"):
         monkeypatch.setattr(verify, name, no_check)
     with pytest.raises(ValueError, match="empty rank range"):
         verify.formula_suite(ranks=())

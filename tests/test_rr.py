@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from projnorm import cli, rr
-from projnorm.chern import ChernVector, twist
+from projnorm.chern import ChernVector, dual, twist
 from projnorm.exactalg import GradedClass, ParityError, SolverError, binom, ring_degree
 from projnorm.rr import (
     HypersurfaceP3,
@@ -103,6 +103,26 @@ def test_solver_matches_c3_closed_form_on_threefolds():
             E = solve_ulrich_chern(V, r)
             assert ring_degree(V.ring, E.c3, 3) == ulrich_c3_p4_hypersurface(d, r)
             assert chi_threefold_hypersurface(V, E) == r * d
+
+
+def test_solver_output_is_its_own_ulrich_dual():
+    # E^v(K + (n+1)H) = E^v((d-1)H) is Ulrich with E (Eisenbud, Schreyer and
+    # Weyman 2003), and the solver's Chern data is the unique solution
+    cells = 0
+    for model in (HypersurfaceP3, HypersurfaceP4):
+        for d in range(2, 12):
+            V = model(d)
+            for r in range(1, 8):
+                if parity_ok(r, d):
+                    E = solve_ulrich_chern(V, r)
+                    assert twist(dual(E), d - 1) == E, (model, d, r)
+                    cells += 1
+    assert cells == 100
+    # the fixed point is exact: the neighbouring twists move E
+    for model in (HypersurfaceP3, HypersurfaceP4):
+        E = solve_ulrich_chern(model(5), 2)
+        assert twist(dual(E), 3) != E
+        assert twist(dual(E), 5) != E
 
 
 def test_solver_specific_values():

@@ -1,15 +1,17 @@
 """Section counts of bundle powers: closed forms against the Riemann-Roch pipeline."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from projnorm.chern import ChernVector, sym2, sym3, tensor_square
-from projnorm.exactalg import DataError, ParityError, RingMismatchError, numerically_equal, ring_degree
+from projnorm.chern import ChernVector, dual, sym2, sym3, tensor_square, twist
+from projnorm.exactalg import DataError, ParityError, RingMismatchError, divisor, numerically_equal, ring_degree
 from projnorm.normality import classify_p3_hypersurface
 from projnorm.rr import HypersurfaceP3, HypersurfaceP4, chi_surface, chi_threefold_hypersurface, parity_ok, solve_ulrich_chern, surface_model
 from projnorm.ulrich import (
     _require_count,
+    casnati_c2,
     chi_powers_p4_hypersurface,
     h0_powers_p3_hypersurface,
     h0_powers_surface,
@@ -110,22 +112,56 @@ def test_surface_counts_specialization_guard():
 
 
 def test_surface_counts_flag_non_integer():
+    # rank 1 with c1.H = 3/2 and Casnati's c2 = 9/8 passes the Ulrich gate
     S = surface_model(1, 0, 0, 1)
-    E = ChernVector.of(S.lattice, 1, (Fraction(1, 2), 0), 0)
-    with pytest.raises(DataError):
+    E = ChernVector.of(S.lattice, 1, (Fraction(3, 2), 0), Fraction(9, 8))
+    with pytest.raises(DataError, match="got 13/4$"):
         h0_powers_surface(S, E)
 
 
 def test_surface_counts_take_the_rank_from_the_bundle():
-    # rank 2 with Casnati's c2 on a lattice that is no hypersurface's; the
-    # counts are Riemann-Roch of the powers of this E, rank 2 throughout
+    # rank-2 Ulrich data on a lattice that is no hypersurface's; the counts
+    # are Riemann-Roch of the powers of this E, rank 2 throughout
     S = surface_model(9, -9, 9, 1)
-    E = ChernVector.of(S.lattice, 2, (3, 0), 38)
+    E = ChernVector.of(S.lattice, 2, (2, 0), 11)
+    assert chi_surface(S, E) == 18
     counts = h0_powers_surface(S, E)
-    assert counts == (149, 94, 272)
+    assert counts == (104, 76, 200)
     assert counts == (chi_surface(S, tensor_square(E)), chi_surface(S, sym2(E)), chi_surface(S, sym3(E)))
     with pytest.raises(RingMismatchError):
         h0_powers_surface(HypersurfaceP3(4).surface(), E)
+
+
+def test_surface_counts_gate_on_the_ulrich_conditions():
+    S = surface_model(9, -9, 9, 1)
+    # c1.H = 27 where an Ulrich bundle of rank 2 has r(3H^2 + H.K)/2 = 18
+    with pytest.raises(DataError, match=r"c1\.H = r\(3H\^2 \+ H\.K\)/2 = 18, got 27$"):
+        h0_powers_surface(S, ChernVector.of(S.lattice, 2, (3, 0), 38))
+    # the Ulrich c1 = 2H with a c2 other than Casnati's 11
+    with pytest.raises(DataError, match="Casnati's c2 = 11, got 12$"):
+        h0_powers_surface(S, ChernVector.of(S.lattice, 2, (2, 0), 12))
+
+
+def test_casnati_c2_is_closed_under_the_ulrich_dual():
+    # E^v(K + 3H) is Ulrich with E: its c1 is r(K + 3H) - c1(E), and its c2,
+    # from the twist rule, is Casnati's c2 of that c1.  This needs the
+    # Ulrich c1.H: the twist's c2 misses Casnati's by 3(c1.H - r(3H^2 + H.K)/2).
+    rng = random.Random(29)
+    for _ in range(200):
+        S = surface_model(rng.randint(1, 12), rng.randint(-20, 20), rng.randint(-20, 20), rng.randint(-3, 5))
+        lat, K, H, d = S.lattice, S.canonical, S.hyperplane, S.degree
+        r = rng.randint(1, 6)
+        kh = ring_degree(lat, K, 1)
+        b = Fraction(rng.randint(-30, 30), rng.randint(1, 4))
+        ulrich_c1 = divisor(lat, ((Fraction(r * (3 * d + kh), 2) - b * kh) / d, b))
+
+        def c2(c):
+            return casnati_c2(ring_degree(lat, c * c, 2), ring_degree(lat, c * K, 2), r, d, S.chi_o)
+
+        for c1, gap in ((ulrich_c1, 0), (ulrich_c1 + H, 3 * d)):
+            F = twist(dual(ChernVector.of(lat, r, c1, c2(c1))), K + 3 * H)
+            assert numerically_equal(F.c1, r * (K + 3 * H) - c1)
+            assert ring_degree(lat, F.c2, 2) - c2(F.c1) == gap
 
 
 def test_solved_ulrich_data_h0():
@@ -148,8 +184,9 @@ def test_make_ulrich_validation():
     with pytest.raises(TypeError):
         solve_ulrich_chern("pencil", 2)
     W = surface_model(Fraction(5, 2), 0, 0, 1)
-    E = ChernVector.of(W.lattice, 1, (1, 0))
-    with pytest.raises(DataError):
+    # the Ulrich c1.H = 15/4 and Casnati's c2 = 21/16, so the gate passes
+    E = ChernVector.of(W.lattice, 1, (Fraction(3, 2), 0), Fraction(21, 16))
+    with pytest.raises(DataError, match="must be a nonnegative integer"):
         h0_powers_surface(W, E)
     with pytest.raises(ValueError):
         chi_powers_p4_hypersurface(0, 2)

@@ -21,9 +21,10 @@ from .exactalg import (
     RankOneRing,
     Ring,
     RingMismatchError,
+    Scalar,
+    as_fraction,
     binom,
     elementary_symmetric,
-    over_common_denominator,
     unit,
 )
 
@@ -115,37 +116,21 @@ class ChernVector(_ChernFields):
 _new = tuple.__new__
 
 
-def bundle_from_roots(ring: RankOneRing, roots: Sequence[Fraction]) -> ChernVector:
+def bundle_from_roots(ring: RankOneRing, roots: Sequence[Scalar]) -> ChernVector:
     """Chern data of a formal direct sum of line bundles with the given roots.
 
     c_i is the i-th elementary symmetric function of the roots, placed on
-    H^i; only rank-one rings carry root data.  The roots are written as
-    integer numerators over the lcm D of their denominators and handed to
-    :func:`bundle_from_numerators`.
-    """
-    nums, D = over_common_denominator(roots)
-    return bundle_from_numerators(ring, nums, D)
-
-
-def bundle_from_numerators(ring: RankOneRing, nums: Sequence[int], D: int) -> ChernVector:
-    """:func:`bundle_from_roots` for the roots ``n / D``, ``n`` in ``nums``.
-
-    e_i is summed over the integer numerators and c_i is the one division
-    e_i / D^i; ``D`` need not be in lowest terms against ``nums``.  Each
-    c_i is already exact, so its class is built without coercion.  With
-    ``D == 1`` the roots are integers and c_i holds the ``int`` e_i, so
-    closed forms evaluated on it stay in ints; otherwise c_i is a
-    ``Fraction``.
+    H^i; only rank-one rings carry root data.  Each root is an ``int`` or a
+    ``Fraction`` (anything else raises ``TypeError``), used as given, so
+    integer roots give ``int`` classes, which closed forms keep in ints.
     """
     if not isinstance(ring, RankOneRing):
         raise TypeError("Chern roots live in a rank-one ring")
+    roots = [x if type(x) is int else as_fraction(x) for x in roots]
     up_to = min(3, ring.dim)
-    e = elementary_symmetric(nums, up_to)
-    classes = []
-    for k in range(1, 4):
-        c = 0 if k > up_to else e[k] if D == 1 else Fraction(e[k], D**k)
-        classes.append(GradedClass(ring, k, c) if c else GradedClass(ring))
-    return _new(ChernVector, (len(nums), *classes))
+    e = elementary_symmetric(roots, up_to)
+    classes = [GradedClass(ring, k, e[k]) if k <= up_to and e[k] else GradedClass(ring) for k in range(1, 4)]
+    return _new(ChernVector, (len(roots), *classes))
 
 
 def satisfies_rank_vanishing(E: ChernVector) -> bool:

@@ -36,9 +36,9 @@ Root arithmetic runs on integers.  :func:`root_points` draws every random
 root, as a rational ``p/q``, and yields each point scaled by the lcm ``D``
 of its drawn ``q``: the integers ``p * (D // q)``.  The identities that the
 oracle and :mod:`projnorm.verify` test are weighted-homogeneous in the
-roots, so the scaled point is the same test (see :func:`splitting_oracle`),
-and :func:`elementary_symmetric` keeps integer input integral: Chern classes
-of integer roots are ints, and the closed forms keep them ints.
+roots, so the scaled point is the same test (see :func:`splitting_oracle`).
+``chern.bundle_from_roots`` takes the roots as given and builds both oracle
+sides: Chern classes of integer roots are ints, and closed forms keep them so.
 """
 
 from __future__ import annotations
@@ -259,8 +259,8 @@ class GradedClass(NamedTuple):
 
     A nonzero class has one codimension ``codim``, no higher than the ring
     dimension, and one exact nonzero component ``value`` in that ring's
-    shape: a ``Fraction`` (or an ``int``, for root data with integer
-    numerators), or a :class:`DivisorVector` of them for surface divisors.
+    shape: a ``Fraction`` (or an ``int``, for Chern classes of integer
+    roots), or a :class:`DivisorVector` of them for surface divisors.
     The zero class has neither (both are None), so structural equality is
     semantic equality, and equal classes hash equal also when one value is
     an ``int`` and the other a ``Fraction``.  A sum over several
@@ -290,13 +290,13 @@ class GradedClass(NamedTuple):
 
     @staticmethod
     def of(ring: Ring, codim: int, value) -> "GradedClass":
-        """The class ``value`` in codimension ``codim``; zero above ``ring.dim``."""
+        """The class ``value`` in codimension ``codim``, checked in any; zero above ``ring.dim``."""
         if codim < 0:
             raise ValueError("negative codimension")
-        if codim > ring.dim:
-            return GradedClass(ring)  # truncation
         value = _coerce_component(ring, codim, value)
-        return GradedClass(ring, codim, value) if value else GradedClass(ring)
+        if codim > ring.dim or not value:
+            return GradedClass(ring)  # truncation, or the zero value
+        return GradedClass(ring, codim, value)
 
     def component(self, codim: int):
         if codim == self.codim:
@@ -436,9 +436,7 @@ def elementary_symmetric(values: Sequence[Scalar], up_to: int) -> list:
     """e_0..e_{up_to} of the multiset ``values`` (exact).
 
     The recurrence only adds and multiplies, so integer values give
-    integer ``e_k`` and ``Fraction`` values give ``Fraction`` ones.  Root
-    data is passed as integer numerators (:func:`over_common_denominator`),
-    which keeps every step here in Python ints.
+    integer ``e_k`` and ``Fraction`` values give ``Fraction`` ones.
     """
     e = [1] + [0] * up_to
     degrees = range(min(up_to, len(values)), 0, -1)
@@ -446,14 +444,6 @@ def elementary_symmetric(values: Sequence[Scalar], up_to: int) -> list:
         for k in degrees:
             e[k] += e[k - 1] * x
     return e
-
-
-def over_common_denominator(values: Sequence[Scalar]) -> tuple:
-    """``(numerators, D)`` with ``D`` the lcm of the denominators of
-    ``values`` (1 for none) and ``values[i] == numerators[i] / D``."""
-    values = [x if type(x) is int else as_fraction(x) for x in values]
-    D = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (D // x.denominator) for x in values], D
 
 
 def root_points(count: int, trials: int, seed: int) -> Iterator[list]:
@@ -495,8 +485,8 @@ def splitting_oracle(
     Each trial takes a point of :func:`root_points`: ``rank`` integer Chern
     roots, with the line-bundle root as the last entry of a ``rank + 1``
     point for ``tensor_line``.  ``closed_form`` on the bundle with those
-    roots is compared with the Chern classes of the construction's derived
-    root multiset: True iff every trial agrees in rank and in every class.
+    roots is compared with ``bundle_from_roots`` of the derived root
+    multiset: True iff every trial agrees in rank and in every class.
 
     Why the integer point ``D*x`` is as strong a test as the drawn
     rationals ``x``: every identity checked here is weighted-homogeneous
@@ -514,7 +504,7 @@ def splitting_oracle(
     ``closed_form`` maps a ChernVector to a ChernVector, except for
     ``tensor_line`` where it takes ``(bundle, divisor)`` (the twist rule).
     """
-    from .chern import bundle_from_numerators, bundle_from_roots, ChernVector  # deferred: keeps the ring layer standalone
+    from .chern import bundle_from_roots, ChernVector  # deferred: keeps the ring layer standalone
 
     if rank < 1:
         raise ValueError("rank must be at least 1")
@@ -532,7 +522,7 @@ def splitting_oracle(
             actual = closed_form(bundle_from_roots(ring, point[:-1]), divisor(ring, point[-1]))
         else:
             actual = closed_form(bundle_from_roots(ring, point))
-        expected = bundle_from_numerators(ring, derive(point), 1)
+        expected = bundle_from_roots(ring, derive(point))
         if not isinstance(actual, ChernVector) or actual != expected:
             return False
     return True

@@ -12,8 +12,10 @@ never a bare boolean.  Three levels are distinguished and never mixed:
 
 Square-root thresholds are evaluated by exact squared-integer comparison
 with sign guards, so boundary cases can never be flipped by rounding.
-Statements that hold only for general curves or general bundles require
-explicit generality flags and carry a "generic statement" note.
+Statements that hold only for general curves or general bundles carry a
+"generic statement" note.  Only ``general-sharp-degree`` also reads the
+generality flag (``CurveCase.general``); ``clifford-degree``, ``mrc-count``
+and ``low-degree-general`` fire without it.  Gating them is ROADMAP item 3.
 """
 
 from __future__ import annotations
@@ -88,7 +90,8 @@ class CurveCase(_CurveFields):
     rank, so the degree thresholds need no separate slope input and
     ``rank`` feeds only the ``h0`` row, never a verdict.  ``very_ample``
     is stored, but no rule needs it yet.  ``general`` says that both the
-    curve and the bundle are general; the generic rules need it.
+    curve and the bundle are general; of the generic rules, only
+    ``general-sharp-degree`` reads it so far (ROADMAP item 3).
 
     ``CurveCase(...)``, ``_make`` and ``_replace`` check the genus,
     degree and rank, that each syzygy level is at least 2 and given once,

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from projnorm.chern import (
     ChernVector,
-    bundle_from_numerators,
     bundle_from_roots,
     chern_character,
     direct_sum,
@@ -32,13 +31,12 @@ from projnorm.exactalg import (
     binom,
     divisor,
     elementary_symmetric,
-    over_common_denominator,
     ring_degree,
     unit,
 )
 from projnorm.normality import surface_acm_criterion
 from projnorm.verify import _character_square, _whitney
-from rational_roots import rand_rational
+from rational_roots import over_common_denominator, rand_rational
 
 K3 = SurfaceLattice(("H", "K"), ((4, 0), (0, 0)))
 P3RING = RankOneRing(3, Fraction(1))
@@ -281,19 +279,23 @@ def _fraction_expansion(ring, roots):
     st.lists(wide_roots, max_size=8),
     st.lists(st.integers(-(10**15), 10**15), max_size=8),
     st.integers(1, 12),
-    st.integers(1, 12),
 )
-@example(3, 1, [], [], 1, 1)
-@example(3, 1, [Fraction(-10**15, 7), Fraction(10**15, 9), Fraction(1, 11)], [1, -2, 3, 10], 5, 6)
-@example(2, 4, [], [], 30, 1)
-def test_bundle_from_roots_matches_fraction_expansion(dim, h_degree, roots, base, q, g):
+@example(3, 1, [], [], 1)
+@example(3, 1, [Fraction(-10**15, 7), Fraction(10**15, 9), Fraction(1, 11)], [1, -2, 3, 10], 30)
+@example(2, 4, [], [], 30)
+def test_bundle_from_roots_matches_fraction_expansion(dim, h_degree, roots, nums, D):
     ring = RankOneRing(dim, Fraction(h_degree))
     assert bundle_from_roots(ring, roots) == _fraction_expansion(ring, roots)
-    # the numerator path, with D = q*g not in lowest terms against n = b*g
-    nums, D = [b * g for b in base], q * g
+    # the roots n / D, with D not in lowest terms against every n
     fractions = [Fraction(n, D) for n in nums]
-    assert bundle_from_numerators(ring, nums, D) == bundle_from_roots(ring, fractions)
-    assert bundle_from_numerators(ring, nums, D) == _fraction_expansion(ring, fractions)
+    assert bundle_from_roots(ring, fractions) == _fraction_expansion(ring, fractions)
+
+
+def test_bundle_from_roots_refuses_roots_that_are_not_exact():
+    # int and Fraction are the only roots; nothing else is coerced
+    for bad in (1.5, 2.0, True, "2", None):
+        with pytest.raises(TypeError):
+            bundle_from_roots(P3RING, [1, bad])
 
 
 @pytest.mark.parametrize("dim", (2, 3))
@@ -311,18 +313,18 @@ def test_bundle_from_roots_matches_fraction_expansion(dim, h_degree, roots, base
     ],
 )
 def test_bundle_from_numerators_matches_the_coerced_build(dim, nums, D):
-    # the oracle compares with ==, so the exact build must equal the one
-    # GradedClass.of gives; on a surface ring c3 truncates to zero
+    # the roots n / D: the oracle compares with ==, so the uncoerced build
+    # must equal the one GradedClass.of gives; on a surface ring c3
+    # truncates to zero
     ring = RankOneRing(dim, Fraction(2))
     e = elementary_symmetric(nums, 3)
-    expected = ChernVector.of(ring, len(nums), *(Fraction(e[k], D**k) for k in (1, 2, 3)))
-    got = bundle_from_numerators(ring, nums, D)
-    assert got == expected
-    # the scalar contract: ints for integer roots (D == 1), Fractions otherwise
-    scalar = int if D == 1 else Fraction
-    assert all(type(c.value) is scalar for c in (got.c1, got.c2, got.c3) if not c.is_zero)
-    if dim == 2:
-        assert got.c3.is_zero
+    # the scalar contract: Fraction roots give Fraction classes, int roots ints
+    for roots, scale, scalar in (([Fraction(n, D) for n in nums], D, Fraction), (nums, 1, int)):
+        got = bundle_from_roots(ring, roots)
+        assert got == ChernVector.of(ring, len(nums), *(Fraction(e[k], scale**k) for k in (1, 2, 3)))
+        assert all(type(c.value) is scalar for c in (got.c1, got.c2, got.c3) if not c.is_zero)
+        if dim == 2:
+            assert got.c3.is_zero
 
 
 @given(st.lists(st.integers(-(10**15), 10**15), max_size=8), st.integers(0, 9))
@@ -459,7 +461,7 @@ def test_chern_vector_is_a_bundle_before_it_is_a_tuple():
     # equal vectors hash equal, also across int and Fraction values
     same = ChernVector.of(K3, 2, (3, 0), 14)
     assert same == E and hash(same) == hash(E) and len({E, same}) == 1
-    as_int = bundle_from_numerators(P3RING, [2, -3, 5], 1)
+    as_int = bundle_from_roots(P3RING, [2, -3, 5])
     as_fraction_ = ChernVector.of(P3RING, 3, 4, -11, -30)
     assert as_int == as_fraction_ and hash(as_int) == hash(as_fraction_)
     # the two accepted tuple behaviours
@@ -489,6 +491,6 @@ def test_closed_form_results_pass_the_constructor_checks(ring, r, s, q, nums, D)
     L = divisor(ring, (q[2], q[5]) if ring is K3 else q[2])
     results = [tensor_square(E), sym2(E), wedge2(E), direct_sum(E, F), dual(E), twist(E, L)]
     if ring is P3RING:
-        results.append(bundle_from_numerators(ring, nums[:r], D))
+        results.append(bundle_from_roots(ring, [Fraction(n, D) for n in nums[:r]]))
     for result in results:
         assert ChernVector(*result) == result

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projnorm.chern import (
+    ChernVector,
     bundle_from_roots,
     satisfies_rank_vanishing,
     sym2,
@@ -26,14 +27,14 @@ from projnorm.exactalg import (
     binom,
     divisor,
     elementary_symmetric,
-    over_common_denominator,
     parse_rational,
     ring_degree,
     root_points,
     splitting_oracle,
     unit,
 )
-from rational_roots import rand_rational
+from projnorm.rr import surface_model
+from rational_roots import over_common_denominator, rand_rational
 
 QUARTIC_K3 = SurfaceLattice(("H", "K"), ((4, 0), (0, 0)))
 
@@ -128,8 +129,11 @@ def _components(cls):
 def _from_components(ring, components):
     # the class of a {codim: value} map that keeps at most one nonzero
     # component after truncation; built without + so the references stay
-    # independent of the arithmetic under test
-    nonzero = [c for c in (GradedClass.of(ring, k, v) for k, v in components.items()) if not c.is_zero]
+    # independent of the arithmetic under test.  Truncation comes first:
+    # above the ring dimension a product of a surface divisor and a
+    # number is no value GradedClass.of accepts
+    kept = ((k, v) for k, v in components.items() if k <= ring.dim)
+    nonzero = [c for c in (GradedClass.of(ring, k, v) for k, v in kept) if not c.is_zero]
     assert len(nonzero) <= 1
     return nonzero[0] if nonzero else GradedClass(ring)
 
@@ -216,6 +220,19 @@ def test_mixed_input_is_refused():
             for op in (operator.add, operator.sub):
                 with pytest.raises(ValueError):
                     op(u, v)
+
+
+def test_of_checks_its_value_above_the_ring_dimension():
+    # a value that truncates away is refused as it is in range
+    lattice = surface_model(4, 0, 0, 2).lattice
+    for c2, c3 in ((1.5, 0), (14, 1.5)):
+        with pytest.raises(TypeError):
+            ChernVector.of(lattice, 2, 3, c2, c3)
+    for ring in (RankOneRing(2, 1), lattice):
+        for bad in (True, 1.5, "3", (1, 0)):
+            with pytest.raises(TypeError):
+                GradedClass.of(ring, 3, bad)
+        assert GradedClass.of(ring, 3, Fraction(7, 2)) == GradedClass(ring)
 
 
 @pytest.mark.parametrize("ring", (RankOneRing(3, Fraction(2)), QUARTIC_K3), ids=("rank-one", "lattice"))

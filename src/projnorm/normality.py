@@ -181,7 +181,9 @@ def classify_p3_hypersurface(d: int, r: int) -> Tuple[NormalityVerdict, Normalit
     degree-d surface in P^3 with det E = O(r(d-1)/2).
 
     Returns ``(v2, v3, counts)``: the two verdicts, then the PowerCounts
-    they judge.  The 2-count margin factors as
+    they judge.  The counts are h^0 = chi, by the Ulrich-resolution
+    argument in the :mod:`projnorm.ulrich` docstring: E(x)E, S^2 E and
+    S^3 E have no higher cohomology.  The 2-count margin factors as
 
         24 (h^0(S^2 E) - binom(rd+1, 2)) = r d (d-1)(r(d-5)+6),
 
@@ -204,11 +206,11 @@ def classify_p4_hypersurface(d: int, r: int) -> Tuple[NormalityVerdict, Normalit
     """Strong-2 and 2-normality verdicts on a degree-d threefold in P^4.
 
     Returns ``(strong, plain, powers)``: the two verdicts, then the
-    ThreefoldPowerData they judge.  chi is a valid lower bound for h^0 of
-    both powers here (no higher obstructions), so chi(E(x)E) > (rd)^2
-    disproves surjectivity of the multiplication map for every d >= 4,
-    and chi(S^2 E) > binom(rd+1, 2) disproves 2-normality.  The 2-count
-    margin factors as
+    ThreefoldPowerData they judge.  h^2 = h^3 = 0 for E(x)E and S^2 E
+    (the :mod:`projnorm.ulrich` docstring), so h^0 = chi + h^1 >= chi for
+    both, and chi(E(x)E) > (rd)^2 disproves surjectivity of the
+    multiplication map for every d >= 4, and chi(S^2 E) > binom(rd+1, 2)
+    disproves 2-normality.  The 2-count margin factors as
 
         48 (chi(S^2 E) - binom(rd+1, 2)) = r d (d-1)(d-3)(3r-4-d),
 

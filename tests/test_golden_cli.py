@@ -91,6 +91,8 @@ REPORT_CASES = {
     "check_threefold_hyp_d6_r2": ["check", "threefold-hyp", "--d", "6", "--r", "2"],
     "check_threefold_hyp_d3_r2_json": ["check", "threefold-hyp", "--d", "3", "--r", "2", "--format", "json"],
     "check_surface_hyp_d5_r2": ["check", "surface-hyp", "--d", "5", "--r", "2"],
+    # on the quadric at rank 2, h0 = 4 < r + 3: the ACM criterion is skipped
+    "check_surface_hyp_d2_r2": ["check", "surface-hyp", "--d", "2", "--r", "2"],
     "check_surface_c1_with_k": [
         "check", "surface", "--h2", "3", "--hk", "-3", "--k2", "3", "--chi", "1",
         "--r", "2", "--c1", "2,-1", "--c2", "4",
@@ -113,6 +115,10 @@ REPORT_CASES = {
     "check_curve_g4_d30_fired_csv": [
         "check", "curve", "--g", "4", "--d", "30", "--p", "2", "--p", "3", "--general", "--very-ample", "--cliff", "1",
         "--format", "csv",
+    ],
+    # a fractional h^0 from the surface model is an input error
+    "error_surface_fractional_h0": [
+        "check", "surface", "--h2", "9/2", "--hk", "0", "--k2", "0", "--chi", "1", "--r", "3", "--c1", "3", "--c2", "5",
     ],
     # a Clifford index above (g-1)//2 is an input error
     "error_clifford_out_of_range": ["check", "curve", "--g", "3", "--d", "1", "--cliff", "100"],

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from projnorm import normality
 from projnorm.chern import ChernVector, segre_dual
-from projnorm.exactalg import ParityError, RingMismatchError, binom, ring_degree
+from projnorm.exactalg import DataError, ParityError, RingMismatchError, binom, ring_degree
 from projnorm.normality import (
     GENERIC_NOTE,
     INCONCLUSIVE,
@@ -111,6 +112,18 @@ def test_p3_slack_signs():
                 assert slack == 0 and v3.status == INCONCLUSIVE
             else:
                 assert slack > 0 and v3.status == INCONCLUSIVE
+
+
+def test_p3_slack_guard_catches_a_miscounted_cube(monkeypatch):
+    counts = normality.h0_powers_p3_hypersurface
+
+    def miscounted(d, r):
+        true = counts(d, r)
+        return true._replace(sym3=true.sym3 + 1)
+
+    monkeypatch.setattr(normality, "h0_powers_p3_hypersurface", miscounted)
+    with pytest.raises(DataError, match="3-normality slack disagrees with its closed form"):
+        classify_p3_hypersurface(5, 2)
 
 
 def test_p4_classifier_threshold():

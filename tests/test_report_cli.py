@@ -12,6 +12,7 @@ import pytest
 
 from projnorm.cli import main
 from projnorm.report import _FRACTION_RE, Row, ScanReport, _encode
+from projnorm.rr import HypersurfaceP3
 
 
 def run_cli(*argv):
@@ -102,11 +103,12 @@ def test_cli_verify_formulas_deterministic():
     assert runs[0] == runs[1]
 
 
-def test_cli_seed_env_default(monkeypatch):
+def test_cli_seed_comes_from_argv_alone(monkeypatch):
+    argv = ("verify-formulas", "--ranks", "1..2", "--trials", "3")
+    monkeypatch.delenv("PROJNORM_SEED", raising=False)
+    without = run_cli(*argv)
     monkeypatch.setenv("PROJNORM_SEED", "13")
-    a = run_cli("verify-formulas", "--ranks", "1..2", "--trials", "3")
-    b = run_cli("verify-formulas", "--ranks", "1..2", "--trials", "3", "--seed", "13")
-    assert a == b
+    assert run_cli(*argv) == without
 
 
 def test_cli_preset_quartic_k3():
@@ -130,6 +132,26 @@ def test_cli_check_surface_matches_hypersurface_route():
     assert rows[("verdict", "acm-degeneracy")]["status"] == "not-2-normal"
     assert rows[("value", "degeneracy_h1_lower")]["value"] == "17/1"
     assert rows[("value", "casnati_c2_reference")]["value"] == "14/1"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "ROADMAP item 3: check surface-hyp applies the q = p_g = 0 ACM criterion to surfaces "
+        "with p_g > 0; gating it on Surface.geometric_genus changes check surface-hyp stdout, "
+        "which bench/reference.json locks, so the gate lands with new reference digests"
+    ),
+)
+def test_acm_degeneracy_fires_only_with_vanishing_geometric_genus():
+    fired = set()
+    for d, r in ((4, 6), (5, 2)):
+        if HypersurfaceP3(d).surface().geometric_genus == 0:
+            continue
+        _, out, _ = run_cli("--format", "json", "check", "surface-hyp", "--d", str(d), "--r", str(r))
+        status = {row["params"]["name"]: row["values"]["status"] for row in json.loads(out)["rows"]}
+        if status["acm-degeneracy"] == "not-2-normal":
+            fired.add((d, r))
+    assert fired == set()
 
 
 def test_cli_check_curve_rules():
@@ -287,6 +309,37 @@ def test_cli_verification_failure_exit_code(monkeypatch):
     code, out, _ = run_cli("verify-formulas")
     assert code == 3
     assert out.startswith("# sample")
+
+
+def _failed_rows(report) -> set:
+    return {row.params for row in report.rows if row.values == (False,)}
+
+
+def test_cli_exits_3_when_the_sym_k_first_chern_check_fails(monkeypatch):
+    from projnorm import verify
+    from projnorm.exactalg import divisor
+
+    sym_k_c1 = verify.sym_k_c1
+
+    def off_at_3(E, k):
+        return sym_k_c1(E, k) + divisor(E.ring, 1) if k == 3 else sym_k_c1(E, k)
+
+    monkeypatch.setattr(verify, "sym_k_c1", off_at_3)
+    report, ok = verify.formula_suite(range(1, 3), 4, 7)
+    assert not ok
+    assert _failed_rows(report) == {("sym-k-first-chern", "r=1"), ("sym-k-first-chern", "r=2")}
+    code, out, _ = run_cli("verify-formulas", "--ranks", "1..2", "--trials", "4")
+    assert code == 3 and "false" in out
+
+
+def test_formula_suite_catches_a_miscounted_structure_sheaf(monkeypatch):
+    from projnorm import verify
+    from projnorm.exactalg import binom
+
+    monkeypatch.setattr(verify, "binom", lambda n, k: binom(n, k) + (n == 5))
+    report, ok = verify.formula_suite(range(1, 2), 1, 7)
+    assert not ok
+    assert _failed_rows(report) == {("threefold-chi-structure-sheaf", "d=1..8")}
 
 
 def test_formula_suite_rejects_an_empty_rank_range_before_any_check(monkeypatch):

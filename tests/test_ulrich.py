@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from projnorm import ulrich
 from projnorm.chern import ChernVector, dual, sym2, sym3, tensor_square, twist
 from projnorm.exactalg import DataError, ParityError, RingMismatchError, divisor, numerically_equal, ring_degree
 from projnorm.normality import classify_p3_hypersurface
@@ -109,6 +110,26 @@ def test_surface_counts_specialization_guard():
     S = V.surface()
     assert numerically_equal(E.c1, Fraction(2, 2) * (S.canonical + 3 * S.hyperplane))
     h0_powers_surface(S, E)  # must not raise
+
+
+def test_surface_counts_specialization_guard_catches_a_miscounted_form(monkeypatch):
+    V = HypersurfaceP3(4)
+    S, E = V.surface(), solve_ulrich_chern(V, 2)
+    special = ulrich.h0_powers_surface_det_special
+
+    def miscounted(S, r):
+        tensor2, *rest = special(S, r)
+        return (tensor2 + 1, *rest)
+
+    monkeypatch.setattr(ulrich, "h0_powers_surface_det_special", miscounted)
+    with pytest.raises(DataError, match="disagree with their det E"):
+        h0_powers_surface(S, E)
+
+
+def test_p4_chi_guard_catches_odd_parity_past_the_gate(monkeypatch):
+    monkeypatch.setattr(ulrich, "require_even", lambda r, d: None)
+    with pytest.raises(DataError, match="Euler characteristics of the powers must be integers"):
+        chi_powers_p4_hypersurface(2, 1)
 
 
 def test_surface_counts_flag_non_integer():

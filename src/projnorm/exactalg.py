@@ -33,10 +33,10 @@ disagreement is proof of an error and repeated agreement is very strong
 evidence, with no tolerance questions.
 
 Root arithmetic runs on integers.  :func:`root_points` draws every random
-root, as a rational ``p/q``, and yields each point scaled by the lcm ``D``
-of its drawn ``q``: the integers ``p * (D // q)``.  The identities that the
-oracle and :mod:`projnorm.verify` test are weighted-homogeneous in the
-roots, so the scaled point is the same test (see :func:`splitting_oracle`).
+root as an integer, uniform on [-100, 100], for the oracle and for
+:mod:`projnorm.verify` alike.  Both sides of an identity are evaluated at
+those roots, and a nonzero difference of degree ``k`` vanishes at a uniform
+point with probability at most ``k / 201`` (see :func:`splitting_oracle`).
 ``chern.bundle_from_roots`` takes the roots as given and builds both oracle
 sides: Chern classes of integer roots are ints, and closed forms keep them so.
 """
@@ -54,9 +54,8 @@ Scalar = Union[int, Fraction]
 #: Default seed for every randomized check; override per call or via the CLI.
 DEFAULT_SEED = 7
 
-#: Random Chern roots are p/q with p in [-100, 100] and q in {1, 2, 3, 5}.
-ROOT_NUMERATOR_BOUND = 100
-ROOT_DENOMINATORS = (1, 2, 3, 5)
+#: Random Chern roots are integers in [-ROOT_BOUND, ROOT_BOUND].
+ROOT_BOUND = 100
 
 
 class RingMismatchError(ValueError):
@@ -449,17 +448,12 @@ def elementary_symmetric(values: Sequence[Scalar], up_to: int) -> list:
 def root_points(count: int, trials: int, seed: int) -> Iterator[list]:
     """``trials`` points of ``count`` random Chern roots each, as integers.
 
-    For each root, ``p = randint(-100, 100)`` and then ``q = choice((1, 2,
-    3, 5))`` are drawn from ``random.Random(seed)``.  A point is yielded as
-    ``[p * (D // q), ...]`` with ``D`` the lcm of its drawn ``q``, which is
-    a multiple of the lcm of the reduced denominators.
+    A point is ``count`` successive ``randint(-100, 100)`` draws from one
+    ``random.Random(seed)``.
     """
-    rng = random.Random(seed)
-    bound, randint, choice = ROOT_NUMERATOR_BOUND, rng.randint, rng.choice
+    randint = random.Random(seed).randint
     for _ in range(trials):
-        draws = [(randint(-bound, bound), choice(ROOT_DENOMINATORS)) for _ in range(count)]
-        D = math.lcm(*(q for _, q in draws))
-        yield [p * (D // q) for p, q in draws]
+        yield [randint(-ROOT_BOUND, ROOT_BOUND) for _ in range(count)]
 
 
 #: The splitting oracle's constructions and their derived root multisets;
@@ -488,18 +482,12 @@ def splitting_oracle(
     roots is compared with ``bundle_from_roots`` of the derived root
     multiset: True iff every trial agrees in rank and in every class.
 
-    Why the integer point ``D*x`` is as strong a test as the drawn
-    rationals ``x``: every identity checked here is weighted-homogeneous
-    (``c_k`` has degree ``k`` in the roots, and each derived root is a sum
-    of roots), so the difference ``P`` of the two sides in codimension
-    ``k`` has ``P(D*x) = D**k * P(x)``, zero iff ``P(x)`` is.  Even
-    without homogeneity the detection bound is unchanged: the point is
-    ``p_i * (D // q_i)`` with each numerator ``p_i`` uniform on
-    [-100, 100], a nonzero polynomial stays nonzero under that invertible
-    diagonal scaling, and so by Schwartz-Zippel a trial misses a nonzero
-    difference of degree ``k`` with probability at most ``k / 201``.  At
-    integer roots every class is an int; only the twist divisor, built by
-    :func:`divisor`, is a ``Fraction``.
+    Both sides are evaluated at random integer roots, each uniform on
+    [-100, 100].  The difference of the two sides in codimension ``k`` is
+    a polynomial of degree ``k`` in the roots, so by Schwartz-Zippel a
+    trial misses a nonzero difference with probability at most ``k / 201``.
+    At integer roots every class is an int; only the twist divisor, built
+    by :func:`divisor`, is a ``Fraction``.
 
     ``closed_form`` maps a ChernVector to a ChernVector, except for
     ``tensor_line`` where it takes ``(bundle, divisor)`` (the twist rule).

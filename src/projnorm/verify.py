@@ -80,8 +80,9 @@ def _sym_k_c1(E, roots) -> bool:
 
 
 #: Sampled algebraic checks: (row name, check, divisor of the trial count).
-#: Each ``check(bundle, roots)`` is weighted-homogeneous in the roots, so it
-#: runs at the integer points of :func:`~projnorm.exactalg.root_points`.
+#: Each ``check(bundle, roots)`` runs at the random integer points of
+#: :func:`~projnorm.exactalg.root_points`, where a nonzero difference of
+#: degree k vanishes with probability at most k/201.
 _SAMPLED = (
     ("whitney-tensor-square", _whitney, 1),
     ("character-square", _character_square, 1),

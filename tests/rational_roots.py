@@ -10,12 +10,14 @@ import math
 import random
 from fractions import Fraction
 
-from projnorm.exactalg import ROOT_DENOMINATORS, ROOT_NUMERATOR_BOUND
+#: A root is p/q with p in [-NUMERATOR_BOUND, NUMERATOR_BOUND] and q in DENOMINATORS.
+NUMERATOR_BOUND = 100
+DENOMINATORS = (1, 2, 3, 5)
 
 
 def rand_rational(rng: random.Random) -> Fraction:
-    """One root ``p/q``, drawn in the order ``root_points`` draws: p, then q."""
-    return Fraction(rng.randint(-ROOT_NUMERATOR_BOUND, ROOT_NUMERATOR_BOUND), rng.choice(ROOT_DENOMINATORS))
+    """One root ``p/q``, drawn from ``rng`` in that order: p, then q."""
+    return Fraction(rng.randint(-NUMERATOR_BOUND, NUMERATOR_BOUND), rng.choice(DENOMINATORS))
 
 
 def over_common_denominator(values):

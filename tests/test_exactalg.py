@@ -3,6 +3,7 @@
 import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,7 @@ from projnorm.exactalg import (
     unit,
 )
 from projnorm.rr import surface_model
-from rational_roots import over_common_denominator, rand_rational
+from rational_roots import rand_rational
 
 QUARTIC_K3 = SurfaceLattice(("H", "K"), ((4, 0), (0, 0)))
 
@@ -370,14 +371,30 @@ PERTURBED_CASES = [
 ]
 
 
-@pytest.mark.parametrize("construction,closed_form,k", PERTURBED_CASES)
-def test_splitting_oracle_detects_each_perturbed_class(construction, closed_form, k):
+def _perturbed(closed_form, k, error):
+    """``closed_form`` with ``error(result)`` added to the result's ``c_k``."""
+
     def perturbed(*args):
         good = closed_form(*args)
         name = f"c{k}"
-        return good._replace(**{name: getattr(good, name) + GradedClass.of(good.ring, k, 1)})
+        return good._replace(**{name: getattr(good, name) + error(good)})
 
+    return perturbed
+
+
+@pytest.mark.parametrize("construction,closed_form,k", PERTURBED_CASES)
+def test_splitting_oracle_detects_each_perturbed_class(construction, closed_form, k):
+    perturbed = _perturbed(closed_form, k, lambda good: GradedClass.of(good.ring, k, 1))
     assert not splitting_oracle(construction, 3, perturbed, trials=5, seed=3)
+
+
+@pytest.mark.parametrize("construction,closed_form,k", PERTURBED_CASES)
+@pytest.mark.parametrize("rank", (2, 3))
+def test_splitting_oracle_detects_a_point_dependent_error(construction, closed_form, k, rank):
+    # c1^k of the result vanishes at some roots, where a constant H^k never does
+    perturbed = _perturbed(closed_form, k, lambda good: reduce(operator.mul, [good.c1] * k))
+    missed = [s for s in range(20) if splitting_oracle(construction, rank, perturbed, trials=2, seed=s)]
+    assert missed == []
 
 
 def test_root_points_repeat_for_a_seed():
@@ -387,18 +404,12 @@ def test_root_points_repeat_for_a_seed():
     assert len(points) == 6 and all(len(p) == 4 and all(type(x) is int for x in p) for p in points)
 
 
-def test_root_points_scale_the_old_fraction_draws():
-    # the old draws: Fraction(p, q) in the same rng order, written over the
-    # lcm of the reduced denominators; each point is that times an integer
-    factors = set()
+def test_root_points_are_successive_randint_draws():
     for count in range(1, 8):
         rng = random.Random(100 + count)
         for point in root_points(count, 30, 100 + count):
-            old, _ = over_common_denominator([rand_rational(rng) for _ in range(count)])
-            m = next((x // y for x, y in zip(point, old) if y), 1)
-            assert m >= 1 and point == [m * y for y in old]
-            factors.add(m)
-    assert 1 in factors and max(factors) > 1
+            assert point == [rng.randint(-100, 100) for _ in range(count)]
+            assert all(type(x) is int for x in point)
 
 
 @pytest.mark.parametrize("construction,closed_form", ORACLE_CASES)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import shlex
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -285,10 +286,21 @@ def test_cli_value_past_the_int_digit_limit_is_an_input_error():
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_library_example_runs():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_command_lines_exit_zero():
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("projnorm ")]
+    assert lines
+    assert [line for line in lines if run_cli(*shlex.split(line)[1:])[0] != 0] == []
 
 
 def test_cli_csv_format():

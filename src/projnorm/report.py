@@ -75,7 +75,7 @@ class ScanReport(_ReportFields):
 
         The document has the keys title, params, columns, provenance and
         rows; each row is ``{"params": {name: cell}, "values": {name:
-        cell}}`` with cells encoded by ``_encode``.  The text is built
+        cell}}`` with cells written by ``_json_cell``.  The text is built
         here rather than by ``json.dumps``, whose indented mode runs the
         pure-Python encoder; names are unique, so no key repeats.
         """
@@ -142,32 +142,18 @@ class ScanReport(_ReportFields):
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def _encode(value: Cell):
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+def _json_cell(value: Cell) -> str:
+    """The JSON text of a cell, a rational always as "p/q"; ``_cell_text`` refuses other types."""
+    if value is None or isinstance(value, int):
+        return _cell_text(value) or "null"
     if isinstance(value, str):
         if _FRACTION_RE.match(value):
             raise ValueError("string cells must not look like rationals")
-        return value
-    raise TypeError(f"unsupported cell type {type(value).__name__}")
-
-
-def _json_cell(value: Cell) -> str:
-    """The JSON text of ``_encode(value)``, as ``json.dumps`` writes it."""
-    encoded = _encode(value)
-    if isinstance(encoded, str):
-        return encode_basestring_ascii(encoded)
-    if encoded is None:
-        return "null"
-    if encoded is True:
-        return "true"
-    if encoded is False:
-        return "false"
-    return int.__repr__(encoded)
+        return encode_basestring_ascii(value)
+    # tested after int and str: isinstance(x, Fraction) goes through ABCMeta
+    if isinstance(value, Fraction):
+        return f'"{value.numerator}/{value.denominator}"'
+    return _cell_text(value)
 
 
 def _json_block(items: list, indent: str, brackets: str) -> str:
@@ -204,5 +190,5 @@ def _cell_text(value: Cell) -> str:
         return str(value)
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
-    # the types to_json cannot encode (a float above all) print in no format
+    # the one cell-type guard: a float above all prints in no format
     raise TypeError(f"unsupported cell type {type(value).__name__}")

@@ -17,11 +17,10 @@ E(-p), 1 <= p <= dim, equal to zero; with the first Chern class pinned to
 (r/2)(K + (n+1)H), that is det E = O(r(d-1)/2), those vanishings form a
 linear system that determines the remaining Chern numbers.
 :func:`solve_ulrich_chern` solves that system exactly and is
-cross-checked downstream against independent closed forms.  It runs on
-point bundles in ints, with one coercion at the result: the bundles it
-twists and evaluates hold ``int`` Chern data, and only the solved vector
-is built through :meth:`ChernVector.of`, so every class it returns is
-``Fraction``-valued.
+cross-checked downstream against independent closed forms.  The Ulrich
+dual E^v(K + (n+1)H) = E^v((d-1)H) is Ulrich with E (Eisenbud, Schreyer
+and Weyman, JAMS 2003; Beauville, Eur. J. Math. 2018), and the system has
+one solution, so the solver's output is its own Ulrich dual.
 """
 
 from __future__ import annotations
@@ -287,7 +286,10 @@ def solve_ulrich_chern(V, rank: int) -> ChernVector:
     are ``Fraction``-valued.
     The first n-1 rows are solved exactly and row n must agree; a
     singular principal system or an inconsistent last row raises
-    SolverError instead of guessing.
+    SolverError instead of guessing.  E^v((d-1)H) is Ulrich with E
+    (Eisenbud-Schreyer-Weyman 2003, Beauville 2018), so the unique
+    solution is its own Ulrich dual, as
+    ``tests/test_rr.py::test_solver_output_is_its_own_ulrich_dual`` checks.
 
     For general surface models the data must be supplied by the caller
     (only c1.H is pinned there), so this raises TypeError.

@@ -151,6 +151,8 @@ def chi_powers_p4_hypersurface(d: int, r: int) -> ThreefoldPowerData:
 
 def ulrich_c3_p4_hypersurface(d: int, r: int) -> Fraction:
     """Third Chern number of a rank-r Ulrich bundle on a degree-d threefold."""
+    if d < 1:
+        raise ValueError("need degree at least 1")
     require_even(r, d)
     return Fraction(r * d, 48) * (d - 1) ** 2 * (r - 2) * (r * d - r + 2)
 

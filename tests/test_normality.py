@@ -256,6 +256,19 @@ def test_mrc_examples():
         mrc_check(2, 5)
 
 
+def test_mrc_count_and_general_sharp_degree_are_the_plane_genus_bound():
+    # both rows hold exactly when 2g <= (d-1)(d-2), Castelnuovo's bound for a
+    # plane curve (ROADMAP item 18); d = 1 is left out, where at g = 0
+    # mrc-count holds but general-sharp-degree's d >= 2 guard does not
+    rules = {row.rule: row for row in CURVE_RULES}
+    sides = rules["mrc-count"].sides, rules["general-sharp-degree"].sides
+    for g in range(301):
+        for d in range(2, 601):
+            plane = 2 * g <= (d - 1) * (d - 2)
+            assert all(rule_sides(g, d, None)[0] == plane for rule_sides in sides), (g, d)
+    assert rules["mrc-count"].sides(0, 1, None)[0] and not rules["general-sharp-degree"].sides(0, 1, None)[0]
+
+
 def test_kko_audit_table():
     rows = kko_audit()
     assert all(row.ok for row in rows)
@@ -462,6 +475,22 @@ def test_verdict_accessors():
     assert v.status == NOT_K_NORMAL and not v.fired
     assert v.status_label == "not-2-normal"
     assert mrc_check(3, 4).fired
+
+
+def test_ci_margin_is_the_scaled_count_difference():
+    # both sides are polynomials of degree at most 3 in r, so agreement at
+    # r = 1..59 proves each identity for every rank at these degrees
+    from projnorm.normality import _ci_margin, ci_h0_sym2
+
+    cells = 0
+    for d in range(6, 35, 2):
+        for r in range(1, 60):
+            dim = Fraction(r * d * (r * d + 1), 2)
+            assert ci_h0_sym2(r, d) - dim == Fraction(r * d, 96) * _ci_margin(r, d), (r, d)
+            # the coeff > 0 shortcut of ci_example_scan reads the margin this way
+            assert _ci_margin(r, d) == r * (d * d - 30 * d + 44) + 18 * d - 12, (r, d)
+            cells += 1
+    assert cells == 885
 
 
 def test_ci_scan_rank_cap_note():

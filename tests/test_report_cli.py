@@ -6,13 +6,14 @@ import shlex
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from projnorm.cli import main
-from projnorm.report import _FRACTION_RE, Row, ScanReport, _encode
+from projnorm.report import _FRACTION_RE, Row, ScanReport
 from projnorm.rr import HypersurfaceP3
 
 
@@ -50,9 +51,12 @@ def test_report_rejects_fraction_lookalike_strings():
 
 @pytest.mark.parametrize("fmt", ("table", "json", "csv"))
 def test_report_rejects_a_float_cell_in_every_format(fmt):
-    report = ScanReport.build("t", ("a",), ("b",), ("p",), [((1,), (0.5,))])
-    with pytest.raises(TypeError):
-        report.render(fmt)
+    # a float above all, and every other cell no format may print: _cell_text
+    # is the one cell-type guard, and JSON reaches it too
+    for cell in (0.5, 1j, b"x", (1,), Decimal("1")):
+        report = ScanReport.build("t", ("a",), ("b",), ("p",), [((1,), (cell,))])
+        with pytest.raises(TypeError, match=f"unsupported cell type {type(cell).__name__}$"):
+            report.render(fmt)
 
 
 def test_report_sorting_and_shape_checks():
@@ -425,6 +429,11 @@ def _reports(draw):
     return ScanReport.build(draw(_text), params, columns, provenance, rows)
 
 
+def _reference_cell(value):
+    # the document json.dumps is given: a rational becomes "p/q", any other cell stays as it is
+    return f"{value.numerator}/{value.denominator}" if isinstance(value, Fraction) else value
+
+
 @settings(max_examples=300)
 @given(_reports())
 def test_report_json_is_the_stdlib_indent_2_layout(report):
@@ -435,8 +444,8 @@ def test_report_json_is_the_stdlib_indent_2_layout(report):
         "provenance": list(report.provenance),
         "rows": [
             {
-                "params": {k: _encode(v) for k, v in zip(report.params, row.params)},
-                "values": {k: _encode(v) for k, v in zip(report.columns, row.values)},
+                "params": {k: _reference_cell(v) for k, v in zip(report.params, row.params)},
+                "values": {k: _reference_cell(v) for k, v in zip(report.columns, row.values)},
             }
             for row in report.rows
         ],

@@ -245,6 +245,14 @@ def test_p4_parity_enforced():
         chi_powers_p4_hypersurface(4, 3)
 
 
+@pytest.mark.parametrize("d, r", [(0, 2), (0, 6), (-3, 2)])
+def test_p4_closed_forms_reject_degree_below_one(d, r):
+    # each cell passes the parity gate, so only the degree guard refuses it
+    for closed_form in (ulrich_c3_p4_hypersurface, chi_powers_p4_hypersurface):
+        with pytest.raises(ValueError, match="need degree at least 1"):
+            closed_form(d, r)
+
+
 def test_c3_closed_form_values():
     assert ulrich_c3_p4_hypersurface(3, 3) == 6
     assert ulrich_c3_p4_hypersurface(5, 2) == 0

@@ -49,6 +49,7 @@ from .rr import (
     parity_ok,
     solve_ulrich_chern,
     surface_model,
+    surface_numbers,
 )
 from .ulrich import casnati_c2, ulrich_c3_p4_hypersurface
 from .verify import formula_suite
@@ -104,10 +105,7 @@ def check_surface_hyp(d: int, r: int) -> ScanReport:
     S = V.surface()
     E = solve_ulrich_chern(V, r)
     h0 = r * d
-    lat = S.lattice
-    c1sq = ring_degree(lat, E.c1 * E.c1, 2)
-    c1k = ring_degree(lat, E.c1 * S.canonical, 2)
-    c2 = ring_degree(lat, E.c2, 2)
+    c1sq, c1k, c2 = surface_numbers(S, E)
     v2, v3, counts = classify_p3_hypersurface(d, r)
 
     rows = [
@@ -214,13 +212,9 @@ def _parse_divisor(text: str):
 
 def check_surface(args) -> ScanReport:
     S = surface_model(args.h2, args.hk, args.k2, args.chi)
-    c1 = _parse_divisor(args.c1)
-    E = ChernVector.of(S.lattice, args.r, c1, args.c2)
-    lat = S.lattice
-    c1sq = ring_degree(lat, E.c1 * E.c1, 2)
-    c1k = ring_degree(lat, E.c1 * S.canonical, 2)
-    degree = S.degree
-    h0 = args.h if args.h is not None else args.r * degree
+    E = ChernVector.of(S.lattice, args.r, _parse_divisor(args.c1), args.c2)
+    c1sq, c1k, c2 = surface_numbers(S, E)
+    h0 = args.h if args.h is not None else args.r * S.degree
     if isinstance(h0, Fraction):
         if h0.denominator != 1:
             raise DataError("h^0 must be an integer")
@@ -234,10 +228,10 @@ def check_surface(args) -> ScanReport:
         _value_row("h0", h0),
         _value_row("c1_sq", c1sq),
         _value_row("c1_k", c1k),
-        _value_row("c2", args.c2),
-        _value_row("casnati_c2_reference", casnati_c2(c1sq, c1k, args.r, degree, S.chi_o)),
+        _value_row("c2", c2),
+        _value_row("casnati_c2_reference", casnati_c2(c1sq, c1k, args.r, S.degree, S.chi_o)),
     ]
-    rows.extend(_acm_rows(surface_acm_criterion(h0, args.r, c1sq, c1k, args.c2)))
+    rows.extend(_acm_rows(surface_acm_criterion(h0, args.r, c1sq, c1k, c2)))
     rows.append(_verdict_row(sectional_curve_criterion(S, E)))
     return _check_report(
         "general surface check",

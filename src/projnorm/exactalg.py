@@ -386,16 +386,19 @@ def divisor(ring: Ring, coeffs) -> GradedClass:
 
 
 def ring_degree(ring: Ring, cls: GradedClass, codim: int) -> Fraction:
-    """Intersection number of the codim-``codim`` part against the complementary H power.
+    """Intersection number of a codim-``codim`` class against the complementary H power.
 
     Rank-one rings send ``q*H^k`` to ``q*d``.  Surface lattices return the
     stored rational in codimension 2, the pairing with H in codimension 1,
-    and ``q*(H.H)`` in codimension 0.
+    and ``q*(H.H)`` in codimension 0.  A nonzero class of another
+    codimension raises ValueError; the zero class gives 0 in every one.
     """
     if cls.ring is not ring and cls.ring != ring:
         raise RingMismatchError("class does not belong to the given ring")
     if codim < 0 or codim > ring.dim:
         raise ValueError(f"codimension {codim} out of range for a {ring.dim}-dimensional ring")
+    if cls.codim is not None and cls.codim != codim:
+        raise ValueError(f"a class of codimension {cls.codim} has no degree in codimension {codim}")
     value = cls.component(codim)
     if isinstance(ring, RankOneRing):
         return value * ring.h_degree

@@ -16,6 +16,8 @@ Statements that hold only for general curves or general bundles carry a
 "generic statement" note.  Only ``general-sharp-degree`` also reads the
 generality flag (``CurveCase.general``); ``clifford-degree``, ``mrc-count``
 and ``low-degree-general`` fire without it.  Gating them is ROADMAP item 3.
+On curves the 2-count obstructs no realizable cell in any rank: h^0(S^2 E)
+= r(r+1)(2d+g-1)/2 is at most binom(rd+1, 2) wherever 2g <= (d-1)(d-2).
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ Variety models:
   hyperplane and canonical classes as lattice vectors.  Its irregularity
   q and geometric genus p_g record the caller's claim; no formula reads
   them, and the surface criteria print notes asking the caller to assert
-  q = p_g = 0.
+  q = p_g = 0.  :func:`surface_numbers` reads a bundle's (c1^2, c1.K, c2).
 * :class:`HypersurfaceP3` / :class:`HypersurfaceP4`: smooth degree-d
   hypersurfaces; canonical class, chi(O) and tangent Chern classes are
   derived from d.  Each supplies its own ``ring`` and Euler
@@ -219,13 +219,17 @@ class HypersurfaceP4(_Hypersurface):
 # Euler characteristics
 
 
+def surface_numbers(S: Surface, E: ChernVector) -> tuple:
+    """The numbers (c1^2, c1.K, c2) of a bundle E on S, as Fractions."""
+    lat = S.lattice
+    if E.ring != lat:
+        raise RingMismatchError("bundle does not live on the given surface")
+    return ring_degree(lat, E.c1 * E.c1, 2), ring_degree(lat, E.c1 * S.canonical, 2), ring_degree(lat, E.c2, 2)
+
+
 def chi_surface(S: Surface, E: ChernVector) -> Fraction:
     """chi(S, E) = r chi(O_S) + (c1^2 - c1.K)/2 - c2."""
-    if E.ring != S.lattice:
-        raise RingMismatchError("bundle does not live on the given surface")
-    c1sq = ring_degree(S.lattice, E.c1 * E.c1, 2)
-    c1k = ring_degree(S.lattice, E.c1 * S.canonical, 2)
-    c2 = ring_degree(S.lattice, E.c2, 2)
+    c1sq, c1k, c2 = surface_numbers(S, E)
     return E.rank * S.chi_o + (c1sq - c1k) / 2 - c2
 
 
@@ -260,14 +264,6 @@ def require_even(r: int, d: int) -> None:
         raise ParityError(f"r*(d-1) must be even (got r={r}, d={d})")
 
 
-def ulrich_c1(V, rank: int) -> GradedClass:
-    """First Chern class (r/2)(K + (n+1)H) = (r(d-1)/2)H pinned on hypersurface models."""
-    if not isinstance(V, _Hypersurface):
-        raise TypeError("the first Chern class is pinned only on hypersurface models")
-    require_even(rank, V.degree)
-    return divisor(V.ring, Fraction(rank * (V.degree - 1), 2))
-
-
 def solve_ulrich_chern(V, rank: int) -> ChernVector:
     """Recover the Chern data of a rank-r Ulrich bundle on a hypersurface.
 
@@ -299,13 +295,14 @@ def solve_ulrich_chern(V, rank: int) -> ChernVector:
     if not isinstance(V, _Hypersurface):
         raise TypeError("Ulrich Chern data can be solved only on hypersurface models")
     ring, chi = V.ring, V.chi
-    c1 = ulrich_c1(V, rank)  # raises ParityError unless r(d-1) is even
+    require_even(rank, V.degree)
+    c1_coefficient = rank * (V.degree - 1) // 2  # c1 = (r/2)(K + (n+1)H) = (r(d-1)/2)H
     n = ring.dim
     names = ", ".join(f"c{k}" for k in range(2, n + 1))
     # points[0] is the zero point and points[j - 1] has c_j = 1, j = 2..n
-    c1_int = _int_class(ring, 1, rank * (V.degree - 1) // 2)
+    c1 = _int_class(ring, 1, c1_coefficient)
     points = [
-        ChernVector(rank, c1_int, _int_class(ring, 2, int(j == 2)), _int_class(ring, 3, int(j == 3)))
+        ChernVector(rank, c1, _int_class(ring, 2, int(j == 2)), _int_class(ring, 3, int(j == 3)))
         for j in range(1, n + 1)
     ]
     h = _int_class(ring, 1, 1)
@@ -322,7 +319,7 @@ def solve_ulrich_chern(V, rank: int) -> ChernVector:
     x = [_det([a[:j] + [-b] + a[j + 1:] for a, b in principal]) / det for j in range(n - 1)]
     if sum(a * xj for a, xj in zip(last, x)) + b_last != 0:
         raise SolverError(f"inconsistent twist constraints for ({names})")
-    return ChernVector.of(ring, rank, c1, *x)
+    return ChernVector.of(ring, rank, c1_coefficient, *x)
 
 
 def _int_class(ring, codim: int, value: int) -> GradedClass:

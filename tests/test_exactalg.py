@@ -91,6 +91,24 @@ def test_degree_errors():
         cls * divisor(other, 1)
 
 
+def test_degree_refuses_a_class_of_another_codimension():
+    from projnorm.rr import HypersurfaceP4, solve_ulrich_chern
+
+    X = HypersurfaceP4(5)
+    c2 = solve_ulrich_chern(X, 3).c2
+    assert ring_degree(X.ring, c2, 2) == 75
+    for codim in (0, 1, 3):
+        with pytest.raises(ValueError, match="codimension 2"):
+            ring_degree(X.ring, c2, codim)
+    p3 = RankOneRing(3, Fraction(1))
+    with pytest.raises(ValueError):
+        ring_degree(p3, divisor(p3, 1), 2)
+    with pytest.raises(ValueError):
+        ring_degree(QUARTIC_K3, divisor(QUARTIC_K3, (1, 0)), 2)
+    for ring in (p3, QUARTIC_K3):
+        assert all(ring_degree(ring, GradedClass(ring), k) == 0 for k in range(ring.dim + 1))
+
+
 def test_lattice_requires_symmetry():
     with pytest.raises(ValueError):
         SurfaceLattice(("H", "K"), ((1, 2), (3, 4)))

@@ -269,6 +269,19 @@ def test_mrc_count_and_general_sharp_degree_are_the_plane_genus_bound():
     assert rules["mrc-count"].sides(0, 1, None)[0] and not rules["general-sharp-degree"].sides(0, 1, None)[0]
 
 
+def test_curve_sym2_count_never_exceeds_the_source_at_a_realizable_cell():
+    # an Ulrich E of rank r on a curve is semistable of slope d+g-1, so
+    # h^0(S^2 E) = r(r+1)(2d+g-1)/2; at the plane bound g = (d-1)(d-2)/2
+    # it is at most binom(rd+1, 2), the left side grows with g, so the
+    # 2-count obstructs no realizable cell in any rank (ROADMAP item 18)
+    for r in range(1, 21):
+        for d in range(1, 200):
+            g = (d - 1) * (d - 2) // 2
+            sym2, source = r * (r + 1) * (2 * d + g - 1) // 2, binom(r * d + 1, 2)
+            assert sym2 <= source, (r, d)
+            assert (sym2 == source) == (r == 1 or d == 1), (r, d)
+
+
 def test_kko_audit_table():
     rows = kko_audit()
     assert all(row.ok for row in rows)

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from projnorm import cli, rr
-from projnorm.chern import ChernVector, dual, twist
-from projnorm.exactalg import GradedClass, ParityError, SolverError, binom, ring_degree
+from projnorm.chern import ChernVector, dual, sym2, tensor_square, twist
+from projnorm.exactalg import GradedClass, ParityError, RingMismatchError, SolverError, binom, ring_degree
 from projnorm.rr import (
     HypersurfaceP3,
     HypersurfaceP4,
@@ -16,6 +16,7 @@ from projnorm.rr import (
     require_even,
     solve_ulrich_chern,
     surface_model,
+    surface_numbers,
 )
 from projnorm.ulrich import casnati_c2, ulrich_c3_p4_hypersurface
 
@@ -172,6 +173,40 @@ def test_ring_mismatch_guards():
         chi_surface(S, E)
 
 
+def test_surface_numbers():
+    S = surface_model(5, 1, -2, 3)
+    E = ChernVector.of(S.lattice, 2, (3, 1), Fraction(7, 2))
+    # c1 = 3H + K: c1^2 = 9*5 + 6*1 - 2, c1.K = 3*1 - 2
+    numbers = surface_numbers(S, E)
+    assert numbers == (49, 1, Fraction(7, 2))
+    assert all(type(n) is Fraction for n in numbers)
+    assert chi_surface(S, E) == 2 * 3 + Fraction(49 - 1, 2) - Fraction(7, 2)
+    with pytest.raises(RingMismatchError, match="surface"):
+        surface_numbers(S, ChernVector.of(HypersurfaceP3(5).ring, 1))
+
+
+def test_p4_solution_restricts_to_the_p3_solution():
+    # an Ulrich bundle on X in P^4 restricts to one on a hyperplane section S
+    # in P^3 (Eisenbud-Schreyer-Weyman 2003), and the two solvers agree
+    # exactly: c1.H^2 and c2.H on X are c1.H and c2 on S, and
+    # chi(F|_S) = chi(F) - chi(F(-1)) for F = E(x)E and S^2 E
+    cells = 0
+    for d in range(2, 21):
+        V, X = HypersurfaceP3(d), HypersurfaceP4(d)
+        S, H = V.surface(), GradedClass.of(X.ring, 1, 1)
+        for r in range(1, 13):
+            if not parity_ok(r, d):
+                continue
+            E3, E4 = solve_ulrich_chern(V, r), solve_ulrich_chern(X, r)
+            assert ring_degree(X.ring, E4.c1 * H * H, 3) == ring_degree(S.lattice, E3.c1, 1), (d, r)
+            assert ring_degree(X.ring, E4.c2 * H, 3) == ring_degree(S.lattice, E3.c2, 2), (d, r)
+            for F in (tensor_square, sym2):
+                restricted = X.chi(F(E4)) - X.chi(twist(F(E4), -H))
+                assert chi_surface(S, F(E3)) == restricted, (d, r, F.__name__)
+            cells += 1
+    assert cells == 168
+
+
 def test_tangent_classes_from_ring_product():
     # independent derivation: c(T) = (1+H)^5 / (1+dH), expanded in the ring
     from projnorm.chern import graded_product
@@ -197,7 +232,6 @@ def test_surface_chi_structure_sheaf_from_monomial_count():
 
 def test_model_validation_errors():
     from projnorm.normality import sectional_curve_criterion
-    from projnorm.rr import ulrich_c1
 
     with pytest.raises(ValueError):
         HypersurfaceP3(0)
@@ -207,7 +241,7 @@ def test_model_validation_errors():
         # a surface criterion takes the Surface, not the hypersurface model
         sectional_curve_criterion(HypersurfaceP3(2), ChernVector.of(HypersurfaceP3(2).ring, 1))
     with pytest.raises(TypeError):
-        ulrich_c1(surface_model(4, 0, 0, 2), 2)
+        solve_ulrich_chern(surface_model(4, 0, 0, 2), 2)
     with pytest.raises(ValueError):
         solve_ulrich_chern(HypersurfaceP3(3), 0)
     with pytest.raises(ValueError, match="rank"):

@@ -300,7 +300,7 @@ def _p4_cells(d: int, r: int) -> tuple:
 def _curve_cells(g: int, d: int) -> tuple:
     case = CurveCase(g, d, syzygy_levels=(2,), very_ample=True, general=True)
     pn, n1, np2, _, sharp = curve_thresholds(case)  # the Clifford row has no index here
-    return (pn.fired, n1.fired, np2.fired, sharp.fired, mrc_check(g, d).fired if g >= 3 else None)
+    return (pn.fired, n1.fired, np2.fired, sharp.fired, mrc_check(case).fired if g >= 3 else None)
 
 
 def scan_p3(dmax: int, rmax: int) -> ScanReport:
@@ -532,7 +532,7 @@ def main(argv=None) -> int:
     try:
         report, code = dispatch(args)
         text = report.render(fmt)  # inside: an int past the int->str digit limit is a ValueError
-    except (DataError, SolverError, ValueError) as exc:
+    except (SolverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

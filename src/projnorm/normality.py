@@ -288,10 +288,10 @@ def kko_audit() -> Tuple[KkoRow, ...]:
 class CurveRule(NamedTuple):
     """One curve rule as data: ``sides(g, d, x)`` gives ``(holds, lhs, rhs)``.
 
-    ``x`` is the CurveCase, or the level p of ``np-degree-p``, whose name
+    ``x`` is the CurveCase, or the level p on ``np-degree-p``, whose name
     and theorem end in p; ``lhs=None`` means no witness.  A positive
     verdict adds ``fired_notes``, and ``equality_notes`` when lhs == rhs;
-    ``needs`` names the CURVE_NEEDS entries it must meet to fire.
+    ``needs`` names the CURVE_NEEDS entries it must meet, read on the case.
     """
 
     rule: str
@@ -304,7 +304,7 @@ class CurveRule(NamedTuple):
     needs: Tuple[str, ...] = ()
 
 
-#: Hypotheses a curve rule may need: a test on the CurveCase and the note when it fails.
+#: Hypotheses any curve rule may need: a test on its CurveCase and the note when it fails.
 CURVE_NEEDS = {
     "clifford": (lambda case: case.clifford is not None, "Clifford index not supplied"),
     "general": (lambda case: case.general, "generality flags not set"),
@@ -364,20 +364,22 @@ THRESHOLD_RULES, (MRC_RULE,), WINDOW_RULES = CURVE_RULES[:5], CURVE_RULES[5:6], 
 SYZYGY_RULE = THRESHOLD_RULES[2]
 
 
-def _curve_verdict(row: CurveRule, g: int, d: int, x=None, level: str = "") -> NormalityVerdict:
-    """The verdict of one curve rule at (g, d); ``level`` ends its name and theorem."""
+def _curve_verdict(row: CurveRule, case: CurveCase, p: Optional[int] = None) -> NormalityVerdict:
+    """The verdict of one curve rule on the case; the syzygy level ``p`` ends its name and theorem."""
     rule, theorem, relations, sides, notes, fired_notes, equality_notes, needs = row
-    holds, lhs, rhs = sides(g, d, x)
+    if p is not None:
+        rule, theorem = rule + str(p), theorem + str(p)
+    holds, lhs, rhs = sides(case.genus, case.degree, case if p is None else p)
     unmet = ()
     for name in needs:
         met, note = CURVE_NEEDS[name]
-        if not met(x):
+        if not met(case):
             unmet += (note,)
     if holds and not unmet:
         notes += fired_notes
         if lhs == rhs:
             notes += equality_notes
-    return _verdict(rule + level, holds, relations, lhs, rhs, theorem=theorem + level, notes=notes, unmet=unmet)
+    return _verdict(rule, holds, relations, lhs, rhs, theorem=theorem, notes=notes, unmet=unmet)
 
 
 def curve_thresholds(case: CurveCase) -> Tuple[NormalityVerdict, ...]:
@@ -389,42 +391,41 @@ def curve_thresholds(case: CurveCase) -> Tuple[NormalityVerdict, ...]:
     g^2 + 2g(3p+1) + (p-1)^2; the Clifford-index bound d >= g+2-Cliff(C);
     and the sharp general-curve bound (2d-3)^2 >= 8g+1 for g >= 3.
     """
-    g, d = case.genus, case.degree
     out = []
     for row in THRESHOLD_RULES:
         if row is SYZYGY_RULE:
-            out.extend([_curve_verdict(row, g, d, p, str(p)) for p in case.syzygy_levels])
+            out.extend([_curve_verdict(row, case, p) for p in case.syzygy_levels])
         else:
-            out.append(_curve_verdict(row, g, d, case))
+            out.append(_curve_verdict(row, case))
     return tuple(out)
 
 
-def mrc_check(g: int, d: int) -> NormalityVerdict:
-    """Maximal-rank dimension count: binom(d+1, 2) >= 2d+g-1.
+def mrc_check(case: CurveCase) -> NormalityVerdict:
+    """Maximal-rank dimension count on the case: binom(d+1, 2) >= 2d+g-1.
 
     For a general curve with a general degree-d very ample polarization,
     the quadric count dominates h^0 of the square exactly when this
     holds; equality is the sharpness boundary for line bundles.
     """
-    if g < 3:
+    if case.genus < 3:
         raise ValueError("the maximal-rank count is applied for genus >= 3")
-    return _curve_verdict(MRC_RULE, g, d)
+    return _curve_verdict(MRC_RULE, case)
 
 
-def kko_curve_window(g: int, d: int) -> Tuple[NormalityVerdict, ...]:
-    """Low-degree positive verdicts for embedded curves of genus >= 3.
+def kko_curve_window(case: CurveCase) -> Tuple[NormalityVerdict, ...]:
+    """Low-degree positive verdicts for an embedded curve case of genus >= 3.
 
     d in {g, g+1} makes every Ulrich line bundle projectively normal;
     d = g-h+1 with g >= g_h covers the general one via the audit table.
     """
-    return tuple([_curve_verdict(row, g, d) for row in WINDOW_RULES])
+    return tuple([_curve_verdict(row, case) for row in WINDOW_RULES])
 
 
 def curve_verdicts(case: CurveCase) -> Tuple[NormalityVerdict, ...]:
     """Every verdict ``check curve`` reports, the genus >= 3 group included."""
     out = curve_thresholds(case)
     if case.genus >= 3:
-        out += (mrc_check(case.genus, case.degree),) + kko_curve_window(case.genus, case.degree)
+        out += (mrc_check(case),) + kko_curve_window(case)
     return out
 
 

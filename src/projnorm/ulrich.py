@@ -66,11 +66,8 @@ def h0_powers_surface_det_special(S: Surface, r: int) -> tuple:
     The specialized closed forms in (d, K^2, K.H, chi(O_S)) alone; returned
     as raw rationals so they can be compared against the generic forms.
     """
-    d = S.degree
-    chi = S.chi_o
-    lat = S.lattice
-    k2 = ring_degree(lat, S.canonical * S.canonical, 2)
-    kh = ring_degree(lat, S.canonical * S.hyperplane, 2)
+    d, chi, lat, K = S.degree, S.chi_o, S.lattice, S.canonical
+    k2, kh = ring_degree(lat, K * K, 2), ring_degree(lat, K, 1)
     return (
         Fraction(r * r, 4) * (17 * d + 6 * kh + k2 - 4 * chi),
         Fraction(r, 8)

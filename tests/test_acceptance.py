@@ -22,7 +22,6 @@ from projnorm.chern import (
 from projnorm.cli import main
 from projnorm.exactalg import (
     RankOneRing,
-    binom,
     numerically_equal,
     ring_degree,
     splitting_oracle,
@@ -54,7 +53,6 @@ from projnorm.rr import (
 )
 from projnorm.ulrich import (
     casnati_c2,
-    chi_powers_p4_hypersurface,
     h0_powers_p3_hypersurface,
     h0_powers_surface,
     h0_powers_surface_det_special,
@@ -254,7 +252,7 @@ def test_09_curve_thresholds():
         sharp = {v.rule: v for v in curve_thresholds(case)}["general-sharp-degree"]
         assert sharp.status == POSITIVE
         assert sharp.witness.lhs == 25 == sharp.witness.rhs  # (2d-3)^2 = 8g+1
-        mrc = mrc_check(3, 4)
+        mrc = mrc_check(case)
         assert mrc.status == POSITIVE
         assert mrc.witness.lhs == 10 == mrc.witness.rhs  # sharpness for rank 1
         # every threshold row and the maximal-rank row is monotone in d,

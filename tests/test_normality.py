@@ -245,15 +245,53 @@ def test_a_verdict_with_an_unmet_hypothesis_is_inconclusive():
     assert seen == _UNMET
 
 
+def test_a_need_planted_on_any_curve_row_gates_only_that_row(monkeypatch):
+    # "general" planted in the needs of each CURVE_RULES row in turn: without
+    # the flag the row reads inconclusive with the unmet note and keeps its
+    # witness, every other verdict is unchanged, and with the flag nothing
+    # changes; curve_thresholds finds the syzygy row by identity, so
+    # SYZYGY_RULE is patched along with the group tuples
+    note = CURVE_NEEDS["general"][1]
+    cases = [
+        CurveCase(g, d, syzygy_levels=(2, 3), clifford=min(1, max(0, (g - 1) // 2)), general=general)
+        for g in range(20)
+        for d in range(1, 30)
+        for general in (False, True)
+    ]
+    plain = {case: curve_verdicts(case) for case in cases}
+    for i, row in enumerate(CURVE_RULES):
+        planted = row._replace(needs=row.needs if "general" in row.needs else row.needs + ("general",))
+        rules = CURVE_RULES[:i] + (planted,) + CURVE_RULES[i + 1 :]
+        gated = 0
+        with monkeypatch.context() as m:
+            m.setattr(normality, "THRESHOLD_RULES", rules[:5])
+            m.setattr(normality, "SYZYGY_RULE", rules[2])
+            m.setattr(normality, "MRC_RULE", rules[5])
+            m.setattr(normality, "WINDOW_RULES", rules[6:])
+            for case, before in plain.items():
+                after = curve_verdicts(case)
+                assert len(after) == len(before), (row.rule, case)
+                for v, w in zip(after, before):
+                    if case.general or v.rule.rstrip("0123456789") != row.rule:
+                        assert v == w, (row.rule, case, v.rule)
+                        continue
+                    assert v.status == INCONCLUSIVE and note in v.notes, (row.rule, case)
+                    assert (v.rule, v.theorem, v.witness) == (w.rule, w.theorem, w.witness), (row.rule, case)
+                    gated += w.fired
+        # the planted need turned a positive verdict inconclusive somewhere,
+        # except on general-sharp-degree, which needs the flag already
+        assert (gated > 0) == ("general" not in row.needs), row.rule
+
+
 def test_mrc_examples():
-    v = mrc_check(3, 4)
+    v = mrc_check(CurveCase(3, 4))
     assert v.status == POSITIVE and v.witness == Witness(Fraction(10), ">=", Fraction(10))
     assert any("sharpness boundary" in n for n in v.notes)
-    assert mrc_check(3, 3).status == INCONCLUSIVE  # 6 < 8
-    v = mrc_check(10, 6)
+    assert mrc_check(CurveCase(3, 3)).status == INCONCLUSIVE  # 6 < 8
+    v = mrc_check(CurveCase(10, 6))
     assert v.status == POSITIVE and v.witness.lhs == 21 and v.witness.rhs == 21
     with pytest.raises(ValueError):
-        mrc_check(2, 5)
+        mrc_check(CurveCase(2, 5))
 
 
 def test_mrc_count_and_general_sharp_degree_are_the_plane_genus_bound():
@@ -298,14 +336,14 @@ def test_kko_audit_table():
 
 
 def test_kko_curve_window():
-    window, general = kko_curve_window(5, 5)
+    window, general = kko_curve_window(CurveCase(5, 5))
     assert window.status == POSITIVE
-    window, general = kko_curve_window(5, 7)
+    window, general = kko_curve_window(CurveCase(5, 7))
     assert window.status == INCONCLUSIVE
     # d = g - h + 1 with g >= g_h: h = 2 needs g >= 15
-    window, general = kko_curve_window(15, 14)
+    window, general = kko_curve_window(CurveCase(15, 14))
     assert general.status == POSITIVE
-    window, general = kko_curve_window(14, 13)
+    window, general = kko_curve_window(CurveCase(14, 13))
     assert general.status == INCONCLUSIVE
 
 
@@ -487,7 +525,7 @@ def test_verdict_accessors():
     v, _, _ = classify_p3_hypersurface(4, 2)
     assert v.status == NOT_K_NORMAL and not v.fired
     assert v.status_label == "not-2-normal"
-    assert mrc_check(3, 4).fired
+    assert mrc_check(CurveCase(3, 4)).fired
 
 
 def test_ci_margin_is_the_scaled_count_difference():

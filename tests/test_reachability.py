@@ -32,7 +32,7 @@ UNREACHED = {
     "exactalg.numerically_equal": _SURFACE_COUNTS,
     "ulrich.h0_powers_surface": _SURFACE_COUNTS,
     "ulrich.h0_powers_surface_det_special": _SURFACE_COUNTS,
-    "rr.Surface.hyperplane": "read by h0_powers_surface_det_special",
+    "rr.Surface.hyperplane": "read by h0_powers_surface",
     "report.ScanReport.from_json": "the README promises that a JSON report reads back into a ScanReport",
     "report._decode": "the cell decoder of ScanReport.from_json",
     "exactalg.GradedClass.__repr__": _REPR,

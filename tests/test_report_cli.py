@@ -388,8 +388,6 @@ def test_count_paths_catch_a_perturbed_closed_form():
             assert not verify._count_paths_ok(model, powers, perturbed, range(2, 5), range(1, 4))
 
 
-from fractions import Fraction as _F
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

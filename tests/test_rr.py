@@ -240,8 +240,6 @@ def test_model_validation_errors():
     with pytest.raises(TypeError):
         # a surface criterion takes the Surface, not the hypersurface model
         sectional_curve_criterion(HypersurfaceP3(2), ChernVector.of(HypersurfaceP3(2).ring, 1))
-    with pytest.raises(TypeError):
-        solve_ulrich_chern(surface_model(4, 0, 0, 2), 2)
     with pytest.raises(ValueError):
         solve_ulrich_chern(HypersurfaceP3(3), 0)
     with pytest.raises(ValueError, match="rank"):

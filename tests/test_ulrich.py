@@ -7,9 +7,27 @@ import pytest
 
 from projnorm import ulrich
 from projnorm.chern import ChernVector, dual, sym2, sym3, tensor_square, twist
-from projnorm.exactalg import DataError, ParityError, RingMismatchError, divisor, numerically_equal, ring_degree
+from projnorm.exactalg import (
+    DataError,
+    ParityError,
+    RingMismatchError,
+    SurfaceLattice,
+    binom,
+    divisor,
+    numerically_equal,
+    ring_degree,
+)
 from projnorm.normality import classify_p3_hypersurface
-from projnorm.rr import HypersurfaceP3, HypersurfaceP4, chi_surface, chi_threefold_hypersurface, parity_ok, solve_ulrich_chern, surface_model
+from projnorm.rr import (
+    HypersurfaceP3,
+    HypersurfaceP4,
+    Surface,
+    chi_surface,
+    chi_threefold_hypersurface,
+    parity_ok,
+    solve_ulrich_chern,
+    surface_model,
+)
 from projnorm.ulrich import (
     _require_count,
     casnati_c2,
@@ -161,6 +179,38 @@ def test_surface_counts_gate_on_the_ulrich_conditions():
     # the Ulrich c1 = 2H with a c2 other than Casnati's 11
     with pytest.raises(DataError, match="Casnati's c2 = 11, got 12$"):
         h0_powers_surface(S, ChernVector.of(S.lattice, 2, (2, 0), 12))
+
+
+def test_p3_sym2_count_is_linear_in_c1_squared_up_to_the_hodge_envelope():
+    # ROADMAP item 13: on a degree-d surface in P^3 (K = (d-4)H) with a class
+    # A, A^2 = -2, orthogonal to H, every c1 = (r(d-1)/2)H + bA has the Ulrich
+    # c1.H, and Casnati's formula gives c2.  h0(S^2 E) - binom(rd+1, 2) is
+    # linear in c1^2, so b = 0 (the Hodge-index maximum, the pinned model)
+    # and b = 1 prove for each (d, r): slope 1/2, and zero at
+    # c1^2 = r^2 d(d-1)^2/4 - rd(d-1)(r(d-5)+6)/12
+    cells = 0
+    for d in range(2, 61):
+        lat = SurfaceLattice(("H", "A"), ((d, 0), (0, -2)))
+        chi = HypersurfaceP3(d).chi_o
+        S = Surface(lat, chi, 0, int(chi) - 1, divisor(lat, (d - 4, 0)))
+        for r in range(1, 51):
+            if not parity_ok(r, d):
+                continue
+            a, source = r * (d - 1) // 2, binom(r * d + 1, 2)
+            c1k = a * d * (d - 4)
+            points = []
+            for b in (0, 1):
+                c1sq = a * a * d - 2 * b * b
+                E = ChernVector.of(lat, r, (a, b), casnati_c2(c1sq, c1k, r, d, chi))
+                points.append((c1sq, h0_powers_surface(S, E)))
+            (top, pinned), (low, counts) = points
+            slope = Fraction(pinned.sym2 - counts.sym2, top - low)
+            threshold = Fraction(r * r * d * (d - 1) ** 2, 4) - Fraction(r * d * (d - 1) * (r * (d - 5) + 6), 12)
+            assert slope == Fraction(1, 2), (d, r)
+            assert pinned.sym2 - source + slope * (threshold - top) == 0, (d, r)
+            assert pinned == h0_powers_p3_hypersurface(d, r), (d, r)
+            cells += 1
+    assert cells == 2200
 
 
 def test_casnati_c2_is_closed_under_the_ulrich_dual():

@@ -1,9 +1,10 @@
-"""No module under ``src/projnorm`` imports a name it never uses.
+"""No module under ``src/projnorm`` or ``tests`` imports a name it never uses.
 
-An ``ast`` scan of every module except ``__init__`` (whose imports are its
-exports) collects each name bound by an import and each name the module
-reads or binds elsewhere; an imported name with no other use fails.
-``from __future__ import annotations`` binds nothing and is skipped.
+An ``ast`` scan of every module except the package ``__init__`` (whose
+imports are its exports) collects each name bound by an import and each
+name the module reads or binds elsewhere; an imported name with no other
+use fails.  ``from __future__ import annotations`` binds nothing and is
+skipped.
 """
 
 import ast
@@ -12,6 +13,7 @@ from pathlib import Path
 import projnorm
 
 SRC = Path(projnorm.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def _unused_imports(tree: ast.AST) -> list:
@@ -31,7 +33,12 @@ def _unused_imports(tree: ast.AST) -> list:
 def test_no_module_imports_a_name_it_never_uses():
     modules = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
     assert len(modules) >= 9
-    found = {path.name: unused for path in modules if (unused := _unused_imports(ast.parse(path.read_text())))}
+    modules += sorted(TESTS.glob("*.py"))
+    found = {
+        f"{path.parent.name}/{path.name}": unused
+        for path in modules
+        if (unused := _unused_imports(ast.parse(path.read_text())))
+    }
     assert found == {}
 
 

@@ -40,7 +40,7 @@ from .normality import (
     sectional_curve_criterion,
     surface_acm_criterion,
 )
-from .report import ScanReport
+from .report import ScanReport, grid_scan
 from .rr import (
     HypersurfaceP3,
     HypersurfaceP4,
@@ -265,19 +265,6 @@ def check_preset(name: str, r: int) -> ScanReport:
 # scans
 
 
-def _span(values: range) -> str:
-    return f"{values.start}..{values.stop - 1}"
-
-
-def grid_scan(title, params, columns, provenance, a_range: range, b_range: range, cells) -> ScanReport:
-    """One row per grid point, ``cells(a, b)`` for a in ``a_range`` and b in
-    ``b_range``, so the rows come out in increasing parameter order."""
-    if not a_range or not b_range:
-        raise ValueError(f"empty grid: {params[0]} in {_span(a_range)}, {params[1]} in {_span(b_range)}")
-    rows = [((a, b), cells(a, b)) for a in a_range for b in b_range]
-    return ScanReport.build(title, params, columns, provenance, rows)
-
-
 def _count_cells(v) -> tuple:
     """A count verdict's status and the two sides of its witness."""
     return (v.status_label, v.witness.lhs, v.witness.rhs)
@@ -309,8 +296,7 @@ def scan_p3(dmax: int, rmax: int) -> ScanReport:
         ("d", "r"),
         ("parity", "status", "dim_sym2_h0", "h0_sym2", "slack3"),
         ("normality.classify_p3_hypersurface",) * 5,
-        range(2, dmax + 1),
-        range(1, rmax + 1),
+        (range(2, dmax + 1), range(1, rmax + 1)),
         _p3_cells,
     )
 
@@ -329,8 +315,7 @@ def scan_p4(dmax: int, rmax: int) -> ScanReport:
             "chi_sym2",
         ),
         ("normality.classify_p4_hypersurface",) * 7,
-        range(4, dmax + 1),
-        range(1, rmax + 1),
+        (range(4, dmax + 1), range(1, rmax + 1)),
         _p4_cells,
     )
 
@@ -341,8 +326,7 @@ def scan_curve(gmax: int, dmax: int) -> ScanReport:
         ("g", "d"),
         ("pn", "n1_koszul", "np_p2", "general_sharp", "mrc"),
         ("normality.curve_thresholds",) * 4 + ("normality.mrc_check",),
-        range(0, gmax + 1),
-        range(1, dmax + 1),
+        (range(0, gmax + 1), range(1, dmax + 1)),
         _curve_cells,
     )
 

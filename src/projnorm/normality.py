@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 from .chern import ChernVector, segre_dual
 from .exactalg import DataError, RingMismatchError, as_fraction, binom, ring_degree
-from .report import ScanReport
+from .report import ScanReport, grid_scan
 from .rr import HypersurfaceP4, Surface
 from .ulrich import PowerCounts, ThreefoldPowerData, chi_powers_p4_hypersurface, h0_powers_p3_hypersurface
 
@@ -545,11 +545,6 @@ def sectional_curve_criterion(V, E: ChernVector) -> NormalityVerdict:
 # complete-intersection family scan
 
 
-def _ci_margin(r: int, d: int) -> int:
-    # h0(S^2 E) - dim S^2 H^0 = (rd/96) * this; feasible (count passes) iff <= 0
-    return r * d * d - (30 * r - 18) * d + 44 * r - 12
-
-
 def ci_h0_sym2(r: int, d: int) -> Fraction:
     """h^0(S^2 E) for rank-r Ulrich bundles on the (2, d/2) complete
     intersection surface family in P^4 (K = (d-6)H/2, chi(O) =
@@ -565,33 +560,35 @@ def ci_example_scan(r_max: int) -> ScanReport:
     """Feasibility of the 2-normality count over the (2, a) complete
     intersection family, d = 2a, for the even degrees 6..34.
 
-    For each even degree the minimal rank r >= 2 whose count passes is
-    reported (feasibility is upward-closed in r wherever it occurs); for
-    degrees with no feasible rank the positivity certificate
-    d^2 - 30d + 44 > 0 makes the infeasibility rank-independent.  No
-    even degree above 28 is ever feasible.
+    h^0(S^2 E) - dim S^2 H^0 = (rd/96) * (r * coeff + 18d - 12) with
+    coeff = d^2 - 30d + 44, so the count passes iff that margin is <= 0.
+    The margin is linear in r, so the least rank r >= 2 whose count passes
+    is read off it exactly, for every rank cap: ceil((18d - 12) / -coeff)
+    where coeff < 0, and no rank where coeff > 0 (coeff has no integer
+    root, its roots being 15 +- sqrt(181)).  No even degree above 28 is
+    ever feasible.
     """
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
-    rows = []
-    for d in range(6, _CI_MAX_DEGREE + 1, 2):
-        a = d // 2
-        # the margin is r * coeff + 18d - 12, so coeff > 0 decides every rank without a search
+
+    def cells(d: int) -> tuple:
         coeff = d * d - 30 * d + 44
-        r_min = None if coeff > 0 else next((r for r in range(2, r_max + 1) if _ci_margin(r, d) <= 0), None)
+        r_min = max(2, -((18 * d - 12) // coeff)) if coeff < 0 else None
         note = ""
         if r_min is None:
-            note = "infeasible for every rank" if coeff > 0 else "feasible only above the rank cap"
+            note = "infeasible for every rank"
+        elif r_min > r_max:
+            r_min, note = None, "feasible only above the rank cap"
         r_eval = r_min if r_min is not None else 2
         h0s2 = ci_h0_sym2(r_eval, d)
         dim = Fraction(r_eval * d * (r_eval * d + 1), 2)
-        rows.append(
-            ((d,), (a, r_min, r_eval, h0s2, dim, r_min is not None, note))
-        )
-    return ScanReport.build(
-        title=f"2-normality feasibility on (2,a) complete-intersection surfaces (ranks 2..{r_max})",
-        params=("d",),
-        columns=("a", "r_min", "r_eval", "h0_sym2", "dim_sym2_h0", "feasible", "note"),
-        provenance=("normality.ci_example_scan",) * 7,
-        rows=rows,
+        return (d // 2, r_min, r_eval, h0s2, dim, r_min is not None, note)
+
+    return grid_scan(
+        f"2-normality feasibility on (2,a) complete-intersection surfaces (ranks 2..{r_max})",
+        ("d",),
+        ("a", "r_min", "r_eval", "h0_sym2", "dim_sym2_h0", "feasible", "note"),
+        ("normality.ci_example_scan",) * 7,
+        (range(6, _CI_MAX_DEGREE + 1, 2),),
+        cells,
     )

@@ -5,13 +5,15 @@ strings and None.  Rationals serialize as "p/q" strings (never floats),
 always with the slash so that parsing is unambiguous, and
 ``ScanReport.from_json(report.to_json()) == report`` holds for every
 report this package emits.  Identical inputs produce byte-identical
-output in every format.
+output in every format.  ``grid_scan`` is the one row builder of every
+scan: one row per point of a grid of parameter ranges.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -140,6 +142,17 @@ class ScanReport(_ReportFields):
         if fmt == "table":
             return self.to_table()
         raise ValueError(f"unknown format {fmt!r}")
+
+
+def grid_scan(title, params, columns, provenance, ranges, cells) -> ScanReport:
+    """One row per grid point, ``cells(*point)`` for each point of the
+    product of ``ranges`` (one range per parameter), so the rows come out
+    in increasing parameter order."""
+    if not all(ranges):
+        spans = ", ".join(f"{name} in {values.start}..{values.stop - 1}" for name, values in zip(params, ranges))
+        raise ValueError(f"empty grid: {spans}")
+    rows = [(point, cells(*point)) for point in itertools.product(*ranges)]
+    return ScanReport.build(title, params, columns, provenance, rows)
 
 
 def _json_cell(value: Cell) -> str:

@@ -3,10 +3,10 @@
 Variety models:
 
 * :class:`Surface`: an (H, K) intersection lattice and chi(O_S), with the
-  hyperplane and canonical classes as lattice vectors.  Its irregularity
-  q and geometric genus p_g record the caller's claim; no formula reads
-  them, and the surface criteria print notes asking the caller to assert
-  q = p_g = 0.  :func:`surface_numbers` reads a bundle's (c1^2, c1.K, c2).
+  hyperplane and canonical classes as lattice vectors.  Its geometric
+  genus p_g records the caller's claim; no formula reads it, and the
+  surface criteria print notes asking the caller to assert q = p_g = 0.
+  :func:`surface_numbers` reads a bundle's (c1^2, c1.K, c2).
 * :class:`HypersurfaceP3` / :class:`HypersurfaceP4`: smooth degree-d
   hypersurfaces; canonical class, chi(O) and tangent Chern classes are
   derived from d.  Each supplies its own ``ring`` and Euler
@@ -48,13 +48,12 @@ from .exactalg import (
 class _SurfaceFields(NamedTuple):
     lattice: SurfaceLattice
     chi_o: Fraction
-    irregularity: int
     geometric_genus: int
     canonical: GradedClass
 
 
 class Surface(_SurfaceFields):
-    """Numerical model of an embedded surface: lattice, chi(O), q, p_g.
+    """Numerical model of an embedded surface: lattice, chi(O), p_g, K.
 
     ``Surface(...)``, ``_make`` and ``_replace`` coerce ``chi_o`` to
     ``Fraction`` and check that the canonical class is zero or a lattice divisor.
@@ -62,19 +61,17 @@ class Surface(_SurfaceFields):
 
     __slots__ = ()
 
-    def __new__(
-        cls, lattice: SurfaceLattice, chi_o: Scalar, irregularity: int, geometric_genus: int, canonical: GradedClass
-    ) -> "Surface":
-        return cls._make((lattice, chi_o, irregularity, geometric_genus, canonical))
+    def __new__(cls, lattice: SurfaceLattice, chi_o: Scalar, geometric_genus: int, canonical: GradedClass) -> "Surface":
+        return cls._make((lattice, chi_o, geometric_genus, canonical))
 
     @classmethod
     def _make(cls, fields) -> "Surface":
-        lattice, chi_o, irregularity, geometric_genus, canonical = fields
+        lattice, chi_o, geometric_genus, canonical = fields
         if canonical.ring != lattice:
             raise RingMismatchError("canonical class must live in the surface lattice")
         if canonical.codim not in (None, 1):
             raise ValueError("canonical class must be a divisor")
-        return tuple.__new__(cls, (lattice, as_fraction(chi_o), irregularity, geometric_genus, canonical))
+        return tuple.__new__(cls, (lattice, as_fraction(chi_o), geometric_genus, canonical))
 
     @property
     def hyperplane(self) -> GradedClass:
@@ -90,13 +87,12 @@ def surface_model(
     hk: Scalar,
     k2: Scalar,
     chi_o: Scalar,
-    irregularity: int = 0,
     geometric_genus: int = 0,
 ) -> Surface:
     """Surface from its intersection numbers H^2, H.K, K^2 and chi(O_S)."""
     lattice = SurfaceLattice(("H", "K"), ((h2, hk), (hk, k2)))
     canonical = divisor(lattice, (0, 1))
-    return Surface(lattice, as_fraction(chi_o), irregularity, geometric_genus, canonical)
+    return Surface(lattice, as_fraction(chi_o), geometric_genus, canonical)
 
 
 class _Hypersurface:

@@ -127,7 +127,7 @@ def test_no_field_can_be_assigned(record, name):
 def test_record_fields_in_order():
     assert RankOneRing._fields == ("dim", "h_degree")
     assert SurfaceLattice._fields == ("basis", "gram")
-    assert Surface._fields == ("lattice", "chi_o", "irregularity", "geometric_genus", "canonical")
+    assert Surface._fields == ("lattice", "chi_o", "geometric_genus", "canonical")
     assert CurveCase._fields == (
         "genus", "degree", "rank", "syzygy_levels", "clifford", "very_ample", "general"
     )

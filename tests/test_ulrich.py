@@ -187,12 +187,16 @@ def test_p3_sym2_count_is_linear_in_c1_squared_up_to_the_hodge_envelope():
     # c1.H, and Casnati's formula gives c2.  h0(S^2 E) - binom(rd+1, 2) is
     # linear in c1^2, so b = 0 (the Hodge-index maximum, the pinned model)
     # and b = 1 prove for each (d, r): slope 1/2, and zero at
-    # c1^2 = r^2 d(d-1)^2/4 - rd(d-1)(r(d-5)+6)/12
+    # c1^2 = r^2 d(d-1)^2/4 - rd(d-1)(r(d-5)+6)/12.  h0(E(x)E) and h0(S^3 E)
+    # are linear in c1^2 too, with slopes 1 and (r+2)/2, and at b = 0
+    # h0(S^3 E) falls short of binom(rd+2, 3) by
+    # slack3 = rd(d-1)(r-2)(d(7r+2)+r+8)/72 >= 0: the 3-count obstructs no
+    # rank r >= 2 anywhere in the envelope
     cells = 0
     for d in range(2, 61):
         lat = SurfaceLattice(("H", "A"), ((d, 0), (0, -2)))
         chi = HypersurfaceP3(d).chi_o
-        S = Surface(lat, chi, 0, int(chi) - 1, divisor(lat, (d - 4, 0)))
+        S = Surface(lat, chi, int(chi) - 1, divisor(lat, (d - 4, 0)))
         for r in range(1, 51):
             if not parity_ok(r, d):
                 continue
@@ -208,6 +212,10 @@ def test_p3_sym2_count_is_linear_in_c1_squared_up_to_the_hodge_envelope():
             threshold = Fraction(r * r * d * (d - 1) ** 2, 4) - Fraction(r * d * (d - 1) * (r * (d - 5) + 6), 12)
             assert slope == Fraction(1, 2), (d, r)
             assert pinned.sym2 - source + slope * (threshold - top) == 0, (d, r)
+            assert Fraction(pinned.tensor2 - counts.tensor2, top - low) == 1, (d, r)
+            assert Fraction(pinned.sym3 - counts.sym3, top - low) == Fraction(r + 2, 2), (d, r)
+            slack3 = Fraction(r * d * (d - 1) * (r - 2) * (d * (7 * r + 2) + r + 8), 72)
+            assert pinned.sym3 - binom(r * d + 2, 3) == -slack3, (d, r)
             assert pinned == h0_powers_p3_hypersurface(d, r), (d, r)
             cells += 1
     assert cells == 2200

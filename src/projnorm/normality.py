@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Tuple
 
 from .chern import ChernVector, segre_dual
-from .exactalg import DataError, RingMismatchError, as_fraction, binom, ring_degree
+from .exactalg import DataError, RingMismatchError, _new, as_fraction, binom, ring_degree
 from .report import ScanReport, grid_scan
 from .rr import HypersurfaceP4, Surface
 from .ulrich import PowerCounts, ThreefoldPowerData, chi_powers_p4_hypersurface, h0_powers_p3_hypersurface
@@ -120,15 +120,17 @@ class CurveCase(_CurveFields):
         genus, degree, rank, syzygy_levels, clifford, _, _ = fields
         if genus < 0 or degree < 1 or rank < 1:
             raise ValueError("need genus >= 0, degree >= 1, rank >= 1")
-        if any(p < 2 for p in syzygy_levels):
+        if syzygy_levels and min(syzygy_levels) < 2:
             raise ValueError("syzygy levels start at p = 2")
-        for i, p in enumerate(syzygy_levels):
-            if p in syzygy_levels[:i]:
-                raise ValueError(f"syzygy level p = {p} is given more than once")
+        if len(set(syzygy_levels)) != len(syzygy_levels):
+            # walked only to name the first repeated level
+            for i, p in enumerate(syzygy_levels):
+                if p in syzygy_levels[:i]:
+                    raise ValueError(f"syzygy level p = {p} is given more than once")
         top = max(0, (genus - 1) // 2)
         if clifford is not None and not 0 <= clifford <= top:
             raise ValueError(f"Clifford index must lie in 0..{top} at genus {genus} (got {clifford})")
-        return tuple.__new__(cls, fields)
+        return _new(cls, fields)
 
 
 def _verdict(rule, holds, relations, lhs, rhs, *, status=POSITIVE, k=None, theorem=None, notes=(), unmet=()):
@@ -142,14 +144,14 @@ def _verdict(rule, holds, relations, lhs, rhs, *, status=POSITIVE, k=None, theor
     """
     witness = None
     if lhs is not None:
-        witness = Witness(
+        witness = _new(Witness, (
             lhs if type(lhs) is Fraction else Fraction(lhs),
             relations[0] if holds else relations[1],
             rhs if type(rhs) is Fraction else Fraction(rhs),
-        )
-    return NormalityVerdict(
+        ))
+    return _new(NormalityVerdict, (
         rule, status if holds and not unmet else INCONCLUSIVE, k, theorem, witness, notes + unmet
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +373,11 @@ def _curve_verdict(row: CurveRule, case: CurveCase, p: Optional[int] = None) -> 
         rule, theorem = rule + str(p), theorem + str(p)
     holds, lhs, rhs = sides(case.genus, case.degree, case if p is None else p)
     unmet = ()
-    for name in needs:
-        met, note = CURVE_NEEDS[name]
-        if not met(case):
-            unmet += (note,)
+    if needs:
+        for name in needs:
+            met, note = CURVE_NEEDS[name]
+            if not met(case):
+                unmet += (note,)
     if holds and not unmet:
         notes += fired_notes
         if lhs == rhs:

@@ -1,8 +1,11 @@
 """Tabular reports with deterministic JSON, CSV and plain-table rendering.
 
-Cells hold exact values only: integers, booleans, exact rationals,
-strings and None.  Rationals serialize as "p/q" strings (never floats),
-always with the slash so that parsing is unambiguous, and
+Cells hold exact values only, of exactly the types ``int``, ``bool``,
+``str``, ``Fraction`` and ``NoneType``: each format looks a cell's
+renderer up by ``type(cell)``, so a subclass of one of them (an ``IntEnum``,
+a ``str`` subclass) is refused with ``TypeError`` like a float.
+Rationals serialize as "p/q" strings (never floats), always with the
+slash so that parsing is unambiguous, and
 ``ScanReport.from_json(report.to_json()) == report`` holds for every
 report this package emits.  Identical inputs produce byte-identical
 output in every format.  ``grid_scan`` is the one row builder of every
@@ -20,9 +23,13 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Tuple
 
-_FRACTION_RE = re.compile(r"^-?\d+/\d+$")
+#: A string cell this matches in full would read back as a rational.
+_FRACTION_RE = re.compile(r"-?[0-9]+/[0-9]+")
 
 Cell = object  # int | bool | str | Fraction | None
+
+#: Builds a record from its field tuple without the keyword-default wrapper.
+_new = tuple.__new__
 
 
 class Row(NamedTuple):
@@ -63,11 +70,11 @@ class ScanReport(_ReportFields):
         for kind, names in (("parameter", params), ("column", columns)):
             if len(set(names)) != len(names):
                 raise ValueError(f"repeated {kind} name in {names!r}")
-        return tuple.__new__(cls, fields)
+        return _new(cls, fields)
 
     @staticmethod
     def build(title, params, columns, provenance, rows) -> "ScanReport":
-        built = tuple(Row(tuple(p), tuple(v)) for p, v in rows)
+        built = tuple([_new(Row, (tuple(p), tuple(v))) for p, v in rows])
         return ScanReport(title, tuple(params), tuple(columns), tuple(provenance), built)
 
     # -- JSON -----------------------------------------------------------
@@ -79,15 +86,14 @@ class ScanReport(_ReportFields):
         rows; each row is ``{"params": {name: cell}, "values": {name:
         cell}}`` with cells written by ``_json_cell``.  The text is built
         here rather than by ``json.dumps``, whose indented mode runs the
-        pure-Python encoder; names are unique, so no key repeats.
+        pure-Python encoder: the row layout is escaped once into a ``%``
+        template, filled once per row.  Names are unique, so no key repeats.
         """
-        param_keys = [f"        {encode_basestring_ascii(k)}: " for k in self.params]
-        value_keys = [f"        {encode_basestring_ascii(k)}: " for k in self.columns]
-        rows = [
-            '    {\n      "params": ' + _json_object(param_keys, row.params)
-            + ',\n      "values": ' + _json_object(value_keys, row.values) + "\n    }"
-            for row in self.rows
-        ]
+        row = (
+            '    {\n      "params": ' + _json_template(self.params)
+            + ',\n      "values": ' + _json_template(self.columns) + "\n    }"
+        )
+        rows = [row % tuple(map(_json_cell, params + values)) for params, values in self.rows]
         return (
             '{\n  "title": ' + encode_basestring_ascii(self.title)
             + ',\n  "params": ' + _json_names(self.params)
@@ -112,26 +118,27 @@ class ScanReport(_ReportFields):
 
     # -- CSV and plain table ---------------------------------------------
 
+    def _text_rows(self) -> list:
+        return [list(map(_cell_text, params + values)) for params, values in self.rows]
+
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(self.params) + list(self.columns))
-        for row in self.rows:
-            writer.writerow([_cell_text(v) for v in row.params + row.values])
+        writer.writerow(self.params + self.columns)
+        writer.writerows(self._text_rows())
         return buf.getvalue()
 
     def to_table(self) -> str:
-        header = list(self.params) + list(self.columns)
-        body = [[_cell_text(v) for v in row.params + row.values] for row in self.rows]
-        widths = [len(h) for h in header]
-        for line in body:
-            for i, cell in enumerate(line):
-                widths[i] = max(widths[i], len(cell))
-        def fmt(line):
-            return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip()
-        rule = "-" * (sum(widths) + 2 * (len(widths) - 1))
-        lines = [f"# {self.title}", fmt(header), rule]
-        lines.extend(fmt(line) for line in body)
+        """Left-justified columns two spaces apart, each as wide as its
+        widest cell or name, with trailing whitespace stripped per line."""
+        header = self.params + self.columns
+        body = self._text_rows()
+        widths = [len(name) for name in header]
+        if body:
+            widths = [max(w, *map(len, column)) for w, column in zip(widths, zip(*body))]
+        line = "  ".join([f"{{:<{w}}}" for w in widths]).format
+        lines = [f"# {self.title}", line(*header).rstrip(), "-" * (sum(widths) + 2 * (len(widths) - 1))]
+        lines += [line(*cells).rstrip() for cells in body]
         return "\n".join(lines) + "\n"
 
     def render(self, fmt: str) -> str:
@@ -155,18 +162,41 @@ def grid_scan(title, params, columns, provenance, ranges, cells) -> ScanReport:
     return ScanReport.build(title, params, columns, provenance, rows)
 
 
+def _json_str(value: str) -> str:
+    if _FRACTION_RE.fullmatch(value):
+        raise ValueError("string cells must not look like rationals")
+    return encode_basestring_ascii(value)
+
+
+#: The table and CSV text of a cell by its exact type; ``str(Fraction)`` is "n" or "n/d".
+_CELL_TEXT = {
+    int: str,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "",
+    str: str,
+    Fraction: str,
+}
+
+#: The JSON text of a cell by its exact type, a rational always as "p/q".
+_JSON_CELL = {
+    **_CELL_TEXT,
+    type(None): lambda value: "null",
+    str: _json_str,
+    Fraction: lambda value: f'"{value.numerator}/{value.denominator}"',
+}
+
+
 def _json_cell(value: Cell) -> str:
-    """The JSON text of a cell, a rational always as "p/q"; ``_cell_text`` refuses other types."""
-    if value is None or isinstance(value, int):
-        return _cell_text(value) or "null"
-    if isinstance(value, str):
-        if _FRACTION_RE.match(value):
-            raise ValueError("string cells must not look like rationals")
-        return encode_basestring_ascii(value)
-    # tested after int and str: isinstance(x, Fraction) goes through ABCMeta
-    if isinstance(value, Fraction):
-        return f'"{value.numerator}/{value.denominator}"'
-    return _cell_text(value)
+    """The JSON text of a cell; a type ``_JSON_CELL`` lacks goes to ``_cell_text``, which refuses it."""
+    return _JSON_CELL.get(type(value), _cell_text)(value)
+
+
+def _cell_text(value: Cell) -> str:
+    render = _CELL_TEXT.get(type(value))
+    if render is None:
+        # the one cell-type guard: a float above all prints in no format
+        raise TypeError(f"unsupported cell type {type(value).__name__}")
+    return render(value)
 
 
 def _json_block(items: list, indent: str, brackets: str) -> str:
@@ -182,26 +212,14 @@ def _json_names(names: tuple) -> str:
     return _json_block([f"    {encode_basestring_ascii(name)}" for name in names], "  ", "[]")
 
 
-def _json_object(keys: list, cells: tuple) -> str:
-    return _json_block([key + _json_cell(cell) for key, cell in zip(keys, cells)], "      ", "{}")
+def _json_template(keys: tuple) -> str:
+    """A row's ``{key: cell}`` object as a ``%`` template with one ``%s`` per
+    cell; the escaped keys are ``%%``-escaped in turn."""
+    items = [f"        {encode_basestring_ascii(key).replace('%', '%%')}: %s" for key in keys]
+    return _json_block(items, "      ", "{}")
 
 
 def _decode(value):
-    if isinstance(value, str) and _FRACTION_RE.match(value):
+    if isinstance(value, str) and _FRACTION_RE.fullmatch(value):
         return Fraction(value)
     return value
-
-
-def _cell_text(value: Cell) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
-    # the one cell-type guard: a float above all prints in no format
-    raise TypeError(f"unsupported cell type {type(value).__name__}")

@@ -1,5 +1,6 @@
 """Report serialization round-trips, CLI behavior, exit codes, determinism."""
 
+import csv
 import io
 import json
 import shlex
@@ -49,11 +50,20 @@ def test_report_rejects_fraction_lookalike_strings():
         ).to_json()
 
 
+class _IntSubclass(int):
+    pass
+
+
+class _StrSubclass(str):
+    pass
+
+
 @pytest.mark.parametrize("fmt", ("table", "json", "csv"))
 def test_report_rejects_a_float_cell_in_every_format(fmt):
     # a float above all, and every other cell no format may print: _cell_text
-    # is the one cell-type guard, and JSON reaches it too
-    for cell in (0.5, 1j, b"x", (1,), Decimal("1")):
+    # is the one cell-type guard, and JSON reaches it too.  Cells are looked
+    # up by exact type, so a subclass of int or str is refused as well.
+    for cell in (0.5, 1j, b"x", (1,), Decimal("1"), _IntSubclass(1), _StrSubclass("x")):
         report = ScanReport.build("t", ("a",), ("b",), ("p",), [((1,), (cell,))])
         with pytest.raises(TypeError, match=f"unsupported cell type {type(cell).__name__}$"):
             report.render(fmt)
@@ -388,7 +398,7 @@ def test_count_paths_catch_a_perturbed_closed_form():
             assert not verify._count_paths_ok(model, powers, perturbed, range(2, 5), range(1, 4))
 
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 #: Full unicode, lone surrogates included: quotes, backslashes, control
@@ -401,11 +411,13 @@ _cells = st.one_of(
     st.booleans(),
     st.none(),
     st.fractions(min_value=-100, max_value=100, max_denominator=97),
-    _text.filter(lambda text: not _FRACTION_RE.match(text)),
+    _text.filter(lambda text: not _FRACTION_RE.fullmatch(text)),
 )
 
 
 @given(st.lists(st.tuples(st.integers(0, 50), _cells, _cells), min_size=0, max_size=8))
+# a rational followed by a newline, and one with a non-ASCII digit, are strings
+@example([(0, "3/4\n", "\u0663/4")])
 def test_report_round_trip_property(rows):
     report = ScanReport.build(
         "prop",
@@ -432,8 +444,13 @@ def _reference_cell(value):
     return f"{value.numerator}/{value.denominator}" if isinstance(value, Fraction) else value
 
 
+#: A report whose names and cells hold ``%``: the JSON row template must not read them as conversions.
+_PERCENT_REPORT = ScanReport.build("%s", ("%", "%s"), ("a%%b",), ("%d",), [((1, "%s"), ("100%",))])
+
+
 @settings(max_examples=300)
 @given(_reports())
+@example(_PERCENT_REPORT)
 def test_report_json_is_the_stdlib_indent_2_layout(report):
     doc = {
         "title": report.title,
@@ -450,6 +467,61 @@ def test_report_json_is_the_stdlib_indent_2_layout(report):
     }
     assert report.to_json() == json.dumps(doc, indent=2)
     assert ScanReport.from_json(report.to_json()) == report
+
+
+def _reference_text(value):
+    # the table and CSV text of a cell, written out case by case
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Fraction) and value.denominator != 1:
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, Fraction):
+        return str(value.numerator)
+    return str(value)
+
+
+def _reference_lines(report):
+    return [list(report.params) + list(report.columns)] + [
+        [_reference_text(v) for v in row.params + row.values] for row in report.rows
+    ]
+
+
+def _reference_table(report):
+    # every column padded to its widest cell or name with ljust, two spaces
+    # apart, trailing whitespace stripped from each line
+    header, *body = _reference_lines(report)
+    widths = [len(h) for h in header]
+    for line in body:
+        for i, cell in enumerate(line):
+            widths[i] = max(widths[i], len(cell))
+
+    def fmt(line):
+        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip()
+
+    lines = [f"# {report.title}", fmt(header), "-" * (sum(widths) + 2 * (len(widths) - 1))]
+    return "\n".join(lines + [fmt(line) for line in body]) + "\n"
+
+
+def _reference_csv(report):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for line in _reference_lines(report):
+        writer.writerow(line)
+    return buf.getvalue()
+
+
+@settings(max_examples=300)
+@given(_reports())
+# no parameters, no columns, no rows; then the same header with two empty rows
+@example(ScanReport.build("", (), (), (), []))
+@example(ScanReport.build("e", (), (), (), [((), ()), ((), ())]))
+@example(_PERCENT_REPORT)
+@example(sample_report())
+def test_report_table_and_csv_are_the_reference_layouts(report):
+    assert report.to_table() == _reference_table(report)
+    assert report.to_csv() == _reference_csv(report)
 
 
 @pytest.mark.parametrize("params, columns", [(("i", "i"), ("x",)), (("i",), ("x", "x"))])

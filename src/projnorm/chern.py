@@ -251,12 +251,13 @@ def twist(E: ChernVector, L) -> ChernVector:
         raise ValueError("can only twist by a codimension-1 class")
     r = E.rank
     L2 = L * L
+    c1L = E.c1 * L
     c1 = E.c1 + r * L
-    c2 = E.c2 + (r - 1) * (E.c1 * L) + binom(r, 2) * L2
+    c2 = E.c2 + (r - 1) * c1L + binom(r, 2) * L2
     c3 = (
         E.c3
         + (r - 2) * (E.c2 * L)
-        + binom(r - 1, 2) * (E.c1 * L2)
+        + binom(r - 1, 2) * (c1L * L)
         + binom(r, 3) * (L2 * L)
     )
     return _new(ChernVector, (r, c1, c2, c3))
@@ -290,16 +291,34 @@ def chern_character(E: ChernVector) -> Tuple[GradedClass, ...]:
     """Graded pieces ch_0..ch_n of the Chern character, n the ring dimension.
 
     ch = r + c1 + (c1^2 - 2 c2)/2 + (c1^3 - 3 c1 c2 + 3 c3)/6.
+
+    ch_0 holds the rank as an ``int`` and ch_1 is c1 as given.  ch_2 and
+    ch_3 are divided exactly by 2 and by 6: an ``int`` value stays an
+    ``int`` when the division is exact and becomes a ``Fraction``
+    otherwise, and a ``Fraction`` value stays a ``Fraction``.
     """
     ring = E.ring
     c1sq = E.c1 * E.c1
     pieces = [
-        unit(ring, E.rank),
+        GradedClass(ring, 0, E.rank) if E.rank else GradedClass(ring),
         E.c1,
-        Fraction(1, 2) * (c1sq - 2 * E.c2),
-        Fraction(1, 6) * (c1sq * E.c1 - 3 * (E.c1 * E.c2) + 3 * E.c3),
+        _divided(c1sq - 2 * E.c2, 2),
+        _divided(c1sq * E.c1 - 3 * (E.c1 * E.c2) + 3 * E.c3, 6),
     ]
     return tuple(pieces[: ring.dim + 1])
+
+
+def _divided(c: GradedClass, n: int) -> GradedClass:
+    """The scalar class ``c / n``, kept in ints when ``n`` divides an int value."""
+    v = c.value
+    if v is None:
+        return c
+    if type(v) is int:
+        q, rem = divmod(v, n)
+        v = Fraction(v, n) if rem else q
+    else:
+        v = v / n
+    return _new(GradedClass, (c.ring, c.codim, v))
 
 
 def graded_product(a: Sequence[GradedClass], b: Sequence[GradedClass]) -> Tuple[GradedClass, ...]:

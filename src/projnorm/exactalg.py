@@ -193,14 +193,16 @@ class SurfaceLattice(_LatticeFields):
         return 2
 
     def pair(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        """Evaluate the intersection form on two divisor coefficient vectors."""
+        """Evaluate the intersection form on two divisor coefficient vectors,
+        as a ``Fraction``; each term multiplies its two coefficients first,
+        so int coefficients cost one ``Fraction`` multiply."""
         total = Fraction(0)
         for i, ui in enumerate(u):
             if ui == 0:
                 continue
             for j, vj in enumerate(v):
                 if vj != 0:
-                    total += ui * self.gram[i][j] * vj
+                    total += ui * vj * self.gram[i][j]
         return total
 
     def generator(self, i: int) -> "DivisorVector":
@@ -258,8 +260,12 @@ class GradedClass(NamedTuple):
 
     A nonzero class has one codimension ``codim``, no higher than the ring
     dimension, and one exact nonzero component ``value`` in that ring's
-    shape: a ``Fraction`` (or an ``int``, for Chern classes of integer
-    roots), or a :class:`DivisorVector` of them for surface divisors.
+    shape: an ``int`` or a ``Fraction``, or a :class:`DivisorVector` of
+    them for surface divisors.  :meth:`of` stores ``Fraction``; ``int``
+    values are built without it where they are integral by construction
+    (Chern classes of integer roots, the Ulrich solver's point bundles,
+    ch_0 and exactly divisible ch_2 and ch_3), and arithmetic keeps them
+    until they meet a ``Fraction``.
     The zero class has neither (both are None), so structural equality is
     semantic equality, and equal classes hash equal also when one value is
     an ``int`` and the other a ``Fraction``.  A sum over several
@@ -392,6 +398,7 @@ def ring_degree(ring: Ring, cls: GradedClass, codim: int) -> Fraction:
     stored rational in codimension 2, the pairing with H in codimension 1,
     and ``q*(H.H)`` in codimension 0.  A nonzero class of another
     codimension raises ValueError; the zero class gives 0 in every one.
+    The degree is a ``Fraction`` also for an ``int``-valued class.
     """
     if cls.ring is not ring and cls.ring != ring:
         raise RingMismatchError("class does not belong to the given ring")
@@ -403,7 +410,7 @@ def ring_degree(ring: Ring, cls: GradedClass, codim: int) -> Fraction:
     if isinstance(ring, RankOneRing):
         return value * ring.h_degree
     if codim == 2:
-        return value
+        return value if type(value) is Fraction else Fraction(value)
     if codim == 1:
         return ring.pair(value, ring.generator(0))
     return value * ring.gram[0][0]

@@ -130,16 +130,26 @@ class ScanReport(_ReportFields):
 
     def to_table(self) -> str:
         """Left-justified columns two spaces apart, each as wide as its
-        widest cell or name, with trailing whitespace stripped per line."""
+        widest cell or name, with trailing whitespace stripped per line.
+
+        A line break (any character ``str.splitlines`` splits on) in the
+        title, a name or a cell raises ``ValueError``.  It is found once,
+        on the lines before the strip, which would drop one at a line end.
+        """
         header = self.params + self.columns
         body = self._text_rows()
         widths = [len(name) for name in header]
         if body:
             widths = [max(w, *map(len, column)) for w, column in zip(widths, zip(*body))]
         line = "  ".join([f"{{:<{w}}}" for w in widths]).format
-        lines = [f"# {self.title}", line(*header).rstrip(), "-" * (sum(widths) + 2 * (len(widths) - 1))]
-        lines += [line(*cells).rstrip() for cells in body]
-        return "\n".join(lines) + "\n"
+        title = f"# {self.title}"
+        lines = [title, line(*header), "-" * (sum(widths) + 2 * (len(widths) - 1))]
+        lines += [line(*cells) for cells in body]
+        # len(rows) + 3 lines, each as built; the list comparison also
+        # catches a "\r" that the joining "\n" would make one "\r\n" break
+        if ("\n".join(lines) + "\n").splitlines() != lines:
+            raise ValueError("a table title, name or cell holds a line break")
+        return "\n".join([title] + [text.rstrip() for text in lines[1:]]) + "\n"
 
     def render(self, fmt: str) -> str:
         if fmt == "json":

@@ -233,17 +233,18 @@ def chi_threefold_hypersurface(X: HypersurfaceP4, E: ChernVector) -> Fraction:
     """chi(X, E) on a degree-d threefold in P^4 by Hirzebruch-Riemann-Roch.
 
     Integrates the degree-3 part of ch(E) td(X), with td(X) the model's
-    ``todd`` pieces.
+    ``todd`` pieces: the products ch_i td_(3-i) are summed as scalars on
+    the rank-one ring, skipping zero pieces (td_1 is zero at d = 5), and
+    the sum is multiplied once by ``H^3 = d``, a ``Fraction``.
     """
     ring = X.ring
     if E.ring is not ring and E.ring != ring:
         raise RingMismatchError("bundle does not live on the given threefold")
-    td = X.todd
-    ch = chern_character(E)
-    total = GradedClass(ring)
-    for i in range(4):
-        total = total + ch[i] * td[3 - i]
-    return ring_degree(ring, total, 3)
+    total = 0
+    for c, t in zip(chern_character(E), reversed(X.todd)):
+        if c.codim is not None and t.codim is not None:
+            total += c.value * t.value
+    return total * ring.h_degree
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +271,13 @@ def solve_ulrich_chern(V, rank: int) -> ChernVector:
     Point bundles in ints, one coercion at the result: the n point
     bundles and the twisting class h hold ``int`` values (a vector of
     them for the divisors on P^3), built once per solve and without
-    coercion.  On P^4 each twist then stays in ints up to the halves and
-    sixths of the Chern character; on P^3 its intersection numbers come
-    from the lattice's rational Gram matrix.  Every row is still
-    evaluated at every point, n^2 evaluations of chi in all.  The
-    solution is returned through :meth:`ChernVector.of`, so its classes
-    are ``Fraction``-valued.
+    coercion.  On P^4 each twist stays in ints, and so does its Chern
+    character where 2 and 6 divide ch_2 and ch_3; on P^3 its divisor
+    products come from the lattice's rational Gram matrix.  Every row is
+    still evaluated at every point, n^2 evaluations of chi in all, each
+    a ``Fraction``.  The principal system is 1x1 on P^3 and 2x2 on P^4.
+    The solution is returned through :meth:`ChernVector.of`, so its
+    classes are ``Fraction``-valued.
     The first n-1 rows are solved exactly and row n must agree; a
     singular principal system or an inconsistent last row raises
     SolverError instead of guessing.  E^v((d-1)H) is Ulrich with E
@@ -330,10 +332,9 @@ def _int_class(ring, codim: int, value: int) -> GradedClass:
 
 
 def _det(matrix: list) -> Fraction:
-    """Exact determinant by expansion along the first row."""
-    if not matrix:
-        return Fraction(1)
-    return sum(
-        (-1) ** j * a * _det([row[:j] + row[j + 1:] for row in matrix[1:]])
-        for j, a in enumerate(matrix[0])
-    )
+    """Exact determinant of the solver's principal system: 1x1 on P^3,
+    2x2 on P^4, the only sizes it builds."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    (a, b), (c, d) = matrix
+    return a * d - b * c

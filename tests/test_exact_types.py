@@ -1,0 +1,190 @@
+"""Integral values stay ``int`` inside the class ring; what leaves it is ``Fraction``.
+
+The Chern character, Riemann-Roch and the intersection pairing keep
+values that are integral by construction as ``int``.  Two things are
+pinned here.  First, the boundary: every Euler characteristic and degree
+is a ``Fraction`` also on ``int``-valued data, because a report prints
+the two differently (JSON writes ``5`` for an int and ``"5/1"`` for a
+rational).  Second, the values: the plain ``GradedClass`` formulas are
+written out below as oracles and compared with these functions over
+drawn ``int`` and ``Fraction`` data.
+"""
+
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from projnorm import rr
+from projnorm.chern import ChernVector, bundle_from_roots, chern_character, twist
+from projnorm.exactalg import DivisorVector, GradedClass, ring_degree, unit
+from projnorm.rr import (
+    HypersurfaceP3,
+    HypersurfaceP4,
+    chi_surface,
+    chi_threefold_hypersurface,
+    solve_ulrich_chern,
+)
+
+
+_QUINTIC = HypersurfaceP4(5)  # td_1 = 0 here, since c1(T) = 5 - d
+
+
+def _is_fraction(value) -> bool:
+    return type(value) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# the boundary: Fraction out of int-valued data
+
+
+def test_solver_chi_values_and_classes_are_fractions(monkeypatch):
+    # the solver's point bundles and their twists hold ints; every chi of
+    # them, and every class of the solution, is a Fraction
+    seen = []
+    for name in ("chi_surface", "chi_threefold_hypersurface"):
+        chi = getattr(rr, name)
+
+        def recorded(V, E, chi=chi):
+            value = chi(V, E)
+            seen.append((E, value))
+            return value
+
+        monkeypatch.setattr(rr, name, recorded)
+    for model in (HypersurfaceP3, HypersurfaceP4):
+        for d, r in ((3, 2), (4, 2), (5, 1), (5, 4)):
+            E = solve_ulrich_chern(model(d), r)
+            for c in (E.c1, E.c2, E.c3):
+                if isinstance(c.value, DivisorVector):
+                    assert all(map(_is_fraction, c.value))
+                elif not c.is_zero:
+                    assert _is_fraction(c.value)
+    assert len(seen) == 4 * (4 + 9)
+    assert any(type(E.c2.value) is int for E, _ in seen)
+    assert all(_is_fraction(value) for _, value in seen)
+
+
+def test_chi_and_degrees_of_int_classes_are_fractions():
+    X = _QUINTIC
+    S = HypersurfaceP3(4).surface()
+    for ring, chi, E in (
+        (X.ring, X.chi, bundle_from_roots(X.ring, [1, -2, 3])),
+        (X.ring, X.chi, ChernVector.of(X.ring, 2, 2, 1, 0)),
+        (X.ring, X.chi, twist(bundle_from_roots(X.ring, [2, 2]), GradedClass(X.ring, 1, -1))),
+        (S.lattice, lambda E: chi_surface(S, E), ChernVector.of(S.lattice, 2, (3, 0), 4)),
+        (S.lattice, lambda E: chi_surface(S, E), ChernVector(
+            2, GradedClass(S.lattice, 1, DivisorVector((3, 0))), GradedClass(S.lattice, 2, 4), GradedClass(S.lattice)
+        )),
+    ):
+        assert _is_fraction(chi(E))
+        for k, c in enumerate((E.c1, E.c2, E.c3), 1):
+            if k <= ring.dim:
+                assert _is_fraction(ring_degree(ring, c, k))
+    assert type(bundle_from_roots(X.ring, [1, -2, 3]).c2.value) is int
+
+
+def test_a_total_of_zero_is_a_fraction():
+    X = _QUINTIC
+    S = HypersurfaceP3(4).surface()
+    for V, E in ((X, bundle_from_roots(X.ring, [])), (HypersurfaceP3(4), ChernVector.of(S.lattice, 0))):
+        value = V.chi(E)
+        assert value == 0 and _is_fraction(value)
+        assert _is_fraction(ring_degree(E.ring, E.c2, 2))
+    # an Ulrich twist: chi(E(-1)) vanishes
+    E = solve_ulrich_chern(X, 2)
+    value = chi_threefold_hypersurface(X, twist(E, -1))
+    assert value == 0 and _is_fraction(value)
+
+
+# ---------------------------------------------------------------------------
+# the values: the GradedClass formulas as oracles
+
+
+def _oracle_chern_character(E):
+    ring = E.ring
+    c1sq = E.c1 * E.c1
+    pieces = [
+        unit(ring, E.rank),
+        E.c1,
+        Fraction(1, 2) * (c1sq - 2 * E.c2),
+        Fraction(1, 6) * (c1sq * E.c1 - 3 * (E.c1 * E.c2) + 3 * E.c3),
+    ]
+    return tuple(pieces[: ring.dim + 1])
+
+
+def _oracle_chi_threefold(X, E):
+    ch, td = _oracle_chern_character(E), X.todd
+    total = GradedClass(X.ring)
+    for i in range(4):
+        total = total + ch[i] * td[3 - i]
+    return ring_degree(X.ring, total, 3)
+
+
+def _oracle_pair(lattice, u, v):
+    total = Fraction(0)
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            total += ui * lattice.gram[i][j] * vj
+    return total
+
+
+_scalars = st.one_of(
+    st.just(0),
+    st.integers(-60, 60),
+    st.fractions(min_value=-60, max_value=60, max_denominator=12),
+)
+_degrees = st.integers(1, 12)
+
+
+def _class(ring, codim, value):
+    # built as given, so an int stays an int, as on the solver's points
+    if codim > ring.dim or not value:
+        return GradedClass(ring)
+    return GradedClass(ring, codim, value)
+
+
+@st.composite
+def _bundles(draw, models=(HypersurfaceP3, HypersurfaceP4)):
+    """A bundle of rank 0..12 with int or Fraction classes, zero ones included,
+    on the P^3 lattice or the P^4 ring of a degree-1..12 hypersurface."""
+    V = draw(st.sampled_from(models))(draw(_degrees))
+    ring = V.ring
+    c1 = DivisorVector((draw(_scalars), draw(_scalars))) if ring.dim == 2 else draw(_scalars)
+    c2, c3 = draw(_scalars), draw(_scalars)
+    return V, ChernVector(draw(st.integers(0, 12)), _class(ring, 1, c1), _class(ring, 2, c2), _class(ring, 3, c3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bundles())
+def test_chern_character_matches_the_graded_class_formula(case):
+    _, E = case
+    ch = chern_character(E)
+    assert ch == _oracle_chern_character(E)
+    assert ch[0].is_zero if E.rank == 0 else type(ch[0].value) is int
+    # ch_2 and ch_3 are ints exactly where an int numerator divides by 2 and 6
+    c1sq = E.c1 * E.c1
+    numerators = (c1sq - 2 * E.c2, c1sq * E.c1 - 3 * (E.c1 * E.c2) + 3 * E.c3)
+    for piece, numerator, n in zip(ch[2:], numerators, (2, 6)):
+        if not piece.is_zero:
+            exact = type(numerator.value) is int and numerator.value % n == 0
+            assert type(piece.value) is (int if exact else Fraction)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bundles(models=(HypersurfaceP4,)))
+@example((_QUINTIC, bundle_from_roots(_QUINTIC.ring, [3, -1, 4, 1])))
+@example((_QUINTIC, ChernVector.of(_QUINTIC.ring, 2, Fraction(1, 2), Fraction(-3, 4), 5)))
+def test_threefold_chi_matches_the_graded_class_formula(case):
+    X, E = case
+    value = chi_threefold_hypersurface(X, E)
+    assert value == _oracle_chi_threefold(X, E)
+    assert _is_fraction(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_degrees, st.lists(_scalars, min_size=2, max_size=2), st.lists(_scalars, min_size=2, max_size=2))
+def test_pair_matches_the_product_in_gram_order(d, u, v):
+    lattice = HypersurfaceP3(d).ring
+    value = lattice.pair(DivisorVector(u), DivisorVector(v))
+    assert value == _oracle_pair(lattice, u, v)
+    assert _is_fraction(value)

@@ -519,8 +519,20 @@ def _reference_csv(report):
 @example(ScanReport.build("e", (), (), (), [((), ()), ((), ())]))
 @example(_PERCENT_REPORT)
 @example(sample_report())
+# a cell with a newline would print as two lines and shift the columns after it
+@example(ScanReport.build("t", ("a",), ("b", "c"), ("p", "p"), [((1,), ("x\ny", 2))]))
+# breaks that the per-line strip would drop, or that the joining newline would absorb
+@example(ScanReport.build("t\r", ("a",), ("b",), ("p",), [((1,), (2,))]))
+@example(ScanReport.build("t", ("a",), ("b\u2028",), ("p",), [((1,), ("y\x0b",))]))
 def test_report_table_and_csv_are_the_reference_layouts(report):
-    assert report.to_table() == _reference_table(report)
+    # a table line is one line of text, so a title, name or cell with a line
+    # break (anything str.splitlines splits on) has no table layout
+    texts = [report.title] + [text for line in _reference_lines(report) for text in line]
+    if any("".join(text.splitlines()) != text for text in texts):
+        with pytest.raises(ValueError, match="line break"):
+            report.to_table()
+    else:
+        assert report.to_table() == _reference_table(report)
     assert report.to_csv() == _reference_csv(report)
 
 

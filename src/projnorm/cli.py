@@ -23,6 +23,7 @@ from .exactalg import (
     DEFAULT_SEED,
     DataError,
     SolverError,
+    as_fraction,
     binom,
     parse_rational,
     ring_degree,
@@ -62,15 +63,16 @@ def _value_row(name: str, value):
 
 
 def _verdict_row(v):
+    """A verdict's report row; each witness side becomes a ``Fraction`` cell here."""
     w = v.witness
     return (
         ("verdict", v.rule),
         (
             v.status_label,
             v.k,
-            w.lhs if w else None,
+            as_fraction(w.lhs) if w else None,
             w.relation if w else None,
-            w.rhs if w else None,
+            as_fraction(w.rhs) if w else None,
             None,
             v.theorem,
             "; ".join(v.notes),
@@ -124,7 +126,7 @@ def check_surface_hyp(d: int, r: int) -> ScanReport:
         _value_row("dim_tensor2_h0", h0 * h0),
         _value_row("dim_sym2_h0", binom(h0 + 1, 2)),
         _value_row("dim_sym3_h0", binom(h0 + 2, 3)),
-        _value_row("slack3", v3.witness.lhs - v3.witness.rhs),
+        _value_row("slack3", as_fraction(v3.witness.lhs - v3.witness.rhs)),
         _verdict_row(dimension_test(h0, 2, counts.tensor2, strong=True)),
         _verdict_row(v2),
         _verdict_row(v3),
@@ -266,15 +268,16 @@ def check_preset(name: str, r: int) -> ScanReport:
 
 
 def _count_cells(v) -> tuple:
-    """A count verdict's status and the two sides of its witness."""
-    return (v.status_label, v.witness.lhs, v.witness.rhs)
+    """A count verdict's status and the two sides of its witness, as ``Fraction`` cells."""
+    w = v.witness
+    return (v.status_label, as_fraction(w.lhs), as_fraction(w.rhs))
 
 
 def _p3_cells(d: int, r: int) -> tuple:
     if not parity_ok(r, d):
         return ("odd", None, None, None, None)
     v2, v3, _ = classify_p3_hypersurface(d, r)
-    return ("ok", *_count_cells(v2), v3.witness.lhs - v3.witness.rhs)
+    return ("ok", *_count_cells(v2), as_fraction(v3.witness.lhs - v3.witness.rhs))
 
 
 def _p4_cells(d: int, r: int) -> tuple:

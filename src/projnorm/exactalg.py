@@ -75,6 +75,10 @@ class DataError(ValueError):
 
 
 def as_fraction(value: Scalar) -> Fraction:
+    # an exact int is tested first: for an int, isinstance(value, Fraction)
+    # runs the slow ABC check of numbers.Rational
+    if type(value) is int:
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Tuple
 
 from .chern import ChernVector, segre_dual
-from .exactalg import DataError, RingMismatchError, _new, as_fraction, binom, ring_degree
+from .exactalg import DataError, RingMismatchError, Scalar, _new, as_fraction, binom, ring_degree
 from .report import ScanReport, grid_scan
 from .rr import HypersurfaceP4, Surface
 from .ulrich import PowerCounts, ThreefoldPowerData, chi_powers_p4_hypersurface, h0_powers_p3_hypersurface
@@ -43,11 +43,21 @@ NP_CONJECTURE_NOTE = "conjectured (not asserted): level p should already follow 
 
 
 class Witness(NamedTuple):
-    """The evaluated inequality behind a verdict."""
+    """The evaluated inequality behind a verdict.
 
-    lhs: Fraction
+    Both sides are exact as the rule computed them: an ``int`` where the
+    rule compares integers (every count and curve rule), a ``Fraction``
+    where its inputs were rational.  They become ``Fraction`` only at the
+    report cell (``cli._verdict_row``, ``cli._count_cells``).
+    """
+
+    lhs: Scalar
     relation: str
-    rhs: Fraction
+    rhs: Scalar
+
+
+#: The exact types a witness side may have (``type(side)``, so a bool is refused).
+_SIDE_TYPES = (int, Fraction)
 
 
 class NormalityVerdict(NamedTuple):
@@ -140,15 +150,15 @@ def _verdict(rule, holds, relations, lhs, rhs, *, status=POSITIVE, k=None, theor
     hypothesis is ``unmet``, and is inconclusive otherwise.  The witness
     reads ``lhs relations[0] rhs`` when the inequality holds and
     ``lhs relations[1] rhs`` when it does not; ``lhs=None`` means no
-    witness.  Each unmet hypothesis is a note, after ``notes``.
+    witness.  Each unmet hypothesis is a note, after ``notes``.  The two
+    sides are stored as given, each exactly an ``int`` or a ``Fraction``;
+    any other type (a float, a bool) is a ``TypeError``.
     """
     witness = None
     if lhs is not None:
-        witness = _new(Witness, (
-            lhs if type(lhs) is Fraction else Fraction(lhs),
-            relations[0] if holds else relations[1],
-            rhs if type(rhs) is Fraction else Fraction(rhs),
-        ))
+        if type(lhs) not in _SIDE_TYPES or type(rhs) not in _SIDE_TYPES:
+            raise TypeError(f"a witness side must be an int or a Fraction, got {lhs!r} and {rhs!r}")
+        witness = _new(Witness, (lhs, relations[0] if holds else relations[1], rhs))
     return _new(NormalityVerdict, (
         rule, status if holds and not unmet else INCONCLUSIVE, k, theorem, witness, notes + unmet
     ))
@@ -169,7 +179,7 @@ def dimension_test(h0: int, k: int, h0_symk_lower, strong: bool = False, *, note
     """
     if k < 2:
         raise ValueError("k-normality counting starts at k = 2")
-    # an int bound is compared as an int; _verdict makes both witness sides Fractions
+    # an int bound is compared as an int and stays one in the witness
     lower = h0_symk_lower if type(h0_symk_lower) is int else as_fraction(h0_symk_lower)
     if strong:
         rule, status, available = f"strong-{k}-normality-count", NOT_STRONGLY_K_NORMAL, h0**k

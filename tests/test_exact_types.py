@@ -7,7 +7,10 @@ is a ``Fraction`` also on ``int``-valued data, because a report prints
 the two differently (JSON writes ``5`` for an int and ``"5/1"`` for a
 rational).  Second, the values: the plain ``GradedClass`` formulas are
 written out below as oracles and compared with these functions over
-drawn ``int`` and ``Fraction`` data.
+drawn ``int`` and ``Fraction`` data.  Third, the report cell: a verdict's
+witness sides stay as computed (``int`` for counts and curve rules) and
+every cell printed from a witness is a ``Fraction``, so a scan that only
+reads ``fired`` builds no ``Fraction`` at all.
 """
 
 from fractions import Fraction
@@ -15,9 +18,10 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from projnorm import rr
+from projnorm import cli, rr
 from projnorm.chern import ChernVector, bundle_from_roots, chern_character, twist
 from projnorm.exactalg import DivisorVector, GradedClass, ring_degree, unit
+from projnorm.normality import CurveCase, curve_verdicts
 from projnorm.rr import (
     HypersurfaceP3,
     HypersurfaceP4,
@@ -94,6 +98,114 @@ def test_a_total_of_zero_is_a_fraction():
     E = solve_ulrich_chern(X, 2)
     value = chi_threefold_hypersurface(X, twist(E, -1))
     assert value == 0 and _is_fraction(value)
+
+
+# ---------------------------------------------------------------------------
+# the report cell: witness sides become Fraction there and only there
+
+
+def _check_rows(argv):
+    report, code = cli.dispatch(cli.build_parser(argv).parse_args(argv))
+    assert code == 0
+    return report.rows
+
+
+_SURFACE_ARGV = (
+    ["--h2", "4", "--hk", "0", "--k2", "0", "--chi", "2", "--r", "2", "--c1", "3", "--c2", "14"],
+    ["--h2", "4", "--hk", "0", "--k2", "0", "--chi", "2", "--r", "2", "--c1", "3", "--c2", "14", "--h", "9"],
+    ["--h2", "3", "--hk", "-3", "--k2", "3", "--chi", "1", "--r", "2", "--c1", "2,-1", "--c2", "4"],
+    ["--h2", "9", "--hk", "-9", "--k2", "9", "--chi", "1", "--r", "2", "--c1", "3/2,1/2", "--c2", "5/2"],
+    ["--h2", "5/2", "--hk", "1/3", "--k2", "-2", "--chi", "1", "--r", "3", "--c1", "1/2", "--c2=-7/4", "--h", "8"],
+)
+
+
+def _check_argvs():
+    for d in range(2, 7):
+        for r in range(1, 5):
+            if r * (d - 1) % 2 == 0:
+                yield ["check", "surface-hyp", "--d", str(d), "--r", str(r)]
+                yield ["check", "threefold-hyp", "--d", str(d), "--r", str(r)]
+    for g in range(0, 7):
+        for d in range(1, 9):
+            yield ["check", "curve", "--g", str(g), "--d", str(d), "--p", "2", "--p", "3", "--general",
+                   *(["--cliff", str((g - 1) // 2)] if g >= 1 else [])]
+    for argv in _SURFACE_ARGV:
+        yield ["check", "surface", *argv]
+    for name in cli.PRESETS:
+        yield ["check", "preset", name, "--r", "2"]
+
+
+def test_every_witness_cell_of_a_check_is_a_fraction():
+    lhs, relation, rhs = (cli._CHECK_COLUMNS.index(name) for name in ("lhs", "relation", "rhs"))
+    witnesses = 0
+    for argv in _check_argvs():
+        for (kind, name), values in _check_rows(argv):
+            if kind == "verdict" and values[relation] is not None:
+                assert _is_fraction(values[lhs]) and _is_fraction(values[rhs]), (argv, name)
+                witnesses += 1
+            elif kind == "verdict":
+                assert values[lhs] is None and values[rhs] is None, (argv, name)
+            elif name == "slack3":
+                assert _is_fraction(values[cli._CHECK_COLUMNS.index("value")]), argv
+    assert witnesses == 547
+
+
+def test_curve_witness_sides_stay_int_and_print_as_fractions():
+    # every curve rule compares integers: the verdict keeps them, the cell converts
+    for g in range(0, 7):
+        for d in range(1, 9):
+            case = CurveCase(g, d, syzygy_levels=(2, 3), clifford=0, general=True)
+            for v in curve_verdicts(case):
+                if v.witness is None:
+                    continue
+                assert type(v.witness.lhs) is int and type(v.witness.rhs) is int, v
+                cells = cli._verdict_row(v)[1]
+                assert (cells[2], cells[4]) == (v.witness.lhs, v.witness.rhs)
+                assert _is_fraction(cells[2]) and _is_fraction(cells[4])
+
+
+def test_every_count_cell_of_a_hypersurface_scan_is_a_fraction():
+    for scan, counts in (
+        (cli.scan_p3, ("dim_sym2_h0", "h0_sym2", "slack3")),
+        (cli.scan_p4, ("dim_tensor2_h0", "chi_tensor2", "dim_sym2_h0", "chi_sym2")),
+    ):
+        report = scan(9, 6)
+        index = [report.columns.index(name) for name in counts]
+        valid = [row.values for row in report.rows if row.values[0] == "ok"]
+        assert valid and len(valid) < len(report.rows)
+        for values in valid:
+            assert all(_is_fraction(values[i]) for i in index), values
+        for row in report.rows:
+            if row.values[0] == "odd":
+                assert all(row.values[i] is None for i in index)
+
+
+def _fractions_built(monkeypatch, build):
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    report = build()
+    monkeypatch.undo()
+    return report, len(built)
+
+
+def test_fractions_built_per_scan_cell(monkeypatch):
+    # the curve scan reads one fired flag per rule and builds no Fraction
+    report, built = _fractions_built(monkeypatch, lambda: cli.scan_curve(5, 4))
+    assert len(report.rows) == 24 and built == 0
+    # p3: two 2-count cells and one slack3 per parity-valid cell
+    report, built = _fractions_built(monkeypatch, lambda: cli.scan_p3(7, 5))
+    valid = sum(row.values[0] == "ok" for row in report.rows)
+    assert valid == 21 and built == 3 * valid
+    # p4: four count cells, plus the two c3 values chi_powers_p4_hypersurface returns
+    report, built = _fractions_built(monkeypatch, lambda: cli.scan_p4(7, 5))
+    valid = sum(row.values[0] == "ok" for row in report.rows)
+    assert valid == 14 and built == (4 + 2) * valid
 
 
 # ---------------------------------------------------------------------------

@@ -516,6 +516,22 @@ def test_constructor_validation_errors():
         divisor(QUARTIC_K3, (1, 2, 3))
 
 
+def test_as_fraction_takes_exactly_ints_and_fractions():
+    from projnorm.exactalg import as_fraction
+
+    class Count(int):
+        pass
+
+    for value in (5, -7, 0, 2**70, Count(5)):
+        out = as_fraction(value)
+        assert type(out) is Fraction and out == value
+    half = Fraction(1, 2)
+    assert as_fraction(half) is half
+    for bad in (True, False, 1.5, "1", None):
+        with pytest.raises(TypeError):
+            as_fraction(bad)
+
+
 def test_graded_class_helpers():
     ring = RankOneRing(3, Fraction(2))
     assert divisor(ring, 3).codim == 1

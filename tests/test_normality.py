@@ -64,10 +64,26 @@ def test_dimension_test_int_and_fraction_bounds_agree(strong):
                 as_int = dimension_test(h0, k, lower, strong)
                 as_fraction = dimension_test(h0, k, Fraction(lower), strong)
                 assert as_int == as_fraction
-                assert type(as_int.witness.lhs) is Fraction and type(as_int.witness.rhs) is Fraction
+                # each side stays exactly as computed: the count is an int,
+                # an int bound stays an int and a Fraction bound a Fraction
+                assert type(as_int.witness.lhs) is int and type(as_int.witness.rhs) is int
+                assert type(as_fraction.witness.lhs) is int and type(as_fraction.witness.rhs) is Fraction
     for bad in (True, 4.0):
         with pytest.raises(TypeError):
             dimension_test(4, 2, bad, strong)
+
+
+@pytest.mark.parametrize("bad", [4.0, True, False, "4", None])
+def test_verdict_refuses_a_side_that_is_not_int_or_fraction(bad):
+    # Fraction(4.0) == 4 would have made a float a witness; a bool is an int subclass
+    for lhs, rhs in ((bad, 4), (4, bad), (bad, Fraction(4))):
+        if lhs is None:
+            continue  # lhs=None is the verdict without a witness
+        with pytest.raises(TypeError):
+            normality._verdict("r", True, (">", "<="), lhs, rhs)
+    for lhs, rhs in ((3, 4), (Fraction(3), 4), (3, Fraction(7, 2))):
+        w = normality._verdict("r", False, (">", "<="), lhs, rhs).witness
+        assert (type(w.lhs), type(w.rhs)) == (type(lhs), type(rhs)) and w == (lhs, "<=", rhs)
 
 
 def test_p3_classifier_examples():

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from projnorm import cli
 from projnorm.cli import main
 from projnorm.report import _FRACTION_RE, Row, ScanReport
 from projnorm.rr import HypersurfaceP3
@@ -217,7 +218,7 @@ def test_cli_scans_sorted_and_deterministic():
 def test_scans_call_each_traced_function_once_per_cell(monkeypatch):
     # bench/tracing.py HOT requires these spans on the scans workload; a
     # change that stops calling one per cell changes the benchmark's traces
-    from projnorm import cli, normality
+    from projnorm import normality
     from projnorm.rr import parity_ok
 
     calls = Counter()
@@ -574,26 +575,66 @@ def test_cli_verify_formulas_rejects_empty_rank_range():
 _small = st.integers(-2, 7).map(str)
 _GRID_FLAGS = {"p3": ("--dmax", "--rmax"), "p4": ("--dmax", "--rmax"), "curve": ("--gmax", "--dmax")}
 _formats = st.sampled_from([(), ("--format", "json"), ("--format", "csv")])
-_bounded_argv = st.one_of(
-    st.tuples(st.sampled_from(["surface-hyp", "threefold-hyp"]), _small, _small).map(
-        lambda t: ["check", t[0], "--d", t[1], "--r", t[2]]
-    ),
-    st.tuples(
+_rational = st.tuples(st.integers(-3, 9), st.sampled_from(["", "/2", "/3"])).map(lambda t: f"{t[0]}{t[1]}")
+_SURFACE_FLAGS = ("--h2", "--hk", "--k2", "--chi")
+#: One strategy per leaf of ``cli.COMMANDS``, keyed by its command path.
+_BOUNDED_ARGV = {
+    **{
+        ("check", leaf): st.tuples(_small, _small).map(lambda t, leaf=leaf: ["check", leaf, "--d", t[0], "--r", t[1]])
+        for leaf in ("surface-hyp", "threefold-hyp")
+    },
+    ("check", "curve"): st.tuples(
         _small, _small, _small,
         st.lists(st.sampled_from(["--p", "--cliff"]).flatmap(lambda f: _small.map(lambda v: [f, v])), max_size=2),
         st.sets(st.sampled_from(["--general", "--very-ample"])),
     ).map(lambda t: ["check", "curve", "--g", t[0], "--d", t[1], "--r", t[2], *sum(t[3], []), *sorted(t[4])]),
-    st.tuples(st.sampled_from(sorted(_GRID_FLAGS)), _small, _small).map(
-        lambda t: ["scan", t[0], _GRID_FLAGS[t[0]][0], t[1], _GRID_FLAGS[t[0]][1], t[2]]
+    # the lattice entries, c1 and c2 go as --flag=value, so that a negative
+    # p/q reaches parse_rational instead of reading as an option
+    ("check", "surface"): st.tuples(
+        st.lists(_rational, min_size=4, max_size=4),
+        _small,
+        st.lists(_rational, min_size=1, max_size=2).map(",".join),
+        _rational,
+        st.one_of(st.none(), _small),
+    ).map(lambda t: [
+        "check", "surface", *[f"{flag}={v}" for flag, v in zip(_SURFACE_FLAGS, t[0])], "--r", t[1],
+        f"--c1={t[2]}", f"--c2={t[3]}", *([] if t[4] is None else ["--h", t[4]]),
+    ]),
+    ("check", "preset"): st.tuples(st.sampled_from(sorted(cli.PRESETS) + ["no-such-variety"]), _small).map(
+        lambda t: ["check", "preset", t[0], "--r", t[1]]
     ),
-    _small.map(lambda v: ["scan", "ci", "--rmax", v]),
-    st.tuples(st.integers(-1, 3), st.integers(-1, 3), st.booleans(), st.integers(0, 3)).map(
+    **{
+        ("scan", grid): st.tuples(_small, _small).map(
+            lambda t, grid=grid: ["scan", grid, _GRID_FLAGS[grid][0], t[0], _GRID_FLAGS[grid][1], t[1]]
+        )
+        for grid in sorted(_GRID_FLAGS)
+    },
+    ("scan", "ci"): _small.map(lambda v: ["scan", "ci", "--rmax", v]),
+    ("verify-formulas",): st.tuples(st.integers(-1, 3), st.integers(-1, 3), st.booleans(), st.integers(0, 3)).map(
         lambda t: ["verify-formulas", "--ranks", f"{t[0]}..{t[1]}" if t[2] else str(t[0]), "--trials", str(t[3]), "--seed", "1"]
     ),
-)
+    ("kko-audit",): st.just(["kko-audit"]),
+}
+_bounded_argv = st.one_of(*_BOUNDED_ARGV.values())
 
 
-@settings(max_examples=60, deadline=None)
+def _leaf_paths(commands, prefix=()):
+    for name, node in commands.items():
+        if isinstance(node, cli.Group):
+            yield from _leaf_paths(node.commands, prefix + (name,))
+        else:
+            yield prefix + (name,)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_bounded_argv_draws_every_leaf_command(data):
+    assert sorted(_BOUNDED_ARGV) == sorted(_leaf_paths(cli.COMMANDS))
+    for path, strategy in _BOUNDED_ARGV.items():
+        assert tuple(data.draw(strategy)[: len(path)]) == path
+
+
+@settings(max_examples=120, deadline=None)
 @given(_formats, _bounded_argv)
 def test_cli_bounded_argv_exit_codes(fmt, argv):
     out, err = io.StringIO(), io.StringIO()

@@ -199,7 +199,7 @@ def sym3(E: ChernVector) -> ChernVector:
         ((r - 1) * (r + 2) * (r * r + 5 * r + 8) // 8) * (E.c1 * E.c1)
         + ((r + 2) * (r + 3) // 2) * E.c2
     )
-    return ChernVector.of(E.ring, r * (r + 1) * (r + 2) // 6, c1, c2)
+    return _new(ChernVector, (r * (r + 1) * (r + 2) // 6, c1, c2, GradedClass(E.ring)))
 
 
 def wedge2(E: ChernVector) -> ChernVector:
@@ -263,19 +263,17 @@ def twist(E: ChernVector, L) -> ChernVector:
     return _new(ChernVector, (r, c1, c2, c3))
 
 
-def segre_dual(E: ChernVector, up_to: int) -> Tuple[GradedClass, ...]:
-    """Segre classes s_0..s_{up_to} of the dual bundle.
+def segre_dual(E: ChernVector) -> Tuple[GradedClass, ...]:
+    """Segre classes s_0..s_n of the dual bundle, n the ring dimension.
 
     Defined by s(E*) c(E*) = 1, so s1 = c1, s2 = c1^2 - c2,
     s3 = c1^3 - 2 c1 c2 + c3.  s_n(E*) is the degree of the projectivized
     bundle under its tautological embedding.
     """
     ring = E.ring
-    if up_to > ring.dim:
-        raise ValueError("requested Segre class exceeds the ring dimension")
     cdual = [unit(ring), -E.c1, E.c2, -E.c3]
     s = [unit(ring)]
-    for k in range(1, up_to + 1):
+    for k in range(1, ring.dim + 1):
         acc = GradedClass(ring)
         for i in range(1, k + 1):
             acc = acc + cdual[i] * s[k - i]

@@ -146,7 +146,6 @@ def check_surface_hyp(d: int, r: int) -> ScanReport:
 def check_threefold_hyp(d: int, r: int) -> ScanReport:
     V = HypersurfaceP4(d)
     E = solve_ulrich_chern(V, r)
-    ring = V.ring
     h0 = r * d
     strong, plain, powers = classify_p4_hypersurface(d, r)
     rows = [
@@ -154,8 +153,8 @@ def check_threefold_hyp(d: int, r: int) -> ScanReport:
         _value_row("r", r),
         _value_row("h0", h0),
         _value_row("c1_h_coefficient", Fraction(r * (d - 1), 2)),
-        _value_row("c2_h", ring_degree(ring, E.c2, 2)),
-        _value_row("c3", ring_degree(ring, E.c3, 3)),
+        _value_row("c2_h", ring_degree(E.c2)),
+        _value_row("c3", ring_degree(E.c3)),
         _value_row("c3_closed_form", ulrich_c3_p4_hypersurface(d, r)),
         _value_row("chi_bundle", chi_threefold_hypersurface(V, E)),
         _value_row("chi_tensor2", powers.chi_tensor2),

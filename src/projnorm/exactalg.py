@@ -87,7 +87,12 @@ def as_fraction(value: Scalar) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p`` or ``p/q`` into an exact rational."""
+    """Parse ``p``, ``p/q`` or an exact decimal into an exact rational.
+
+    Decimals are read exactly: ``"1.5"`` is 3/2 and ``"1e3"`` is 1000.  On
+    the command line a negative fraction is joined to its option with ``=``
+    (``--c2=-7/4``); argparse takes a separate ``-7/4`` for an option.
+    """
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -277,7 +282,8 @@ class GradedClass(NamedTuple):
     pieces instead.  ``GradedClass(ring)`` is the zero class.  :meth:`of`
     builds a class from one outside value, coerced into that shape;
     arithmetic trusts its own components and builds results without
-    coercing them again.
+    coercing them again.  A class carries its ring and codimension, so
+    :func:`ring_degree` reads its degree from the class alone.
 
     ``+`` and ``*`` between classes first check the ring, by identity and
     then by equality, so a mismatch raises :class:`RingMismatchError` even
@@ -306,11 +312,6 @@ class GradedClass(NamedTuple):
         if codim > ring.dim or not value:
             return GradedClass(ring)  # truncation, or the zero value
         return GradedClass(ring, codim, value)
-
-    def component(self, codim: int):
-        if codim == self.codim:
-            return self.value
-        return _coerce_component(self.ring, codim, 0)
 
     @property
     def is_zero(self) -> bool:
@@ -395,22 +396,18 @@ def divisor(ring: Ring, coeffs) -> GradedClass:
     return GradedClass.of(ring, 1, coeffs)
 
 
-def ring_degree(ring: Ring, cls: GradedClass, codim: int) -> Fraction:
-    """Intersection number of a codim-``codim`` class against the complementary H power.
+def ring_degree(cls: GradedClass) -> Fraction:
+    """Intersection number of a class against the complementary H power.
 
-    Rank-one rings send ``q*H^k`` to ``q*d``.  Surface lattices return the
-    stored rational in codimension 2, the pairing with H in codimension 1,
-    and ``q*(H.H)`` in codimension 0.  A nonzero class of another
-    codimension raises ValueError; the zero class gives 0 in every one.
-    The degree is a ``Fraction`` also for an ``int``-valued class.
+    The ring and the codimension are the class's own.  Rank-one rings send
+    ``q*H^k`` to ``q*d``.  Surface lattices return the stored rational in
+    codimension 2, the pairing with H in codimension 1, and ``q*(H.H)`` in
+    codimension 0.  The zero class has degree 0.  The degree is a
+    ``Fraction`` also for an ``int``-valued class.
     """
-    if cls.ring is not ring and cls.ring != ring:
-        raise RingMismatchError("class does not belong to the given ring")
-    if codim < 0 or codim > ring.dim:
-        raise ValueError(f"codimension {codim} out of range for a {ring.dim}-dimensional ring")
-    if cls.codim is not None and cls.codim != codim:
-        raise ValueError(f"a class of codimension {cls.codim} has no degree in codimension {codim}")
-    value = cls.component(codim)
+    ring, codim, value = cls
+    if codim is None:
+        return Fraction(0)
     if isinstance(ring, RankOneRing):
         return value * ring.h_degree
     if codim == 2:

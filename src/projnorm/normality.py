@@ -535,9 +535,9 @@ def sectional_curve_criterion(V, E: ChernVector) -> NormalityVerdict:
     canonical, n = V.canonical, ring.dim
     if E.ring != ring:
         raise RingMismatchError("bundle does not live on the given variety model")
-    s = segre_dual(E, n)
-    adjoint = ring_degree(ring, (canonical + E.c1) * s[n - 1], n)
-    deg = ring_degree(ring, s[n], n)
+    s = segre_dual(E)
+    adjoint = ring_degree((canonical + E.c1) * s[n - 1])
+    deg = ring_degree(s[n])
     genus = 1 + Fraction(adjoint + (n - 2) * deg, 2)
     margin = deg - (2 * genus + 1)
     segre_form = (3 - n) * deg - 3 - adjoint

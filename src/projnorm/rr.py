@@ -217,10 +217,9 @@ class HypersurfaceP4(_Hypersurface):
 
 def surface_numbers(S: Surface, E: ChernVector) -> tuple:
     """The numbers (c1^2, c1.K, c2) of a bundle E on S, as Fractions."""
-    lat = S.lattice
-    if E.ring != lat:
+    if E.ring != S.lattice:
         raise RingMismatchError("bundle does not live on the given surface")
-    return ring_degree(lat, E.c1 * E.c1, 2), ring_degree(lat, E.c1 * S.canonical, 2), ring_degree(lat, E.c2, 2)
+    return ring_degree(E.c1 * E.c1), ring_degree(E.c1 * S.canonical), ring_degree(E.c2)
 
 
 def chi_surface(S: Surface, E: ChernVector) -> Fraction:

@@ -66,8 +66,8 @@ def h0_powers_surface_det_special(S: Surface, r: int) -> tuple:
     The specialized closed forms in (d, K^2, K.H, chi(O_S)) alone; returned
     as raw rationals so they can be compared against the generic forms.
     """
-    d, chi, lat, K = S.degree, S.chi_o, S.lattice, S.canonical
-    k2, kh = ring_degree(lat, K * K, 2), ring_degree(lat, K, 1)
+    d, chi, K = S.degree, S.chi_o, S.canonical
+    k2, kh = ring_degree(K * K), ring_degree(K)
     return (
         Fraction(r * r, 4) * (17 * d + 6 * kh + k2 - 4 * chi),
         Fraction(r, 8)
@@ -87,10 +87,10 @@ def h0_powers_surface(S: Surface, E: ChernVector) -> PowerCounts:
     specialized forms in (d, K^2, K.H, chi) are evaluated as well and any
     disagreement flags inconsistent input.
     """
-    lat, K = S.lattice, S.canonical
+    K = S.canonical
     c1sq, c1k, c2 = surface_numbers(S, E)
     r, d, chi, c1 = E.rank, S.degree, S.chi_o, E.c1
-    c1h, expected_c1h = ring_degree(lat, c1, 1), Fraction(r * (3 * d + ring_degree(lat, K, 1)), 2)
+    c1h, expected_c1h = ring_degree(c1), Fraction(r * (3 * d + ring_degree(K)), 2)
     if c1h != expected_c1h:
         raise DataError(f"an Ulrich bundle has c1.H = r(3H^2 + H.K)/2 = {expected_c1h}, got {c1h}")
     expected_c2 = casnati_c2(c1sq, c1k, r, d, chi)

@@ -74,7 +74,8 @@ def _sym_k_c1(E, roots) -> bool:
     for k in range(1, 5):
         derived = [sum(c) for c in combinations_with_replacement(roots, k)]
         e1 = elementary_symmetric(derived, 1)[1]
-        if sym_k_c1(E, k).component(1) != e1:
+        # the sampled bundles live on a ring with H^3 = 1, so a divisor's degree is its coefficient
+        if ring_degree(sym_k_c1(E, k)) != e1:
             return False
     return True
 
@@ -100,8 +101,8 @@ def _threefold_powers(V, E) -> tuple:
     return (
         chi_threefold_hypersurface(V, t2),
         chi_threefold_hypersurface(V, s2),
-        ring_degree(V.ring, t2.c3, 3),
-        ring_degree(V.ring, s2.c3, 3),
+        ring_degree(t2.c3),
+        ring_degree(s2.c3),
     )
 
 

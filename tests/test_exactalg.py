@@ -67,46 +67,84 @@ def test_binom_extension():
 
 def test_rank_one_degree_examples():
     ring = RankOneRing(2, Fraction(4))
-    assert ring_degree(ring, divisor(ring, 3), 1) == 12  # 3H against H, H.H = 4
+    assert ring_degree(divisor(ring, 3)) == 12  # 3H against H, H.H = 4
     ring3 = RankOneRing(3, Fraction(5))
-    assert ring_degree(ring3, GradedClass.of(ring3, 3, 1), 3) == 5  # H^3 integrates to d
+    assert ring_degree(GradedClass.of(ring3, 3, 1)) == 5  # H^3 integrates to d
 
 
 def test_surface_lattice_quadratic_form():
     c = divisor(QUARTIC_K3, (3, 0))
     # oracle: the quadratic form directly, 3 * 3 * (H.H)
     assert QUARTIC_K3.pair((Fraction(3), Fraction(0)), (Fraction(3), Fraction(0))) == 36
-    assert ring_degree(QUARTIC_K3, c * c, 2) == 36
+    assert ring_degree(c * c) == 36
 
 
 def test_degree_errors():
     ring = RankOneRing(2, Fraction(4))
     other = RankOneRing(2, Fraction(3))
     cls = divisor(ring, 1)
-    with pytest.raises(RingMismatchError):
-        ring_degree(other, cls, 1)
-    with pytest.raises(ValueError):
-        ring_degree(ring, cls, 3)
+    # the degree is read in the class's own ring: the same H has H.H = 4 or 3
+    assert ring_degree(cls) == 4 and ring_degree(divisor(other, 1)) == 3
+    # H^3 truncates to zero on a surface ring, and the zero class has degree 0
+    assert ring_degree(cls * cls * cls) == 0
     with pytest.raises(RingMismatchError):
         cls * divisor(other, 1)
 
 
-def test_degree_refuses_a_class_of_another_codimension():
+def test_degree_reads_the_codimension_off_the_class():
     from projnorm.rr import HypersurfaceP4, solve_ulrich_chern
 
     X = HypersurfaceP4(5)
-    c2 = solve_ulrich_chern(X, 3).c2
-    assert ring_degree(X.ring, c2, 2) == 75
-    for codim in (0, 1, 3):
-        with pytest.raises(ValueError, match="codimension 2"):
-            ring_degree(X.ring, c2, codim)
+    E = solve_ulrich_chern(X, 3)
+    H = divisor(X.ring, 1)
+    assert ring_degree(E.c2) == 75
+    # c2 against H, and the c2 H-coefficient 15 against H^2 (H^3 = 5)
+    assert ring_degree(E.c2 * H) == 75 == 15 * ring_degree(H * H)
+    assert ring_degree(E.c1) == 30 and ring_degree(E.c1 * H) == 30
     p3 = RankOneRing(3, Fraction(1))
-    with pytest.raises(ValueError):
-        ring_degree(p3, divisor(p3, 1), 2)
-    with pytest.raises(ValueError):
-        ring_degree(QUARTIC_K3, divisor(QUARTIC_K3, (1, 0)), 2)
-    for ring in (p3, QUARTIC_K3):
-        assert all(ring_degree(ring, GradedClass(ring), k) == 0 for k in range(ring.dim + 1))
+    assert [ring_degree(GradedClass.of(p3, k, 2)) for k in range(4)] == [2, 2, 2, 2]
+    # on a surface lattice each codimension has its own evaluation
+    assert ring_degree(unit(QUARTIC_K3, 2)) == 8  # 2 (H.H)
+    assert ring_degree(divisor(QUARTIC_K3, (1, 5))) == 4  # (H + 5K).H, K.H = 0
+    assert ring_degree(GradedClass.of(QUARTIC_K3, 2, 3)) == 3  # stored already integrated
+
+
+scalars = st.one_of(st.integers(-20, 20), fractions)
+
+
+@st.composite
+def graded_classes(draw):
+    """``(class, its degree evaluated by hand)`` in a rank-one ring or a one-
+    or two-generator surface lattice, in any codimension, zero included;
+    values are ints or Fractions, so ``int``-valued classes are drawn too."""
+    if draw(st.booleans()):
+        ring = RankOneRing(draw(st.integers(1, 3)), draw(fractions))
+        codim = draw(st.integers(0, ring.dim))
+        value = draw(scalars)
+        expected = value * ring.h_degree
+    else:
+        n = draw(st.integers(1, 2))
+        entries = draw(st.lists(fractions, min_size=3, max_size=3))
+        gram = ((entries[0],),) if n == 1 else ((entries[0], entries[1]), (entries[1], entries[2]))
+        ring = SurfaceLattice(("H", "K")[:n], gram)
+        codim = draw(st.integers(0, 2))
+        if codim == 1:
+            value = DivisorVector(draw(st.lists(scalars, min_size=n, max_size=n)))
+            expected = sum(c * gram[i][0] for i, c in enumerate(value))
+        else:
+            value = draw(scalars)
+            expected = value if codim == 2 else value * gram[0][0]
+    cls = GradedClass(ring, codim, value) if value else GradedClass(ring)
+    return cls, expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(graded_classes())
+def test_degree_is_the_class_evaluated_in_its_own_ring_and_codimension(case):
+    cls, expected = case
+    for c in (cls, GradedClass.of(cls.ring, cls.codim, cls.value) if cls.value else cls):
+        degree = ring_degree(c)
+        assert type(degree) is Fraction and degree == expected
 
 
 def test_lattice_requires_symmetry():
@@ -544,10 +582,10 @@ def test_ring_shape_follows_the_ring_not_the_vector_length():
     # still pair through the Gram matrix, not multiply as scalars
     line = SurfaceLattice(("H",), ((4,),))
     h = divisor(line, 1)
-    assert ring_degree(line, h * h, 2) == 4
-    assert ring_degree(line, h, 1) == 4
-    assert ring_degree(line, unit(line, 3), 0) == 12
-    assert (h * h).component(2) == 4
+    assert ring_degree(h * h) == 4
+    assert ring_degree(h) == 4
+    assert ring_degree(unit(line, 3)) == 12
+    assert h * h == GradedClass.of(line, 2, 4)
 
 
 def test_class_repr_in_both_ring_shapes():
@@ -563,18 +601,18 @@ def test_class_repr_in_both_ring_shapes():
     assert repr(divisor(QUARTIC_K3, (0, 7))) == "(7*K)"
 
 
-def test_absent_component_is_a_zero_of_the_ring_shape():
+def test_zero_class_has_a_fraction_zero_degree_in_both_ring_shapes():
+    for ring in (QUARTIC_K3, SurfaceLattice(("H",), ((4,),)), RankOneRing(2, Fraction(3))):
+        # a zero value in any codimension, scalar or divisor vector, is the zero class
+        for codim in range(ring.dim + 1):
+            zero = GradedClass.of(ring, codim, 0)
+            assert zero == GradedClass(ring) and zero.value is None
+            degree = ring_degree(zero)
+            assert type(degree) is Fraction and degree == 0
+    assert GradedClass.of(QUARTIC_K3, 1, (0, 0)) == GradedClass(QUARTIC_K3)
+    # a class of one codimension is a nonzero class there and nothing else
     lattice_unit = unit(QUARTIC_K3)
-    divisor_zero = lattice_unit.component(1)
-    assert isinstance(divisor_zero, tuple)
-    assert divisor_zero == (0, 0)
-    assert lattice_unit.component(2) == 0
-    assert not isinstance(lattice_unit.component(2), tuple)
-    assert divisor(QUARTIC_K3, (1, 2)).component(0) == 0
-    rank_one = unit(RankOneRing(2, Fraction(3)))
-    for codim in (1, 2):
-        zero = rank_one.component(codim)
-        assert isinstance(zero, Fraction) and zero == 0
+    assert (lattice_unit.codim, lattice_unit.value) == (0, 1)
 
 
 @pytest.mark.parametrize("a", [divisor(RankOneRing(3, Fraction(2)), Fraction(3, 2)), divisor(QUARTIC_K3, (1, 2))])

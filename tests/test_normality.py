@@ -437,7 +437,7 @@ def test_sectional_curve_threefold():
     E = solve_ulrich_chern(V, 3)
     v = sectional_curve_criterion(V, E)
     # deg P(E) = s_3(E*)
-    assert v.witness.lhs == ring_degree(V.ring, segre_dual(E, 3)[3], 3)
+    assert v.witness.lhs == ring_degree(segre_dual(E)[3])
 
 
 def test_sectional_curve_rejects_a_bundle_on_another_ring():
@@ -506,10 +506,10 @@ def test_ci_scan_closed_form_matches_surface_pipeline():
             assert chi_surface(S, sym2(E)) == ci_h0_sym2(r, d), (a, r)
 
 
-def _segre_margin(ring, canonical, E, n):
+def _segre_margin(canonical, E, n):
     # the Segre form of the criterion: (3-n) s_n(E*) - 3 - (K + c1).s_{n-1}(E*)
-    s = segre_dual(E, n)
-    return (3 - n) * ring_degree(ring, s[n], n) - 3 - ring_degree(ring, (canonical + E.c1) * s[n - 1], n)
+    s = segre_dual(E)
+    return (3 - n) * ring_degree(s[n]) - 3 - ring_degree((canonical + E.c1) * s[n - 1])
 
 
 def test_sectional_curve_forms_agree_on_random_data():
@@ -525,7 +525,7 @@ def test_sectional_curve_forms_agree_on_random_data():
             Fraction(rng.randint(-40, 40)),
         )
         v = sectional_curve_criterion(S, E)  # raises if the two forms diverge
-        assert _segre_margin(S.lattice, S.canonical, E, 2) == v.witness.lhs - v.witness.rhs
+        assert _segre_margin(S.canonical, E, 2) == v.witness.lhs - v.witness.rhs
     V = HypersurfaceP4(4)
     from projnorm.chern import bundle_from_roots
     from rational_roots import rand_rational
@@ -533,7 +533,7 @@ def test_sectional_curve_forms_agree_on_random_data():
     for _ in range(20):
         E = bundle_from_roots(V.ring, [rand_rational(rng) for _ in range(3)])
         v = sectional_curve_criterion(V, E)
-        assert _segre_margin(V.ring, V.canonical, E, 3) == v.witness.lhs - v.witness.rhs
+        assert _segre_margin(V.canonical, E, 3) == v.witness.lhs - v.witness.rhs
 
 
 def test_verdict_accessors():

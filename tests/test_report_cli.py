@@ -150,6 +150,21 @@ def test_cli_check_surface_matches_hypersurface_route():
     assert rows[("value", "casnati_c2_reference")]["value"] == "14/1"
 
 
+def test_cli_check_surface_reads_joined_fractions_and_exact_decimals():
+    def values(*c1_c2):
+        code, out, err = run_cli(
+            "--format", "csv", "check", "surface",
+            "--h2", "4", "--hk", "0", "--k2", "0", "--chi", "2", "--r", "2", *c1_c2,
+        )
+        assert code == 0 and err == ""
+        return {row["name"]: row["value"] for row in csv.DictReader(io.StringIO(out)) if row["kind"] == "value"}
+
+    # a negative p/q is given joined to its option; its cell prints as read
+    assert values("--c1", "3", "--c2=-7/4")["c2"] == "-7/4"
+    # an exact decimal is a rational: c1 = 1.5 H = 3/2 H gives c1^2 = 9/4 * 4
+    assert values("--c1", "1.5", "--c2", "14")["c1_sq"] == "9"
+
+
 @pytest.mark.xfail(
     strict=True,
     reason=(

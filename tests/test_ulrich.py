@@ -230,17 +230,17 @@ def test_casnati_c2_is_closed_under_the_ulrich_dual():
         S = surface_model(rng.randint(1, 12), rng.randint(-20, 20), rng.randint(-20, 20), rng.randint(-3, 5))
         lat, K, H, d = S.lattice, S.canonical, S.hyperplane, S.degree
         r = rng.randint(1, 6)
-        kh = ring_degree(lat, K, 1)
+        kh = ring_degree(K)
         b = Fraction(rng.randint(-30, 30), rng.randint(1, 4))
         ulrich_c1 = divisor(lat, ((Fraction(r * (3 * d + kh), 2) - b * kh) / d, b))
 
         def c2(c):
-            return casnati_c2(ring_degree(lat, c * c, 2), ring_degree(lat, c * K, 2), r, d, S.chi_o)
+            return casnati_c2(ring_degree(c * c), ring_degree(c * K), r, d, S.chi_o)
 
         for c1, gap in ((ulrich_c1, 0), (ulrich_c1 + H, 3 * d)):
             F = twist(dual(ChernVector.of(lat, r, c1, c2(c1))), K + 3 * H)
             assert numerically_equal(F.c1, r * (K + 3 * H) - c1)
-            assert ring_degree(lat, F.c2, 2) - c2(F.c1) == gap
+            assert ring_degree(F.c2) - c2(F.c1) == gap
 
 
 def test_solved_ulrich_data_h0():
@@ -294,8 +294,8 @@ def test_p4_chi_matches_hrr_pipeline():
             s2 = sym2(E)
             assert data.chi_tensor2 == chi_threefold_hypersurface(V, t2)
             assert data.chi_sym2 == chi_threefold_hypersurface(V, s2)
-            assert data.c3_tensor2 == ring_degree(V.ring, t2.c3, 3)
-            assert data.c3_sym2 == ring_degree(V.ring, s2.c3, 3)
+            assert data.c3_tensor2 == ring_degree(t2.c3)
+            assert data.c3_sym2 == ring_degree(s2.c3)
 
 
 def test_p4_parity_enforced():

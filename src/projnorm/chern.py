@@ -22,9 +22,10 @@ from .exactalg import (
     Ring,
     RingMismatchError,
     Scalar,
-    as_fraction,
+    _new,
     binom,
     elementary_symmetric,
+    exact,
     unit,
 )
 
@@ -95,7 +96,7 @@ class ChernVector(_ChernFields):
 
     @staticmethod
     def of(ring: Ring, rank: int, c1=0, c2=0, c3=0) -> "ChernVector":
-        """Build a ChernVector, coercing scalars and coefficient vectors.
+        """Build a ChernVector from classes, scalars and coefficient vectors.
 
         Scalars mean multiples of H^k (of the first lattice generator in
         codimension 1 on surfaces); sequences give divisor coefficients.
@@ -111,22 +112,17 @@ class ChernVector(_ChernFields):
         return ChernVector(rank, coerce(c1, 1), coerce(c2, 2), coerce(c3, 3))
 
 
-#: Builds a vector from its field tuple without the constructor's checks;
-#: for results whose classes are homogeneous on one ring by construction.
-_new = tuple.__new__
-
-
 def bundle_from_roots(ring: RankOneRing, roots: Sequence[Scalar]) -> ChernVector:
     """Chern data of a formal direct sum of line bundles with the given roots.
 
     c_i is the i-th elementary symmetric function of the roots, placed on
-    H^i; only rank-one rings carry root data.  Each root is an ``int`` or a
-    ``Fraction`` (anything else raises ``TypeError``), used as given, so
-    integer roots give ``int`` classes, which closed forms keep in ints.
+    H^i; only rank-one rings carry root data.  Each root is read through
+    :func:`exact`, as a class value is, so integer roots give ``int``
+    classes, which closed forms keep in ints.
     """
     if not isinstance(ring, RankOneRing):
         raise TypeError("Chern roots live in a rank-one ring")
-    roots = [x if type(x) is int else as_fraction(x) for x in roots]
+    roots = [exact(x) for x in roots]
     up_to = min(3, ring.dim)
     e = elementary_symmetric(roots, up_to)
     classes = [GradedClass(ring, k, e[k]) if k <= up_to and e[k] else GradedClass(ring) for k in range(1, 4)]

@@ -159,8 +159,8 @@ def check_threefold_hyp(d: int, r: int) -> ScanReport:
         _value_row("chi_bundle", chi_threefold_hypersurface(V, E)),
         _value_row("chi_tensor2", powers.chi_tensor2),
         _value_row("chi_sym2", powers.chi_sym2),
-        _value_row("c3_tensor2", powers.c3_tensor2),
-        _value_row("c3_sym2", powers.c3_sym2),
+        _value_row("c3_tensor2", as_fraction(powers.c3_tensor2)),
+        _value_row("c3_sym2", as_fraction(powers.c3_sym2)),
         _value_row("dim_tensor2_h0", h0 * h0),
         _value_row("dim_sym2_h0", binom(h0 + 1, 2)),
         _verdict_row(strong),

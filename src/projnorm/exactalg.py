@@ -3,8 +3,10 @@
 Every scalar in this package is exact: a Python ``int`` where the value
 is integral by construction, an arbitrary-precision rational
 (``fractions.Fraction``) otherwise; nothing on the computation path ever
-touches floating point.  Two ring shapes cover all the varieties handled
-downstream:
+touches floating point.  :func:`exact` is the one rule for the scalars a
+class accepts, and a number becomes a ``Fraction`` where it leaves the
+ring (:func:`ring_degree`, :func:`as_fraction`).  Two ring shapes cover
+all the varieties handled downstream:
 
 * :class:`RankOneRing` (dimension ``n``, degree ``d``): a class in
   codimension ``k`` is a rational multiple of ``H^k``, products truncate
@@ -17,11 +19,10 @@ downstream:
   rationals.
 
 A :class:`GradedClass` is homogeneous: one codimension and one component,
-built by ``GradedClass.of(ring, codim, value)``, which coerces the value
-to ``Fraction`` (or a vector of them), so every class that can reach a
-report prints as a rational.  The class is a ``typing.NamedTuple``.  Sums
-over several codimensions, such as a Chern or Todd class, are kept as
-tuples of graded pieces.
+built by ``GradedClass.of(ring, codim, value)``, which keeps an ``int`` or
+``Fraction`` value (or a vector of them) as given.  The class is a
+``typing.NamedTuple``.  Sums over several codimensions, such as a Chern
+or Todd class, are kept as tuples of graded pieces.
 
 The module also houses the randomized splitting-principle oracle used to
 validate every closed-form Chern-class construction: formal Chern roots
@@ -74,6 +75,19 @@ class DataError(ValueError):
     """Numerical input is inconsistent with the constraints it claims to satisfy."""
 
 
+def exact(value) -> Scalar:
+    """``value`` as a class scalar: an ``int`` or a ``Fraction`` as given, a
+    subclass of either (an ``IntEnum`` member) as its base type; ``bool``,
+    ``float`` and everything else raise ``TypeError``."""
+    if type(value) is int or type(value) is Fraction:
+        return value
+    if isinstance(value, Fraction):
+        return Fraction(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    raise TypeError(f"expected an integer or Fraction, got {value!r}")
+
+
 def as_fraction(value: Scalar) -> Fraction:
     # an exact int is tested first: for an int, isinstance(value, Fraction)
     # runs the slow ABC check of numbers.Rational
@@ -81,9 +95,7 @@ def as_fraction(value: Scalar) -> Fraction:
         return Fraction(value)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise TypeError(f"expected an integer or Fraction, got {value!r}")
+    return Fraction(exact(value))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -216,7 +228,7 @@ class SurfaceLattice(_LatticeFields):
 
     def generator(self, i: int) -> "DivisorVector":
         """Coefficient vector of the ``i``-th generator (H for ``i = 0``)."""
-        return DivisorVector(Fraction(int(j == i)) for j in range(len(self.basis)))
+        return DivisorVector(int(j == i) for j in range(len(self.basis)))
 
     def __repr__(self) -> str:
         return f"SurfaceLattice(basis={self.basis})"
@@ -239,7 +251,8 @@ class DivisorVector(tuple):
         return DivisorVector(-x for x in self)
 
     def __mul__(self, scalar) -> "DivisorVector":
-        if not isinstance(scalar, (int, Fraction)):
+        # ``type`` rather than ``isinstance``: a bool is not a scalar here
+        if type(scalar) is not int and type(scalar) is not Fraction:
             return NotImplemented
         return DivisorVector(x * scalar for x in self)
 
@@ -256,12 +269,12 @@ def _coerce_component(ring: Ring, codim: int, value):
     if isinstance(ring, SurfaceLattice) and codim == 1:
         if isinstance(value, (int, Fraction)):
             # scalar shorthand: a multiple of the first generator (H)
-            return ring.generator(0) * as_fraction(value)
-        vec = DivisorVector(as_fraction(v) for v in value)
+            return ring.generator(0) * exact(value)
+        vec = DivisorVector(exact(v) for v in value)
         if len(vec) != len(ring.basis):
             raise ValueError("divisor coefficient vector does not match lattice basis")
         return vec
-    return as_fraction(value)
+    return exact(value)
 
 
 class GradedClass(NamedTuple):
@@ -270,11 +283,9 @@ class GradedClass(NamedTuple):
     A nonzero class has one codimension ``codim``, no higher than the ring
     dimension, and one exact nonzero component ``value`` in that ring's
     shape: an ``int`` or a ``Fraction``, or a :class:`DivisorVector` of
-    them for surface divisors.  :meth:`of` stores ``Fraction``; ``int``
-    values are built without it where they are integral by construction
-    (Chern classes of integer roots, the Ulrich solver's point bundles,
-    ch_0 and exactly divisible ch_2 and ch_3), and arithmetic keeps them
-    until they meet a ``Fraction``.
+    them for surface divisors.  :meth:`of` keeps each value as given
+    (:func:`exact`), and arithmetic keeps an ``int`` until it meets a
+    ``Fraction``.
     The zero class has neither (both are None), so structural equality is
     semantic equality, and equal classes hash equal also when one value is
     an ``int`` and the other a ``Fraction``.  A sum over several
@@ -305,7 +316,11 @@ class GradedClass(NamedTuple):
 
     @staticmethod
     def of(ring: Ring, codim: int, value) -> "GradedClass":
-        """The class ``value`` in codimension ``codim``, checked in any; zero above ``ring.dim``."""
+        """The class ``value`` in codimension ``codim``, checked in any; zero above ``ring.dim``.
+
+        Each scalar, a vector entry included, passes :func:`exact`; a
+        scalar surface divisor is that multiple of the first generator (H).
+        """
         if codim < 0:
             raise ValueError("negative codimension")
         value = _coerce_component(ring, codim, value)
@@ -497,8 +512,7 @@ def splitting_oracle(
     [-100, 100].  The difference of the two sides in codimension ``k`` is
     a polynomial of degree ``k`` in the roots, so by Schwartz-Zippel a
     trial misses a nonzero difference with probability at most ``k / 201``.
-    At integer roots every class is an int; only the twist divisor, built
-    by :func:`divisor`, is a ``Fraction``.
+    At integer roots every class, the twist divisor included, is an int.
 
     ``closed_form`` maps a ChernVector to a ChernVector, except for
     ``tensor_line`` where it takes ``(bundle, divisor)`` (the twist rule).

@@ -30,7 +30,6 @@ from typing import NamedTuple
 
 from .chern import ChernVector, chern_character, twist
 from .exactalg import (
-    DivisorVector,
     GradedClass,
     ParityError,
     RankOneRing,
@@ -38,6 +37,7 @@ from .exactalg import (
     Scalar,
     SolverError,
     SurfaceLattice,
+    _new,
     as_fraction,
     divisor,
     ring_degree,
@@ -71,7 +71,7 @@ class Surface(_SurfaceFields):
             raise RingMismatchError("canonical class must live in the surface lattice")
         if canonical.codim not in (None, 1):
             raise ValueError("canonical class must be a divisor")
-        return tuple.__new__(cls, (lattice, as_fraction(chi_o), geometric_genus, canonical))
+        return _new(cls, (lattice, as_fraction(chi_o), geometric_genus, canonical))
 
     @property
     def hyperplane(self) -> GradedClass:
@@ -267,16 +267,15 @@ def solve_ulrich_chern(V, rank: int) -> ChernVector:
     chi(E(-p)) = 0 for p = 1..n for the remaining Chern numbers: c2 on
     surfaces, (c2, c3) on threefolds.  chi(E(-p)) is affine in them, so
     each row comes from evaluating it at zero and at each unit point.
-    Point bundles in ints, one coercion at the result: the n point
-    bundles and the twisting class h hold ``int`` values (a vector of
-    them for the divisors on P^3), built once per solve and without
-    coercion.  On P^4 each twist stays in ints, and so does its Chern
-    character where 2 and 6 divide ch_2 and ch_3; on P^3 its divisor
-    products come from the lattice's rational Gram matrix.  Every row is
-    still evaluated at every point, n^2 evaluations of chi in all, each
-    a ``Fraction``.  The principal system is 1x1 on P^3 and 2x2 on P^4.
-    The solution is returned through :meth:`ChernVector.of`, so its
-    classes are ``Fraction``-valued.
+    The n point bundles and the twisting class h hold ``int`` values (a
+    vector of them for the divisors on P^3), built once per solve.  On
+    P^4 each twist stays in ints, and so does its Chern character where 2
+    and 6 divide ch_2 and ch_3; on P^3 its divisor products come from the
+    lattice's rational Gram matrix.  Every row is still evaluated at
+    every point, n^2 evaluations of chi in all, each a ``Fraction``.  The
+    principal system is 1x1 on P^3 and 2x2 on P^4.  The solution keeps
+    the pinned c1 as an ``int`` class (a vector of ints on P^3); c2 and
+    c3 are the ``Fraction`` quotients of Cramer's rule.
     The first n-1 rows are solved exactly and row n must agree; a
     singular principal system or an inconsistent last row raises
     SolverError instead of guessing.  E^v((d-1)H) is Ulrich with E
@@ -297,12 +296,8 @@ def solve_ulrich_chern(V, rank: int) -> ChernVector:
     n = ring.dim
     names = ", ".join(f"c{k}" for k in range(2, n + 1))
     # points[0] is the zero point and points[j - 1] has c_j = 1, j = 2..n
-    c1 = _int_class(ring, 1, c1_coefficient)
-    points = [
-        ChernVector(rank, c1, _int_class(ring, 2, int(j == 2)), _int_class(ring, 3, int(j == 3)))
-        for j in range(1, n + 1)
-    ]
-    h = _int_class(ring, 1, 1)
+    points = [ChernVector.of(ring, rank, c1_coefficient, int(j == 2), int(j == 3)) for j in range(1, n + 1)]
+    h = divisor(ring, 1)
     rows = []  # chi(E(-p)) = a.x + b is affine in the unknowns x; (a, b) for p = 1..n
     for p in range(1, n + 1):
         L = -p * h
@@ -317,17 +312,6 @@ def solve_ulrich_chern(V, rank: int) -> ChernVector:
     if sum(a * xj for a, xj in zip(last, x)) + b_last != 0:
         raise SolverError(f"inconsistent twist constraints for ({names})")
     return ChernVector.of(ring, rank, c1_coefficient, *x)
-
-
-def _int_class(ring, codim: int, value: int) -> GradedClass:
-    """The class ``value * H^codim`` with an ``int`` value, built without
-    coercion: a divisor on a surface lattice holds the vector
-    ``(value, 0, ...)`` on its generators, H first."""
-    if not value:
-        return GradedClass(ring)
-    if codim == 1 and isinstance(ring, SurfaceLattice):
-        value = DivisorVector((value,) + (0,) * (len(ring.basis) - 1))
-    return GradedClass(ring, codim, value)
 
 
 def _det(matrix: list) -> Fraction:

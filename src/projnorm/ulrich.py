@@ -48,8 +48,8 @@ class ThreefoldPowerData(NamedTuple):
 
     chi_tensor2: int
     chi_sym2: int
-    c3_tensor2: Fraction
-    c3_sym2: Fraction
+    c3_tensor2: int
+    c3_sym2: int
 
 
 def _require_count(num: int, den: int, label: str) -> int:
@@ -137,10 +137,10 @@ def chi_powers_p4_hypersurface(d: int, r: int) -> ThreefoldPowerData:
     # chi(S^2 E) is negative once d > 3r+4, so these are not counts
     chi_t2, rem_t2 = divmod(r * r * d * (d + 1) * (d + 3), 8)
     chi_s2, rem_s2 = divmod(r * d * (d + 1) * (d + 3) * (3 * r + 4 - d), 48)
-    if rem_t2 or rem_s2:
-        raise DataError("Euler characteristics of the powers must be integers")
-    c3_t2 = Fraction(r * r * d * (d - 1) ** 2 * (r * r - 2) * (2 * r * r * (d - 1) + 3 - d), 12)
-    c3_s2 = Fraction(r * d * (d - 1) ** 2 * (r + 2) * (r * r + r - 4) * (r * r * (d - 1) + 2), 48)
+    c3_t2, rem_c3_t2 = divmod(r * r * d * (d - 1) ** 2 * (r * r - 2) * (2 * r * r * (d - 1) + 3 - d), 12)
+    c3_s2, rem_c3_s2 = divmod(r * d * (d - 1) ** 2 * (r + 2) * (r * r + r - 4) * (r * r * (d - 1) + 2), 48)
+    if rem_t2 or rem_s2 or rem_c3_t2 or rem_c3_s2:
+        raise DataError("Euler characteristics and c3 numbers of the powers must be integers")
     return ThreefoldPowerData(chi_t2, chi_s2, c3_t2, c3_s2)
 
 

@@ -1,34 +1,62 @@
-"""Integral values stay ``int`` inside the class ring; what leaves it is ``Fraction``.
+"""Class values stay as given or computed; what leaves the ring is ``Fraction``.
 
-The Chern character, Riemann-Roch and the intersection pairing keep
-values that are integral by construction as ``int``.  Two things are
-pinned here.  First, the boundary: every Euler characteristic and degree
-is a ``Fraction`` also on ``int``-valued data, because a report prints
-the two differently (JSON writes ``5`` for an int and ``"5/1"`` for a
-rational).  Second, the values: the plain ``GradedClass`` formulas are
-written out below as oracles and compared with these functions over
-drawn ``int`` and ``Fraction`` data.  Third, the report cell: a verdict's
+``GradedClass.of`` keeps an ``int`` or ``Fraction`` value as given, and
+the Chern character, Riemann-Roch and the intersection pairing keep
+values that are integral by construction as ``int``.  Four things are
+pinned here.  First, the class values: ``GradedClass.of`` keeps the exact
+type of each scalar and refuses every other one, and every class the
+solver and the oracle constructions build holds only ``int`` and
+``Fraction``.  Second, the boundary: every Euler characteristic and
+degree is a ``Fraction`` also on ``int``-valued data, because a report
+prints the two differently (JSON writes ``5`` for an int and ``"5/1"``
+for a rational).  Third, the values: the plain ``GradedClass`` formulas
+are written out below as oracles and compared with these functions over
+drawn ``int`` and ``Fraction`` data.  Fourth, the report cell: a verdict's
 witness sides stay as computed (``int`` for counts and curve rules) and
 every cell printed from a witness is a ``Fraction``, so a scan that only
 reads ``fired`` builds no ``Fraction`` at all.
 """
 
+from decimal import Decimal
+from enum import IntEnum
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from projnorm import cli, rr
-from projnorm.chern import ChernVector, bundle_from_roots, chern_character, twist
-from projnorm.exactalg import DivisorVector, GradedClass, ring_degree, unit
+from projnorm import chern, cli, rr
+from projnorm.chern import (
+    ChernVector,
+    bundle_from_roots,
+    chern_character,
+    sym2,
+    sym3,
+    tensor_square,
+    twist,
+    wedge2,
+)
+from projnorm.exactalg import (
+    DivisorVector,
+    GradedClass,
+    RankOneRing,
+    SurfaceLattice,
+    divisor,
+    ring_degree,
+    splitting_oracle,
+    unit,
+)
 from projnorm.normality import CurveCase, curve_verdicts
 from projnorm.rr import (
     HypersurfaceP3,
     HypersurfaceP4,
     chi_surface,
     chi_threefold_hypersurface,
+    parity_ok,
     solve_ulrich_chern,
+    surface_numbers,
 )
+from projnorm.verify import _ORACLES
 
 
 _QUINTIC = HypersurfaceP4(5)  # td_1 = 0 here, since c1(T) = 5 - d
@@ -39,12 +67,117 @@ def _is_fraction(value) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the class values: as given or computed, ints and Fractions only
+
+
+class _Coefficient(IntEnum):
+    TWO = 2
+
+
+_exact_scalars = st.one_of(st.integers(-20, 20), st.fractions(min_value=-20, max_value=20, max_denominator=9))
+
+
+@st.composite
+def _rings(draw):
+    """A rank-one ring of dimension 1..3 or a one- or two-generator lattice."""
+    h = draw(st.fractions(min_value=-9, max_value=9, max_denominator=4))
+    if draw(st.booleans()):
+        return RankOneRing(draw(st.integers(1, 3)), h)
+    if draw(st.booleans()):
+        return SurfaceLattice(("H",), ((h,),))
+    return SurfaceLattice(("H", "K"), ((h, 1), (1, draw(_exact_scalars))))
+
+
+def _entries(cls) -> tuple:
+    """The scalars a class holds: none for zero, each coefficient of a surface divisor."""
+    if cls.is_zero:
+        return ()
+    return tuple(cls.value) if type(cls.value) is DivisorVector else (cls.value,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rings(), st.data())
+def test_of_keeps_int_and_fraction_values_and_refuses_other_scalars(ring, data):
+    codim = data.draw(st.integers(0, ring.dim))
+    n = len(ring.basis) if type(ring) is SurfaceLattice and codim == 1 else 0
+    value = tuple(data.draw(st.lists(_exact_scalars, min_size=n, max_size=n))) if n else data.draw(_exact_scalars)
+    given_ = value if n else (value,)
+    held = _entries(GradedClass.of(ring, codim, value))
+    if any(given_):
+        assert held == given_ and [type(x) for x in held] == [type(x) for x in given_]
+    else:
+        assert held == ()
+    # an IntEnum member becomes an int, as a scalar, a shorthand divisor or a vector entry
+    for enum_value in [_Coefficient.TWO] + ([(_Coefficient.TWO,) * n] if n else []):
+        held = _entries(GradedClass.of(ring, codim, enum_value))
+        assert held[0] == 2 and all(type(x) is int for x in held)
+    for bad in (True, False, 1.5, Decimal("2"), "2"):
+        with pytest.raises(TypeError):
+            GradedClass.of(ring, codim, bad)
+        if n:
+            with pytest.raises(TypeError):
+                GradedClass.of(ring, codim, (bad,) * n)
+
+
+def _assert_exact_bundle(E):
+    """Every class value of E is exactly an int or a Fraction, and every
+    degree of its classes is a Fraction."""
+    for c in (E.c1, E.c2, E.c3):
+        assert all(type(x) is int or type(x) is Fraction for x in _entries(c)), E
+        if c.codim is not None:
+            assert type(ring_degree(c)) is Fraction, c
+
+
+def test_solver_and_construction_classes_hold_ints_or_fractions(monkeypatch):
+    # the solver on P^3 and P^4, and the oracle constructions on its output
+    solved = 0
+    for model in (HypersurfaceP3, HypersurfaceP4):
+        for d in range(1, 13):
+            V = model(d)
+            for r in range(1, 7):
+                if not parity_ok(r, d):
+                    continue
+                E = solve_ulrich_chern(V, r)
+                solved += 1
+                derived = [tensor_square(E), sym2(E), wedge2(E), twist(E, divisor(V.ring, -1))]
+                if model is HypersurfaceP3:
+                    derived.append(sym3(E))
+                    S = V.surface()
+                    assert all(type(x) is Fraction for x in surface_numbers(S, E))
+                for F in (E, *derived):
+                    _assert_exact_bundle(F)
+                    assert type(V.chi(F)) is Fraction
+    assert solved == 2 * (6 * 6 + 6 * 3)  # every rank at odd d, even ranks at even d
+    # the five splitting-oracle constructions, on both sides of each trial
+    seen = []
+    true_roots = chern.bundle_from_roots
+
+    def recorded_roots(ring, roots):
+        seen.append(true_roots(ring, roots))
+        return seen[-1]
+
+    monkeypatch.setattr(chern, "bundle_from_roots", recorded_roots)
+    for _, construction, form in _ORACLES:
+
+        def recorded_form(*args, form=form):
+            seen.append(form(*args))
+            return seen[-1]
+
+        for rank in range(1, 5):
+            assert splitting_oracle(construction, rank, recorded_form, trials=3, seed=rank)
+    assert len(seen) == 5 * 4 * 3 * 3
+    for E in seen:
+        _assert_exact_bundle(E)
+
+
+# ---------------------------------------------------------------------------
 # the boundary: Fraction out of int-valued data
 
 
 def test_solver_chi_values_and_classes_are_fractions(monkeypatch):
-    # the solver's point bundles and their twists hold ints; every chi of
-    # them, and every class of the solution, is a Fraction
+    # the solver's point bundles and their twists hold ints and every chi of
+    # them is a Fraction; the solution keeps its pinned c1 as an int class
+    # and holds the Cramer quotients c2, c3 as Fractions
     seen = []
     for name in ("chi_surface", "chi_threefold_hypersurface"):
         chi = getattr(rr, name)
@@ -58,11 +191,8 @@ def test_solver_chi_values_and_classes_are_fractions(monkeypatch):
     for model in (HypersurfaceP3, HypersurfaceP4):
         for d, r in ((3, 2), (4, 2), (5, 1), (5, 4)):
             E = solve_ulrich_chern(model(d), r)
-            for c in (E.c1, E.c2, E.c3):
-                if isinstance(c.value, DivisorVector):
-                    assert all(map(_is_fraction, c.value))
-                elif not c.is_zero:
-                    assert _is_fraction(c.value)
+            assert all(type(x) is int for x in _entries(E.c1))
+            assert all(_is_fraction(x) for c in (E.c2, E.c3) for x in _entries(c))
     assert len(seen) == 4 * (4 + 9)
     assert any(type(E.c2.value) is int for E, _ in seen)
     assert all(_is_fraction(value) for _, value in seen)
@@ -202,10 +332,10 @@ def test_fractions_built_per_scan_cell(monkeypatch):
     report, built = _fractions_built(monkeypatch, lambda: cli.scan_p3(7, 5))
     valid = sum(row.values[0] == "ok" for row in report.rows)
     assert valid == 21 and built == 3 * valid
-    # p4: four count cells, plus the two c3 values chi_powers_p4_hypersurface returns
+    # p4: four count cells; the c3 values chi_powers_p4_hypersurface returns are ints
     report, built = _fractions_built(monkeypatch, lambda: cli.scan_p4(7, 5))
     valid = sum(row.values[0] == "ok" for row in report.rows)
-    assert valid == 14 and built == (4 + 2) * valid
+    assert valid == 14 and built == 4 * valid
 
 
 # ---------------------------------------------------------------------------

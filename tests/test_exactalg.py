@@ -206,9 +206,9 @@ def _assert_normal_form(cls):
     assert 0 <= cls.codim <= cls.ring.dim and cls.value
     if isinstance(cls.ring, SurfaceLattice) and cls.codim == 1:
         assert type(cls.value) is DivisorVector and len(cls.value) == len(cls.ring.basis)
-        assert all(type(x) is Fraction for x in cls.value)
+        assert all(type(x) is int or type(x) is Fraction for x in cls.value)
     else:
-        assert type(cls.value) is Fraction
+        assert type(cls.value) is int or type(cls.value) is Fraction
 
 
 @settings(max_examples=150)
@@ -631,9 +631,24 @@ def test_graded_class_is_a_class_before_it_is_a_tuple(a):
     assert (1,) + a == (1, a.ring, a.codim, a.value)
 
 
+def test_divisor_vector_scalar_multiple_refuses_bool_and_float():
+    v = DivisorVector((Fraction(1), Fraction(2)))
+    for scaled in (v * 3, 3 * v, v * Fraction(1, 2) * 6, Fraction(3) * v):
+        assert type(scaled) is DivisorVector and scaled == (3, 6)
+    # the scalar rule of GradedClass: a bool is not a scalar, nor is a float
+    for bad in (True, False, 2.0):
+        with pytest.raises(TypeError):
+            v * bad
+        with pytest.raises(TypeError):
+            bad * v
+    with pytest.raises(TypeError):
+        True * divisor(QUARTIC_K3, 1)
+
+
 def test_equal_classes_hash_equal_across_int_and_fraction_values():
     ring = RankOneRing(3, Fraction(1))
-    as_int, as_fraction_ = GradedClass(ring, 2, 6), GradedClass.of(ring, 2, 6)
+    as_int, as_fraction_ = GradedClass.of(ring, 2, 6), GradedClass.of(ring, 2, Fraction(6))
     assert type(as_int.value) is int and type(as_fraction_.value) is Fraction
+    assert as_int == GradedClass(ring, 2, 6)
     assert as_int == as_fraction_ and hash(as_int) == hash(as_fraction_)
     assert len({as_int, as_fraction_, GradedClass(ring), GradedClass(ring)}) == 2

@@ -3,14 +3,17 @@
 An ``ast`` scan of every module under ``src/projnorm`` finds no float or
 complex literal and no name ``float``, and every ``math`` function the
 package reads is one of the exact integer functions in ``EXACT_MATH``.
+
+The module needs no pytest and no installed package, so it also runs as a
+plain script on any supported Python:
+
+    python tests/test_no_floats.py
 """
 
 import ast
 from pathlib import Path
 
-import projnorm
-
-SRC = Path(projnorm.__file__).resolve().parent
+SRC = Path(__file__).resolve().parent.parent / "src" / "projnorm"
 
 #: The ``math`` functions that take and return exact integers.
 EXACT_MATH = {"comb", "factorial", "lcm", "gcd", "isqrt"}
@@ -46,3 +49,10 @@ def test_the_scan_sees_each_kind_of_inexact_use():
     source = "import math as m\nfrom math import sqrt, gcd\nx = 0.5 + 2j + float(1) + math.log(2) + math.comb(3, 1)\n"
     found = sorted(what for _, what in _inexact_uses(ast.parse(source)))
     assert found == ["0.5", "2j", "float", "math as m", "math.log", "math.sqrt"]
+
+
+if __name__ == "__main__":
+    tests = [value for name, value in sorted(globals().items()) if name.startswith("test_")]
+    for test in tests:
+        test()
+    print(f"{len(tests)} checks passed")

@@ -4,9 +4,10 @@ Every scalar in this package is exact: a Python ``int`` where the value
 is integral by construction, an arbitrary-precision rational
 (``fractions.Fraction``) otherwise; nothing on the computation path ever
 touches floating point.  :func:`exact` is the one rule for the scalars a
-class accepts, and a number becomes a ``Fraction`` where it leaves the
-ring (:func:`ring_degree`, :func:`as_fraction`).  Two ring shapes cover
-all the varieties handled downstream:
+class, a ring degree and a Gram entry accept, and a number becomes a
+``Fraction`` where it leaves the ring (:func:`ring_degree`,
+:func:`as_fraction`).  Two ring shapes cover all the varieties handled
+downstream:
 
 * :class:`RankOneRing` (dimension ``n``, degree ``d``): a class in
   codimension ``k`` is a rational multiple of ``H^k``, products truncate
@@ -16,7 +17,7 @@ all the varieties handled downstream:
   named generators (``H`` and ``K`` by convention), stored as a
   :class:`DivisorVector` and paired through a symmetric intersection
   matrix, while codimension-2 classes are stored as already-integrated
-  rationals.
+  numbers.
 
 A :class:`GradedClass` is homogeneous: one codimension and one component,
 built by ``GradedClass.of(ring, codim, value)``, which keeps an ``int`` or
@@ -137,14 +138,15 @@ _new = tuple.__new__
 
 class _RankOneFields(NamedTuple):
     dim: int
-    h_degree: Fraction
+    h_degree: Scalar
 
 
 class RankOneRing(_RankOneFields):
     """Truncated ring Q[H]/(H^(dim+1)) with a degree map H^dim -> h_degree.
 
     ``RankOneRing(dim, h_degree)``, ``_make`` and ``_replace`` check that
-    ``dim`` lies in 1..3 and coerce ``h_degree`` to ``Fraction``.
+    ``dim`` lies in 1..3 and keep ``h_degree`` as given by :func:`exact`:
+    an ``int`` stays an ``int`` and a ``Fraction`` a ``Fraction``.
     """
 
     __slots__ = ()
@@ -157,7 +159,7 @@ class RankOneRing(_RankOneFields):
         dim, h_degree = fields
         if not 1 <= dim <= 3:
             raise ValueError("only dimensions 1..3 are modeled")
-        return _new(cls, (dim, as_fraction(h_degree)))
+        return _new(cls, (dim, exact(h_degree)))
 
     def __repr__(self) -> str:
         return f"RankOneRing(dim={self.dim}, H^{self.dim}={self.h_degree})"
@@ -173,13 +175,13 @@ class SurfaceLattice(_LatticeFields):
 
     ``basis`` names the generators, by convention ("H", "K") with H the
     hyperplane class and K the canonical class.  Codimension-2 classes are
-    kept as already-integrated rationals, which is all any surface formula
+    kept as already-integrated numbers, which is all any surface formula
     downstream consumes.
 
     ``SurfaceLattice(basis, gram)``, ``_make`` and ``_replace`` check that
     the basis is not empty and that ``gram`` is a symmetric square matrix
-    of its size; they store the names as ``str`` and the entries as
-    ``Fraction``, both in tuples.
+    of its size; they store the names as ``str`` and each entry as given
+    by :func:`exact`, both in tuples.
     """
 
     __slots__ = ()
@@ -196,7 +198,7 @@ class SurfaceLattice(_LatticeFields):
         n = len(basis)
         rows = []
         for row in gram:
-            row = tuple(as_fraction(v) for v in row)
+            row = tuple(exact(v) for v in row)
             if len(row) != n:
                 raise ValueError("intersection matrix shape does not match basis")
             rows.append(row)
@@ -213,11 +215,12 @@ class SurfaceLattice(_LatticeFields):
     def dim(self) -> int:
         return 2
 
-    def pair(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        """Evaluate the intersection form on two divisor coefficient vectors,
-        as a ``Fraction``; each term multiplies its two coefficients first,
-        so int coefficients cost one ``Fraction`` multiply."""
-        total = Fraction(0)
+    def pair(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
+        """Evaluate the intersection form on two divisor coefficient vectors.
+
+        The sum starts from ``0`` and is exact: an ``int`` when both vectors
+        and the Gram entries they meet hold ints, a ``Fraction`` otherwise."""
+        total = 0
         for i, ui in enumerate(u):
             if ui == 0:
                 continue
@@ -415,21 +418,22 @@ def ring_degree(cls: GradedClass) -> Fraction:
     """Intersection number of a class against the complementary H power.
 
     The ring and the codimension are the class's own.  Rank-one rings send
-    ``q*H^k`` to ``q*d``.  Surface lattices return the stored rational in
+    ``q*H^k`` to ``q*d``.  Surface lattices return the stored number in
     codimension 2, the pairing with H in codimension 1, and ``q*(H.H)`` in
-    codimension 0.  The zero class has degree 0.  The degree is a
-    ``Fraction`` also for an ``int``-valued class.
+    codimension 0.  The zero class has degree 0.  This is where a degree
+    leaves the ring: each branch returns a ``Fraction``, also for an
+    ``int``-valued class on an ``int``-valued ring.
     """
     ring, codim, value = cls
     if codim is None:
         return Fraction(0)
     if isinstance(ring, RankOneRing):
-        return value * ring.h_degree
+        return as_fraction(value * ring.h_degree)
     if codim == 2:
-        return value if type(value) is Fraction else Fraction(value)
+        return as_fraction(value)
     if codim == 1:
-        return ring.pair(value, ring.generator(0))
-    return value * ring.gram[0][0]
+        return as_fraction(ring.pair(value, ring.generator(0)))
+    return as_fraction(value * ring.gram[0][0])
 
 
 def numerically_equal(a: GradedClass, b: GradedClass) -> bool:
@@ -528,7 +532,7 @@ def splitting_oracle(
 
     # sym3 has no closed third Chern class, so it is checked in a
     # 2-dimensional ring where degree 3 truncates away.
-    ring = RankOneRing(2 if construction == "sym3" else 3, Fraction(1))
+    ring = RankOneRing(2 if construction == "sym3" else 3, 1)
     derive, twisted = _DERIVED_ROOTS[construction], construction == "tensor_line"
     for point in root_points(rank + 1 if twisted else rank, trials, seed):
         if twisted:

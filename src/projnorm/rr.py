@@ -79,7 +79,8 @@ class Surface(_SurfaceFields):
 
     @property
     def degree(self) -> Fraction:
-        return self.lattice.gram[0][0]
+        """deg S = H^2, the degree of the unit class [S], as a ``Fraction``."""
+        return ring_degree(unit(self.lattice))
 
 
 def surface_model(
@@ -171,25 +172,23 @@ class HypersurfaceP4(_Hypersurface):
     """Smooth degree-d threefold in P^4; by Lefschetz its Picard group is
     ZH, so det E = O(r(d-1)/2) is forced for a rank-r Ulrich bundle E.
 
-    ``ring`` is built once with the hypersurface, so every class made on
-    it shares one ring object.  So is ``todd``, the graded pieces td_0..td_3
-    of td(X) that every Riemann-Roch evaluation on the model reads.
+    ``ring`` is built once with the hypersurface, on the int degree ``d``
+    as ``H^3``, so every class made on it shares one ring object.  So is
+    ``todd``, the graded pieces of 24 td(X) that every Riemann-Roch
+    evaluation on the model reads: td(X) has denominators dividing 24, so
+    the pieces hold the int numerators ``(24, 12 c1(T), 2 (c1(T)^2 +
+    c2(T)), c1(T) c2(T))``.
     """
 
     __slots__ = ("ring", "todd")
 
     def __init__(self, degree: int) -> None:
         super().__init__(degree)
-        ring = RankOneRing(3, Fraction(degree))
+        ring = RankOneRing(3, degree)
         object.__setattr__(self, "ring", ring)
-        # td = 1 + c1(T)/2 + (c1(T)^2 + c2(T))/12 + c1(T) c2(T)/24
+        # 24 td = 24 + 12 c1(T) + 2 (c1(T)^2 + c2(T)) + c1(T) c2(T)
         T = self.tangent_chern()
-        todd = (
-            unit(ring),
-            Fraction(1, 2) * T.c1,
-            Fraction(1, 12) * (T.c1 * T.c1 + T.c2),
-            Fraction(1, 24) * (T.c1 * T.c2),
-        )
+        todd = (unit(ring, 24), 12 * T.c1, 2 * (T.c1 * T.c1 + T.c2), T.c1 * T.c2)
         object.__setattr__(self, "todd", todd)
 
     @property
@@ -215,26 +214,43 @@ class HypersurfaceP4(_Hypersurface):
 # Euler characteristics
 
 
+def _numbers(S: Surface, E: ChernVector) -> tuple:
+    """(c1^2, c1.K, c2) of E on S, exact as computed: ints for int classes
+    on an int lattice, a ``Fraction`` where one of them meets one."""
+    if E.ring is not S.lattice and E.ring != S.lattice:
+        raise RingMismatchError("bundle does not live on the given surface")
+    products = (E.c1 * E.c1, E.c1 * S.canonical, E.c2)
+    return tuple(0 if c.codim is None else c.value for c in products)
+
+
 def surface_numbers(S: Surface, E: ChernVector) -> tuple:
     """The numbers (c1^2, c1.K, c2) of a bundle E on S, as Fractions."""
-    if E.ring != S.lattice:
-        raise RingMismatchError("bundle does not live on the given surface")
-    return ring_degree(E.c1 * E.c1), ring_degree(E.c1 * S.canonical), ring_degree(E.c2)
+    return tuple(map(as_fraction, _numbers(S, E)))
 
 
 def chi_surface(S: Surface, E: ChernVector) -> Fraction:
-    """chi(S, E) = r chi(O_S) + (c1^2 - c1.K)/2 - c2."""
-    c1sq, c1k, c2 = surface_numbers(S, E)
-    return E.rank * S.chi_o + (c1sq - c1k) / 2 - c2
+    """chi(S, E) = r chi(O_S) + (c1^2 - c1.K)/2 - c2, a ``Fraction``.
+
+    The numbers are read exactly, and with chi(O_S) = p/q the numerator
+    of 2q chi is formed first and divided once: on int data (every
+    hypersurface has q = 1) it is an int and the quotient is the one
+    ``Fraction`` built.
+    """
+    c1sq, c1k, c2 = _numbers(S, E)
+    chi_o = S.chi_o
+    q = chi_o.denominator
+    return Fraction(2 * E.rank * chi_o.numerator + q * (c1sq - c1k - 2 * c2), 2 * q)
 
 
 def chi_threefold_hypersurface(X: HypersurfaceP4, E: ChernVector) -> Fraction:
     """chi(X, E) on a degree-d threefold in P^4 by Hirzebruch-Riemann-Roch.
 
-    Integrates the degree-3 part of ch(E) td(X), with td(X) the model's
-    ``todd`` pieces: the products ch_i td_(3-i) are summed as scalars on
-    the rank-one ring, skipping zero pieces (td_1 is zero at d = 5), and
-    the sum is multiplied once by ``H^3 = d``, a ``Fraction``.
+    Integrates the degree-3 part of ch(E) td(X), with 24 td(X) the
+    model's int ``todd`` pieces: the products ch_i (24 td)_(3-i) are
+    summed as scalars on the rank-one ring, skipping zero pieces (td_1 is
+    zero at d = 5), and the sum is multiplied by ``H^3 = d`` and divided
+    by 24 once, as a ``Fraction``.  On ``int`` pieces of ch(E) the sum
+    stays an ``int`` until that division.
     """
     ring = X.ring
     if E.ring is not ring and E.ring != ring:
@@ -243,7 +259,7 @@ def chi_threefold_hypersurface(X: HypersurfaceP4, E: ChernVector) -> Fraction:
     for c, t in zip(chern_character(E), reversed(X.todd)):
         if c.codim is not None and t.codim is not None:
             total += c.value * t.value
-    return total * ring.h_degree
+    return Fraction(total * ring.h_degree, 24)
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +284,16 @@ def solve_ulrich_chern(V, rank: int) -> ChernVector:
     surfaces, (c2, c3) on threefolds.  chi(E(-p)) is affine in them, so
     each row comes from evaluating it at zero and at each unit point.
     The n point bundles and the twisting class h hold ``int`` values (a
-    vector of them for the divisors on P^3), built once per solve.  On
-    P^4 each twist stays in ints, and so does its Chern character where 2
-    and 6 divide ch_2 and ch_3; on P^3 its divisor products come from the
-    lattice's rational Gram matrix.  Every row is still evaluated at
-    every point, n^2 evaluations of chi in all, each a ``Fraction``.  The
-    principal system is 1x1 on P^3 and 2x2 on P^4.  The solution keeps
-    the pinned c1 as an ``int`` class (a vector of ints on P^3); c2 and
-    c3 are the ``Fraction`` quotients of Cramer's rule.
+    vector of them for the divisors on P^3), built once per solve.  Each
+    twist stays in ints: on P^3 its divisor products pair through the
+    lattice's int Gram matrix, and on P^4 so does its Chern character
+    where 2 and 6 divide ch_2 and ch_3.  Riemann-Roch on both models then
+    sums in ints and divides once, so each of the n^2 evaluations of chi
+    (every row at every point) builds one ``Fraction`` on int data; on
+    P^4 a ch_2 or ch_3 that is not an int adds a few.  The principal
+    system is 1x1 on P^3 and 2x2 on P^4.  The solution keeps the pinned
+    c1 as an ``int`` class (a vector of ints on P^3); c2 and c3 are the
+    ``Fraction`` quotients of Cramer's rule.
     The first n-1 rows are solved exactly and row n must agree; a
     singular principal system or an inconsistent last row raises
     SolverError instead of guessing.  E^v((d-1)H) is Ulrich with E

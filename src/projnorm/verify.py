@@ -16,7 +16,6 @@ Three families of checks, all exact:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .chern import (
@@ -151,7 +150,7 @@ def formula_suite(ranks=range(1, 7), trials: int = 20, seed: int = DEFAULT_SEED)
         for r in ranks:
             stream += 1
             add(name, f"r={r}", splitting_oracle(construction, r, closed_form, trials, seed + stream))
-    ring = RankOneRing(3, Fraction(1))
+    ring = RankOneRing(3, 1)
     for name, check, thinning in _SAMPLED:
         for r in ranks:
             stream += 1

@@ -354,8 +354,19 @@ def _oracle_chern_character(E):
     return tuple(pieces[: ring.dim + 1])
 
 
+def _oracle_todd(X):
+    """td(X) from c(T_X) with the classical coefficients 1/2, 1/12 and 1/24."""
+    T = X.tangent_chern()
+    return (
+        unit(X.ring),
+        Fraction(1, 2) * T.c1,
+        Fraction(1, 12) * (T.c1 * T.c1 + T.c2),
+        Fraction(1, 24) * (T.c1 * T.c2),
+    )
+
+
 def _oracle_chi_threefold(X, E):
-    ch, td = _oracle_chern_character(E), X.todd
+    ch, td = _oracle_chern_character(E), _oracle_todd(X)
     total = GradedClass(X.ring)
     for i in range(4):
         total = total + ch[i] * td[3 - i]
@@ -423,10 +434,33 @@ def test_threefold_chi_matches_the_graded_class_formula(case):
     assert _is_fraction(value)
 
 
+def test_todd_pieces_are_24_times_the_todd_class():
+    for d in range(1, 13):
+        X = HypersurfaceP4(d)
+        assert type(X.ring.h_degree) is int and X.ring.h_degree == d
+        assert X.todd == tuple(24 * piece for piece in _oracle_todd(X))
+        assert all(type(piece.value) is int for piece in X.todd if not piece.is_zero)
+    assert _QUINTIC.todd[1].is_zero
+
+
 @settings(max_examples=300, deadline=None)
-@given(_degrees, st.lists(_scalars, min_size=2, max_size=2), st.lists(_scalars, min_size=2, max_size=2))
-def test_pair_matches_the_product_in_gram_order(d, u, v):
+@given(
+    _degrees,
+    st.booleans(),
+    st.lists(_scalars, min_size=2, max_size=2),
+    st.lists(_scalars, min_size=2, max_size=2),
+)
+def test_pair_matches_the_product_in_gram_order(d, rational_gram, u, v):
     lattice = HypersurfaceP3(d).ring
+    assert {type(x) for row in lattice.gram for x in row} == {int}
+    if rational_gram:
+        lattice = SurfaceLattice(lattice.basis, [[Fraction(x) for x in row] for row in lattice.gram])
     value = lattice.pair(DivisorVector(u), DivisorVector(v))
     assert value == _oracle_pair(lattice, u, v)
-    assert _is_fraction(value)
+    # an int exactly when every coefficient and Gram entry it meets is an int
+    # (a zero coefficient is skipped), so always on int vectors and an int Gram
+    met = [(ui, vj, lattice.gram[i][j]) for i, ui in enumerate(u) if ui for j, vj in enumerate(v) if vj]
+    ints = all(type(x) is int for term in met for x in term)
+    assert type(value) is (int if ints else Fraction)
+    if not rational_gram and all(type(x) is int for x in u + v):
+        assert type(value) is int

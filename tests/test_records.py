@@ -8,6 +8,7 @@ three paths, every coercion must hold on each of them, and no field can
 be assigned.
 """
 
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -73,18 +74,40 @@ def test_every_guard_raises_on_every_path(good, change, message, path):
         _paths(good, **change)[path]()
 
 
+class _Degree(IntEnum):
+    FIVE = 5
+
+
 @pytest.mark.parametrize("path", range(3), ids=["constructor", "_make", "_replace"])
 def test_coercions_hold_on_every_path(path):
-    ring = _paths(RankOneRing(2, Fraction(4)), h_degree=5)[path]()
-    assert type(ring.h_degree) is Fraction and ring == (2, Fraction(5))
-    lattice = _paths(LATTICE, basis=["H", "K"], gram=[[1, 2], [2, 3]])[path]()
-    assert lattice.basis == ("H", "K") and lattice.gram == ((1, 2), (2, 3))
-    assert type(lattice.gram) is tuple and {type(x) for row in lattice.gram for x in row} == {Fraction}
+    # a ring degree is kept as given: an int stays an int, a Fraction a Fraction
+    for degree in (5, Fraction(5), Fraction(5, 2)):
+        ring = _paths(RankOneRing(2, Fraction(4)), h_degree=degree)[path]()
+        assert ring == (2, degree) and type(ring.h_degree) is type(degree)
+    ring = _paths(RankOneRing(2, Fraction(4)), h_degree=_Degree.FIVE)[path]()
+    assert ring == (2, 5) and type(ring.h_degree) is int
+    # so is each Gram entry, in a tuple of tuples
+    lattice = _paths(LATTICE, basis=["H", "K"], gram=[[1, Fraction(2)], [Fraction(2), Fraction(3, 2)]])[path]()
+    assert lattice.basis == ("H", "K") and lattice.gram == ((1, 2), (2, Fraction(3, 2)))
+    assert type(lattice.gram) is tuple and all(type(row) is tuple for row in lattice.gram)
+    assert [[type(x) for x in row] for row in lattice.gram] == [[int, Fraction], [Fraction, Fraction]]
+    lattice = _paths(LATTICE, gram=[[_Degree.FIVE, 0], [0, 0]])[path]()
+    assert lattice.gram == ((5, 0), (0, 0)) and {type(x) for row in lattice.gram for x in row} == {int}
     surface = _paths(SURFACE, chi_o=3)[path]()
     assert type(surface.chi_o) is Fraction and surface.chi_o == 3
     # a record the constructor accepts comes back unchanged through each path
     for good in (RankOneRing(3, Fraction(2)), LATTICE, SURFACE, CURVE, REPORT):
         assert type(_paths(good)[path]()) is type(good) and _paths(good)[path]() == good
+
+
+@pytest.mark.parametrize("path", range(3), ids=["constructor", "_make", "_replace"])
+@pytest.mark.parametrize("bad", [True, 1.5, "4"], ids=["bool", "float", "str"])
+def test_an_inexact_degree_or_gram_entry_raises_on_every_path(bad, path):
+    with pytest.raises(TypeError):
+        _paths(RankOneRing(2, 4), h_degree=bad)[path]()
+    for gram in (((bad, 0), (0, 0)), ((4, bad), (bad, 0))):
+        with pytest.raises(TypeError):
+            _paths(LATTICE, gram=gram)[path]()
 
 
 @pytest.mark.parametrize("path", range(3), ids=["constructor", "_make", "_replace"])

@@ -17,7 +17,7 @@ from projnorm.exactalg import (
     numerically_equal,
     ring_degree,
 )
-from projnorm.normality import classify_p3_hypersurface
+from projnorm.normality import classify_p3_hypersurface, classify_p4_hypersurface
 from projnorm.rr import (
     HypersurfaceP3,
     HypersurfaceP4,
@@ -274,7 +274,10 @@ def test_make_ulrich_validation():
 def test_p4_chi_examples():
     data = chi_powers_p4_hypersurface(4, 2)
     assert data.chi_tensor2 == 70
-    assert 70 > (2 * 4) ** 2 - 0 or True  # plain record: 70 exceeds 64
+    assert data.chi_tensor2 > (2 * 4) ** 2  # 70 exceeds dim (H^0)^(x)2 = (rd)^2 = 64
+    strong = classify_p4_hypersurface(4, 2)[0]
+    assert strong.status_label == "not-strongly-2-normal"
+    assert strong.witness == (64, "<", 70)
     assert chi_powers_p4_hypersurface(5, 4).chi_sym2 == 220
     # degree 1 kills every c3 through the (d-1)^2 factor
     for r in range(1, 7):

@@ -131,13 +131,7 @@ def bundle_from_roots(ring: RankOneRing, roots: Sequence[Scalar]) -> ChernVector
 
 def satisfies_rank_vanishing(E: ChernVector) -> bool:
     """True iff c_i(E) = 0 for every i above the rank."""
-    if E.rank == 0:
-        return E.c1.is_zero and E.c2.is_zero and E.c3.is_zero
-    if E.rank == 1:
-        return E.c2.is_zero and E.c3.is_zero
-    if E.rank == 2:
-        return E.c3.is_zero
-    return True
+    return all(c.is_zero for c in (E.c1, E.c2, E.c3)[E.rank:])
 
 
 def validate_rank_vanishing(E: ChernVector) -> None:
@@ -262,19 +256,13 @@ def twist(E: ChernVector, L) -> ChernVector:
 def segre_dual(E: ChernVector) -> Tuple[GradedClass, ...]:
     """Segre classes s_0..s_n of the dual bundle, n the ring dimension.
 
-    Defined by s(E*) c(E*) = 1, so s1 = c1, s2 = c1^2 - c2,
-    s3 = c1^3 - 2 c1 c2 + c3.  s_n(E*) is the degree of the projectivized
-    bundle under its tautological embedding.
+    s(E*) c(E*) = 1 gives s1 = c1, s2 = c1^2 - c2 and
+    s3 = c1^3 - 2 c1 c2 + c3, written out as they stand; s_n(E*) is the
+    degree of the projectivized bundle under its tautological embedding.
     """
-    ring = E.ring
-    cdual = [unit(ring), -E.c1, E.c2, -E.c3]
-    s = [unit(ring)]
-    for k in range(1, ring.dim + 1):
-        acc = GradedClass(ring)
-        for i in range(1, k + 1):
-            acc = acc + cdual[i] * s[k - i]
-        s.append(-acc)
-    return tuple(s)
+    c1, c2, c3 = E.c1, E.c2, E.c3
+    c1sq = c1 * c1
+    return (unit(E.ring), c1, c1sq - c2, c1sq * c1 - 2 * (c1 * c2) + c3)[: E.ring.dim + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ self-verification and report emission.
 
 Output is a single report per invocation, rendered as a plain table,
 JSON or CSV (``--format``).  All values are exact; rationals print as
-p/q.  Exit codes: 0 ran, 2 input error, 3 formula-verification failure.
-The argv is the whole input: no environment variable changes a report.
+p/q.  Exit codes: 0 ran, 2 input error or exhausted memory, 3
+formula-verification failure.  The argv is the whole input: no
+environment variable changes a report.
 The seed of the randomized verification is ``--seed`` (default 7).  Only
 help and usage text follow the terminal width, as argparse's text does.
 """
@@ -114,7 +115,7 @@ def check_surface_hyp(d: int, r: int) -> ScanReport:
         _value_row("d", d),
         _value_row("r", r),
         _value_row("h0", h0),
-        _value_row("chi_structure_sheaf", S.chi_o),
+        _value_row("chi_structure_sheaf", as_fraction(S.chi_o)),
         _value_row("c1_h_coefficient", Fraction(r * (d - 1), 2)),
         _value_row("c1_sq", c1sq),
         _value_row("c1_k", c1k),
@@ -224,7 +225,7 @@ def check_surface(args) -> ScanReport:
         _value_row("h2", S.lattice.gram[0][0]),
         _value_row("hk", S.lattice.gram[0][1]),
         _value_row("k2", S.lattice.gram[1][1]),
-        _value_row("chi_structure_sheaf", S.chi_o),
+        _value_row("chi_structure_sheaf", as_fraction(S.chi_o)),
         _value_row("r", args.r),
         _value_row("h0", h0),
         _value_row("c1_sq", c1sq),
@@ -514,7 +515,17 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
-    fmt = args.format_leaf or args.format_root or "table"
+    try:
+        return _run(args, args.format_leaf or args.format_root or "table")
+    except MemoryError:
+        pass
+    # past the handler, the traceback and the frames that held the report are freed
+    print("error: out of memory", file=sys.stderr)
+    return 2
+
+
+def _run(args, fmt: str) -> int:
+    """Build, render and write the report that ``args`` selects; its exit code."""
     try:
         report, code = dispatch(args)
         text = report.render(fmt)  # inside: an int past the int->str digit limit is a ValueError

@@ -4,10 +4,10 @@ Every scalar in this package is exact: a Python ``int`` where the value
 is integral by construction, an arbitrary-precision rational
 (``fractions.Fraction``) otherwise; nothing on the computation path ever
 touches floating point.  :func:`exact` is the one rule for the scalars a
-class, a ring degree and a Gram entry accept, and a number becomes a
-``Fraction`` where it leaves the ring (:func:`ring_degree`,
-:func:`as_fraction`).  Two ring shapes cover all the varieties handled
-downstream:
+class, a ring degree, a Gram entry, a surface's chi(O) and a count bound
+accept, and a number becomes a ``Fraction`` where it leaves the ring
+(:func:`ring_degree`, :func:`as_fraction`, a report cell).  Two ring
+shapes cover all the varieties handled downstream:
 
 * :class:`RankOneRing` (dimension ``n``, degree ``d``): a class in
   codimension ``k`` is a rational multiple of ``H^k``, products truncate

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Tuple
 
 from .chern import ChernVector, segre_dual
-from .exactalg import DataError, RingMismatchError, Scalar, _new, as_fraction, binom, ring_degree
+from .exactalg import DataError, RingMismatchError, Scalar, _new, as_fraction, binom, exact, ring_degree
 from .report import ScanReport, grid_scan
 from .rr import HypersurfaceP4, Surface
 from .ulrich import PowerCounts, ThreefoldPowerData, chi_powers_p4_hypersurface, h0_powers_p3_hypersurface
@@ -175,12 +175,12 @@ def dimension_test(h0: int, k: int, h0_symk_lower, strong: bool = False, *, note
     A strict shortfall proves the multiplication map cannot surject and
     yields a failure verdict; anything else is inconclusive, because the
     count passing is only a necessary condition.  ``notes`` are carried
-    into the verdict unchanged.
+    into the verdict unchanged.  The bound is read through :func:`exact`,
+    so an ``int`` is compared as an ``int`` and stays one in the witness.
     """
     if k < 2:
         raise ValueError("k-normality counting starts at k = 2")
-    # an int bound is compared as an int and stays one in the witness
-    lower = h0_symk_lower if type(h0_symk_lower) is int else as_fraction(h0_symk_lower)
+    lower = exact(h0_symk_lower)
     if strong:
         rule, status, available = f"strong-{k}-normality-count", NOT_STRONGLY_K_NORMAL, h0**k
     else:

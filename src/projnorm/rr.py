@@ -39,7 +39,9 @@ from .exactalg import (
     SurfaceLattice,
     _new,
     as_fraction,
+    binom,
     divisor,
+    exact,
     ring_degree,
     unit,
 )
@@ -47,7 +49,7 @@ from .exactalg import (
 
 class _SurfaceFields(NamedTuple):
     lattice: SurfaceLattice
-    chi_o: Fraction
+    chi_o: Scalar
     geometric_genus: int
     canonical: GradedClass
 
@@ -55,8 +57,8 @@ class _SurfaceFields(NamedTuple):
 class Surface(_SurfaceFields):
     """Numerical model of an embedded surface: lattice, chi(O), p_g, K.
 
-    ``Surface(...)``, ``_make`` and ``_replace`` coerce ``chi_o`` to
-    ``Fraction`` and check that the canonical class is zero or a lattice divisor.
+    ``Surface(...)``, ``_make`` and ``_replace`` keep ``chi_o`` as :func:`exact`
+    gives it and check that the canonical class is zero or a lattice divisor.
     """
 
     __slots__ = ()
@@ -71,7 +73,7 @@ class Surface(_SurfaceFields):
             raise RingMismatchError("canonical class must live in the surface lattice")
         if canonical.codim not in (None, 1):
             raise ValueError("canonical class must be a divisor")
-        return _new(cls, (lattice, as_fraction(chi_o), geometric_genus, canonical))
+        return _new(cls, (lattice, exact(chi_o), geometric_genus, canonical))
 
     @property
     def hyperplane(self) -> GradedClass:
@@ -93,7 +95,7 @@ def surface_model(
     """Surface from its intersection numbers H^2, H.K, K^2 and chi(O_S)."""
     lattice = SurfaceLattice(("H", "K"), ((h2, hk), (hk, k2)))
     canonical = divisor(lattice, (0, 1))
-    return Surface(lattice, as_fraction(chi_o), geometric_genus, canonical)
+    return Surface(lattice, chi_o, geometric_genus, canonical)
 
 
 class _Hypersurface:
@@ -143,22 +145,24 @@ class HypersurfaceP3(_Hypersurface):
     The smooth quadric has Picard group Z^2, the smooth cubic Z^7, and a
     special surface of degree >= 4 can have more classes; there the pinned
     c1 is one choice among several.
+
+    The model holds only its surface, whose lattice is ``ring``; its
+    chi(O_S) = 1 + p_g is an ``int``, with p_g = binom(d-1, 3).
     """
 
-    __slots__ = ("_surface", "ring")
+    __slots__ = ("_surface",)
 
     def __init__(self, degree: int) -> None:
         super().__init__(degree)
         # K = (d-4)H, so H.K = d(d-4) and K^2 = d(d-4)^2 on the H-lattice.
         d = degree
-        surface = surface_model(d, d * (d - 4), d * (d - 4) ** 2, self.chi_o, geometric_genus=int(self.chi_o) - 1)
+        pg = binom(d - 1, 3)
+        surface = surface_model(d, d * (d - 4), d * (d - 4) ** 2, 1 + pg, geometric_genus=pg)
         object.__setattr__(self, "_surface", surface)
-        object.__setattr__(self, "ring", surface.lattice)
 
     @property
-    def chi_o(self) -> Fraction:
-        d = self.degree
-        return Fraction(d * (d * d - 6 * d + 11), 6)
+    def ring(self) -> SurfaceLattice:
+        return self._surface.lattice
 
     def surface(self) -> Surface:
         """The numerical surface model, built once with the hypersurface."""
@@ -231,15 +235,11 @@ def surface_numbers(S: Surface, E: ChernVector) -> tuple:
 def chi_surface(S: Surface, E: ChernVector) -> Fraction:
     """chi(S, E) = r chi(O_S) + (c1^2 - c1.K)/2 - c2, a ``Fraction``.
 
-    The numbers are read exactly, and with chi(O_S) = p/q the numerator
-    of 2q chi is formed first and divided once: on int data (every
-    hypersurface has q = 1) it is an int and the quotient is the one
-    ``Fraction`` built.
+    The numerator of 2 chi is formed exactly and divided once: on int data
+    (every hypersurface model) it is the one ``Fraction`` built.
     """
     c1sq, c1k, c2 = _numbers(S, E)
-    chi_o = S.chi_o
-    q = chi_o.denominator
-    return Fraction(2 * E.rank * chi_o.numerator + q * (c1sq - c1k - 2 * c2), 2 * q)
+    return Fraction(2 * E.rank * S.chi_o + c1sq - c1k - 2 * c2, 2)
 
 
 def chi_threefold_hypersurface(X: HypersurfaceP4, E: ChernVector) -> Fraction:

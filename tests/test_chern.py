@@ -16,6 +16,7 @@ from projnorm.chern import (
     direct_sum,
     dual,
     graded_product,
+    satisfies_rank_vanishing,
     segre_dual,
     sym2,
     sym3,
@@ -146,18 +147,40 @@ def test_segre_dual_k3_example():
     assert ring_degree(s[2]) == 22  # 36 - 14
 
 
+#: H and K with H.K != 0 and K^2 < 0, so c1.c1 pairs through every Gram entry
+TILTED = SurfaceLattice(("H", "K"), ((5, 2), (2, -1)))
+
+
 @pytest.mark.parametrize("rank", (2, 3, 4))
 def test_segre_inverts_total_chern(rank):
+    # s(E*) c(E*) = 1 in every degree up to the ring dimension, on P^3 and
+    # on a two-generator surface lattice
     rng = random.Random(31 + rank)
     for _ in range(15):
-        E = random_bundle(P3RING, rank, rng)
-        s = segre_dual(E)
-        cdual = (unit(P3RING), -E.c1, E.c2, -E.c3)
-        for k in range(1, 4):
-            total = GradedClass(P3RING)
-            for i in range(k + 1):
-                total = total + s[i] * cdual[k - i]
-            assert total.is_zero
+        divisor_coeffs = (rand_rational(rng), rand_rational(rng))
+        for E in (
+            random_bundle(P3RING, rank, rng),
+            ChernVector.of(TILTED, rank, divisor_coeffs, rand_rational(rng)),
+        ):
+            ring = E.ring
+            s = segre_dual(E)
+            cdual = (unit(ring), -E.c1, E.c2, -E.c3)
+            for k in range(1, ring.dim + 1):
+                total = GradedClass(ring)
+                for i in range(k + 1):
+                    total = total + s[i] * cdual[k - i]
+                assert total.is_zero, (E, k)
+
+
+@pytest.mark.parametrize("rank", range(5))
+def test_rank_vanishing_reads_every_class_above_the_rank(rank):
+    # one c_k planted nonzero at a time: the data vanish above the rank iff k <= rank
+    for k in (1, 2, 3):
+        planted = [0, 0, 0]
+        planted[k - 1] = 7
+        assert satisfies_rank_vanishing(ChernVector.of(P3RING, rank, *planted)) == (k <= rank)
+    assert satisfies_rank_vanishing(ChernVector.of(P3RING, rank))
+    assert satisfies_rank_vanishing(ChernVector.of(P3RING, rank, 1, 2, 3)) == (rank >= 3)
 
 
 def test_segre_dual_runs_to_the_ring_dimension():

@@ -5,8 +5,8 @@ the Chern character, Riemann-Roch and the intersection pairing keep
 values that are integral by construction as ``int``.  Four things are
 pinned here.  First, the class values: ``GradedClass.of`` keeps the exact
 type of each scalar and refuses every other one, and every class the
-solver and the oracle constructions build holds only ``int`` and
-``Fraction``.  Second, the boundary: every Euler characteristic and
+oracle constructions build holds only ``int`` and ``Fraction`` (the
+solver's classes are swept in ``test_fraction_budget.py``).  Second, the boundary: every Euler characteristic and
 degree is a ``Fraction`` also on ``int``-valued data, because a report
 prints the two differently (JSON writes ``5`` for an int and ``"5/1"``
 for a rational).  Third, the values: the plain ``GradedClass`` formulas
@@ -26,22 +26,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from projnorm import chern, cli, rr
-from projnorm.chern import (
-    ChernVector,
-    bundle_from_roots,
-    chern_character,
-    sym2,
-    sym3,
-    tensor_square,
-    twist,
-    wedge2,
-)
+from projnorm.chern import ChernVector, bundle_from_roots, chern_character, twist
 from projnorm.exactalg import (
     DivisorVector,
     GradedClass,
     RankOneRing,
     SurfaceLattice,
-    divisor,
     ring_degree,
     splitting_oracle,
     unit,
@@ -52,9 +42,7 @@ from projnorm.rr import (
     HypersurfaceP4,
     chi_surface,
     chi_threefold_hypersurface,
-    parity_ok,
     solve_ulrich_chern,
-    surface_numbers,
 )
 from projnorm.verify import _ORACLES
 
@@ -128,27 +116,9 @@ def _assert_exact_bundle(E):
             assert type(ring_degree(c)) is Fraction, c
 
 
-def test_solver_and_construction_classes_hold_ints_or_fractions(monkeypatch):
-    # the solver on P^3 and P^4, and the oracle constructions on its output
-    solved = 0
-    for model in (HypersurfaceP3, HypersurfaceP4):
-        for d in range(1, 13):
-            V = model(d)
-            for r in range(1, 7):
-                if not parity_ok(r, d):
-                    continue
-                E = solve_ulrich_chern(V, r)
-                solved += 1
-                derived = [tensor_square(E), sym2(E), wedge2(E), twist(E, divisor(V.ring, -1))]
-                if model is HypersurfaceP3:
-                    derived.append(sym3(E))
-                    S = V.surface()
-                    assert all(type(x) is Fraction for x in surface_numbers(S, E))
-                for F in (E, *derived):
-                    _assert_exact_bundle(F)
-                    assert type(V.chi(F)) is Fraction
-    assert solved == 2 * (6 * 6 + 6 * 3)  # every rank at odd d, even ranks at even d
-    # the five splitting-oracle constructions, on both sides of each trial
+def test_splitting_oracle_classes_hold_ints_or_fractions(monkeypatch):
+    # the five splitting-oracle constructions, on both sides of each trial;
+    # the solver's classes on both models are checked in test_fraction_budget.py
     seen = []
     true_roots = chern.bundle_from_roots
 

@@ -5,7 +5,9 @@ parity-valid rank up to 6.  First, the boundary: every Euler
 characteristic, every ``ring_degree`` and every ``surface_numbers`` value
 of a solved Ulrich bundle and of its derived bundles is exactly a
 ``Fraction``, never an ``int`` or a float, while the rings, the Gram
-entries and the 24 td(X) pieces inside hold ints.  Second, the budget: the
+entries, chi(O) of a surface and the 24 td(X) pieces inside hold ints, and
+every class entry of those bundles is exactly an ``int`` or a
+``Fraction``.  Second, the budget: the
 number of ``Fraction`` objects that ``solve_ulrich_chern`` builds, pinned
 per model.  A ``Fraction`` Gram entry, ring degree or Todd piece that comes
 back raises it.
@@ -24,7 +26,7 @@ supported Python:
 from fractions import Fraction
 
 from projnorm.chern import sym2, sym3, tensor_square, twist, wedge2
-from projnorm.exactalg import GradedClass, divisor, ring_degree
+from projnorm.exactalg import DivisorVector, GradedClass, binom, divisor, ring_degree
 from projnorm.rr import HypersurfaceP3, HypersurfaceP4, parity_ok, solve_ulrich_chern, surface_numbers
 
 MODELS = (HypersurfaceP3, HypersurfaceP4)
@@ -77,6 +79,13 @@ class _FractionCount:
             setattr(Fraction, name, value)
 
 
+def _entries(c) -> tuple:
+    """The scalars a class holds: none for zero, each coefficient of a surface divisor."""
+    if c.is_zero:
+        return ()
+    return tuple(c.value) if type(c.value) is DivisorVector else (c.value,)
+
+
 def test_every_chi_and_degree_on_both_models_is_a_fraction():
     checked = 0
     for model in MODELS:
@@ -88,6 +97,8 @@ def test_every_chi_and_degree_on_both_models_is_a_fraction():
             else:
                 assert {type(x) for row in ring.gram for x in row} == {int}
                 assert type(V.surface().degree) is Fraction and V.surface().degree == V.degree
+                chi_o = V.surface().chi_o
+                assert type(chi_o) is int and chi_o == 1 + binom(V.degree - 1, 3)
             E = solve_ulrich_chern(V, r)
             derived = [tensor_square(E), sym2(E), wedge2(E), twist(E, divisor(ring, -1))]
             if model is HypersurfaceP3:
@@ -95,6 +106,7 @@ def test_every_chi_and_degree_on_both_models_is_a_fraction():
             for F in (E, *derived):
                 assert type(V.chi(F)) is Fraction, (V, r, F)
                 for c in (F.c1, F.c2, F.c3, GradedClass(ring)):
+                    assert all(type(x) is int or type(x) is Fraction for x in _entries(c)), (V, r, c)
                     assert type(ring_degree(c)) is Fraction, (V, r, c)
                 if model is HypersurfaceP3:
                     assert all(type(x) is Fraction for x in surface_numbers(V.surface(), F)), (V, r, F)

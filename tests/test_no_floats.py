@@ -1,16 +1,23 @@
-"""The north star's "exact rationals with no floats" rule, checked statically.
+"""The north star's "exact rationals with no floats" rule, checked
+statically and at run time.
 
 An ``ast`` scan of every module under ``src/projnorm`` finds no float or
 complex literal and no name ``float``, and every ``math`` function the
 package reads is one of the exact integer functions in ``EXACT_MATH``.
+The scan cannot see ``int / int``, so every report argv of
+``test_golden_cli.REPORT_CASES`` and a short ``verify-formulas`` run once
+more in process, with ``Fraction`` refusing a float argument and a
+profile hook failing on any float that a package function returns.
 
-The module needs no pytest and no installed package, so it also runs as a
-plain script on any supported Python:
+The module needs no pytest, so it also runs as a plain script on any
+supported Python (the run-time check imports the package):
 
-    python tests/test_no_floats.py
+    PYTHONPATH=src python tests/test_no_floats.py
 """
 
 import ast
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "projnorm"
@@ -49,6 +56,44 @@ def test_the_scan_sees_each_kind_of_inexact_use():
     source = "import math as m\nfrom math import sqrt, gcd\nx = 0.5 + 2j + float(1) + math.log(2) + math.comb(3, 1)\n"
     found = sorted(what for _, what in _inexact_uses(ast.parse(source)))
     assert found == ["0.5", "2j", "float", "math as m", "math.log", "math.sqrt"]
+
+
+def test_no_report_builds_a_fraction_from_a_float_or_returns_a_float():
+    import projnorm
+    from test_golden_cli import REPORT_CASES, run_case
+
+    package = str(Path(projnorm.__file__).parent)
+    argvs = [*REPORT_CASES.values(), ["verify-formulas", "--ranks", "1..4", "--trials", "5"]]
+    seen = {"returns": 0, "fractions": 0}
+    floats = []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code.co_filename.startswith(package):
+            seen["returns"] += 1
+            if isinstance(arg, float):
+                floats.append((frame.f_code.co_name, arg))
+
+    saved = vars(Fraction)["__new__"]
+    new = Fraction.__new__
+
+    def exact_new(cls, *args, **kwargs):
+        seen["fractions"] += 1
+        if any(isinstance(a, float) for a in (*args, *kwargs.values())):
+            raise TypeError(f"a Fraction built from a float: {args}")
+        return new(cls, *args, **kwargs)
+
+    Fraction.__new__ = exact_new
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        outputs = [run_case(argv) for argv in argvs]
+    finally:
+        sys.setprofile(previous)
+        Fraction.__new__ = saved
+    assert floats == []
+    # the hooks saw the package run, and the suite passed
+    assert seen["returns"] > 0 and seen["fractions"] > 0
+    assert "\nexit: 0\n" in outputs[-1]
 
 
 if __name__ == "__main__":

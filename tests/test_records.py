@@ -93,8 +93,12 @@ def test_coercions_hold_on_every_path(path):
     assert [[type(x) for x in row] for row in lattice.gram] == [[int, Fraction], [Fraction, Fraction]]
     lattice = _paths(LATTICE, gram=[[_Degree.FIVE, 0], [0, 0]])[path]()
     assert lattice.gram == ((5, 0), (0, 0)) and {type(x) for row in lattice.gram for x in row} == {int}
-    surface = _paths(SURFACE, chi_o=3)[path]()
-    assert type(surface.chi_o) is Fraction and surface.chi_o == 3
+    # and so is a surface's chi(O)
+    for chi_o in (3, Fraction(3), Fraction(3, 2)):
+        surface = _paths(SURFACE, chi_o=chi_o)[path]()
+        assert surface.chi_o == chi_o and type(surface.chi_o) is type(chi_o)
+    surface = _paths(SURFACE, chi_o=_Degree.FIVE)[path]()
+    assert surface.chi_o == 5 and type(surface.chi_o) is int
     # a record the constructor accepts comes back unchanged through each path
     for good in (RankOneRing(3, Fraction(2)), LATTICE, SURFACE, CURVE, REPORT):
         assert type(_paths(good)[path]()) is type(good) and _paths(good)[path]() == good
@@ -108,6 +112,8 @@ def test_an_inexact_degree_or_gram_entry_raises_on_every_path(bad, path):
     for gram in (((bad, 0), (0, 0)), ((4, bad), (bad, 0))):
         with pytest.raises(TypeError):
             _paths(LATTICE, gram=gram)[path]()
+    with pytest.raises(TypeError):
+        _paths(SURFACE, chi_o=bad)[path]()
 
 
 @pytest.mark.parametrize("path", range(3), ids=["constructor", "_make", "_replace"])

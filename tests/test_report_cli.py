@@ -353,6 +353,26 @@ def test_cli_verification_failure_exit_code(monkeypatch):
     assert out.startswith("# sample")
 
 
+def _exhausted(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("where", ["dispatch", "render", "write"])
+def test_cli_exits_2_with_one_error_line_when_memory_runs_out(where, monkeypatch):
+    # ROADMAP item 23: exhausted memory ends in exit code 2 and one error
+    # line, not a traceback, whether dispatch, rendering or the write runs out
+    if where == "dispatch":
+        monkeypatch.setattr(cli, "dispatch", _exhausted)
+    elif where == "render":
+        monkeypatch.setattr(ScanReport, "render", _exhausted)
+    out, err = io.StringIO(), io.StringIO()
+    if where == "write":
+        monkeypatch.setattr(out, "write", _exhausted)
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["scan", "p3", "--dmax", "3", "--rmax", "2"])
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", "error: out of memory\n")
+
+
 def _failed_rows(report) -> set:
     return {row.params for row in report.rows if row.values == (False,)}
 

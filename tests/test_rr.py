@@ -225,9 +225,9 @@ def test_tangent_classes_from_ring_product():
 def test_surface_chi_structure_sheaf_from_monomial_count():
     # independent count: q = 0 and p_g = h^0(O(d-4)) = binom(d-1, 3)
     for d in range(1, 11):
-        V = HypersurfaceP3(d)
-        assert V.chi_o == 1 + binom(d - 1, 3)
-        assert V.surface().geometric_genus == binom(d - 1, 3)
+        S = HypersurfaceP3(d).surface()
+        assert S.chi_o == 1 + binom(d - 1, 3) and type(S.chi_o) is int
+        assert S.geometric_genus == binom(d - 1, 3)
 
 
 def test_model_validation_errors():
@@ -351,7 +351,7 @@ def _ulrich_chern(V, d, r) -> ChernVector:
     c2 = r(d-1)(3r(d-1) - 2d + 4)/24 H^2 and c3 from its closed form."""
     a = Fraction(r * (d - 1), 2)
     if isinstance(V, HypersurfaceP3):
-        c2 = casnati_c2(a * a * d, a * d * (d - 4), r, d, V.chi_o)
+        c2 = casnati_c2(a * a * d, a * d * (d - 4), r, d, V.surface().chi_o)
         return ChernVector.of(V.surface().lattice, r, (a, 0), c2)
     c2 = Fraction(r * (d - 1) * (3 * r * (d - 1) - 2 * d + 4), 24)
     return ChernVector.of(V.ring, r, a, c2, ulrich_c3_p4_hypersurface(d, r) / d)

@@ -195,8 +195,8 @@ def test_p3_sym2_count_is_linear_in_c1_squared_up_to_the_hodge_envelope():
     cells = 0
     for d in range(2, 61):
         lat = SurfaceLattice(("H", "A"), ((d, 0), (0, -2)))
-        chi = HypersurfaceP3(d).chi_o
-        S = Surface(lat, chi, int(chi) - 1, divisor(lat, (d - 4, 0)))
+        chi = HypersurfaceP3(d).surface().chi_o
+        S = Surface(lat, chi, chi - 1, divisor(lat, (d - 4, 0)))
         for r in range(1, 51):
             if not parity_ok(r, d):
                 continue

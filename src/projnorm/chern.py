@@ -26,6 +26,7 @@ from .exactalg import (
     binom,
     elementary_symmetric,
     exact,
+    quotient,
     unit,
 )
 
@@ -291,16 +292,11 @@ def chern_character(E: ChernVector) -> Tuple[GradedClass, ...]:
 
 
 def _divided(c: GradedClass, n: int) -> GradedClass:
-    """The scalar class ``c / n``, kept in ints when ``n`` divides an int value."""
+    """The scalar class ``c / n``, by :func:`quotient`."""
     v = c.value
     if v is None:
         return c
-    if type(v) is int:
-        q, rem = divmod(v, n)
-        v = Fraction(v, n) if rem else q
-    else:
-        v = v / n
-    return _new(GradedClass, (c.ring, c.codim, v))
+    return _new(GradedClass, (c.ring, c.codim, quotient(v, n)))
 
 
 def graded_product(a: Sequence[GradedClass], b: Sequence[GradedClass]) -> Tuple[GradedClass, ...]:

@@ -99,6 +99,15 @@ def as_fraction(value: Scalar) -> Fraction:
     return Fraction(exact(value))
 
 
+def quotient(value: Scalar, n: int) -> Scalar:
+    """``value / n`` exactly: an ``int`` where ``n`` divides an ``int``
+    value, a ``Fraction`` otherwise."""
+    if type(value) is int:
+        q, rem = divmod(value, n)
+        return Fraction(value, n) if rem else q
+    return value / n
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``p``, ``p/q`` or an exact decimal into an exact rational.
 

@@ -25,6 +25,7 @@ one solution, so the solver's output is its own Ulrich dual.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -42,6 +43,7 @@ from .exactalg import (
     binom,
     divisor,
     exact,
+    quotient,
     ring_degree,
     unit,
 )
@@ -58,7 +60,10 @@ class Surface(_SurfaceFields):
     """Numerical model of an embedded surface: lattice, chi(O), p_g, K.
 
     ``Surface(...)``, ``_make`` and ``_replace`` keep ``chi_o`` as :func:`exact`
-    gives it and check that the canonical class is zero or a lattice divisor.
+    gives it, read ``geometric_genus`` through :func:`exact` as a
+    nonnegative ``int`` (a ``Fraction`` raises ``TypeError``, a negative
+    genus ``ValueError``) and check that the canonical class is zero or a
+    lattice divisor.
     """
 
     __slots__ = ()
@@ -73,7 +78,12 @@ class Surface(_SurfaceFields):
             raise RingMismatchError("canonical class must live in the surface lattice")
         if canonical.codim not in (None, 1):
             raise ValueError("canonical class must be a divisor")
-        return _new(cls, (lattice, exact(chi_o), geometric_genus, canonical))
+        pg = exact(geometric_genus)
+        if type(pg) is not int:
+            raise TypeError(f"geometric genus must be an int, got {geometric_genus!r}")
+        if pg < 0:
+            raise ValueError("geometric genus must be nonnegative")
+        return _new(cls, (lattice, exact(chi_o), pg, canonical))
 
     @property
     def hyperplane(self) -> GradedClass:
@@ -246,20 +256,26 @@ def chi_threefold_hypersurface(X: HypersurfaceP4, E: ChernVector) -> Fraction:
     """chi(X, E) on a degree-d threefold in P^4 by Hirzebruch-Riemann-Roch.
 
     Integrates the degree-3 part of ch(E) td(X), with 24 td(X) the
-    model's int ``todd`` pieces: the products ch_i (24 td)_(3-i) are
-    summed as scalars on the rank-one ring, skipping zero pieces (td_1 is
-    zero at d = 5), and the sum is multiplied by ``H^3 = d`` and divided
-    by 24 once, as a ``Fraction``.  On ``int`` pieces of ch(E) the sum
-    stays an ``int`` until that division.
+    model's int ``todd`` pieces.  The products ch_i (24 td)_(3-i) are
+    summed in ints, as one numerator over the product of the denominators
+    of the ch_i that are ``Fraction``s, skipping zero pieces (td_1 is zero
+    at d = 5).  The one ``Fraction`` built, on any data, is that numerator
+    times ``H^3 = d`` over 24 times that denominator.
     """
     ring = X.ring
     if E.ring is not ring and E.ring != ring:
         raise RingMismatchError("bundle does not live on the given threefold")
-    total = 0
+    num, den = 0, 1
     for c, t in zip(chern_character(E), reversed(X.todd)):
         if c.codim is not None and t.codim is not None:
-            total += c.value * t.value
-    return Fraction(total * ring.h_degree, 24)
+            v = c.value
+            if type(v) is int:
+                num += v * t.value * den
+            else:
+                q = v.denominator
+                num = num * q + v.numerator * t.value * den
+                den *= q
+    return Fraction(num * ring.h_degree, 24 * den)
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +303,17 @@ def solve_ulrich_chern(V, rank: int) -> ChernVector:
     vector of them for the divisors on P^3), built once per solve.  Each
     twist stays in ints: on P^3 its divisor products pair through the
     lattice's int Gram matrix, and on P^4 so does its Chern character
-    where 2 and 6 divide ch_2 and ch_3.  Riemann-Roch on both models then
-    sums in ints and divides once, so each of the n^2 evaluations of chi
-    (every row at every point) builds one ``Fraction`` on int data; on
-    P^4 a ch_2 or ch_3 that is not an int adds a few.  The principal
-    system is 1x1 on P^3 and 2x2 on P^4.  The solution keeps the pinned
-    c1 as an ``int`` class (a vector of ints on P^3); c2 and c3 are the
-    ``Fraction`` quotients of Cramer's rule.
+    where 2 and 6 divide ch_2 and ch_3.  Riemann-Roch on both models sums
+    in ints and divides once, so each of the n^2 evaluations of chi
+    (every row at every point) builds one ``Fraction``; on P^4 a ch_2 or
+    ch_3 that is not an int adds one more each.  The solve itself is
+    fraction-free: the chi values are scaled to ints by the lcm of their
+    denominators, and Cramer's rule and the row-n check run on ints.  The
+    principal system is 1x1 on P^3 and 2x2 on P^4.  The solution keeps
+    the pinned c1 as an ``int`` class (a vector of ints on P^3); each of
+    c2 and c3 is the quotient det_j / det of Cramer's rule, an ``int``
+    where det divides det_j and a ``Fraction`` otherwise
+    (:func:`~projnorm.exactalg.quotient`).
     The first n-1 rows are solved exactly and row n must agree; a
     singular principal system or an inconsistent last row raises
     SolverError instead of guessing.  E^v((d-1)H) is Ulrich with E
@@ -316,25 +336,31 @@ def solve_ulrich_chern(V, rank: int) -> ChernVector:
     # points[0] is the zero point and points[j - 1] has c_j = 1, j = 2..n
     points = [ChernVector.of(ring, rank, c1_coefficient, int(j == 2), int(j == 3)) for j in range(1, n + 1)]
     h = divisor(ring, 1)
-    rows = []  # chi(E(-p)) = a.x + b is affine in the unknowns x; (a, b) for p = 1..n
+    values = []  # chi(E(-p)) at each point, for p = 1..n
     for p in range(1, n + 1):
         L = -p * h
-        b, *at_units = [chi(twist(E, L)) for E in points]
+        values.append([chi(twist(E, L)) for E in points])
+    # D times each chi is an int, D the lcm of their denominators; chi(E(-p))
+    # = a.x + b is affine in the unknowns x, and row p holds D (a, b)
+    D = math.lcm(*(v.denominator for row in values for v in row))
+    rows = []
+    for row in values:
+        b, *at_units = [v.numerator * (D // v.denominator) for v in row]
         rows.append(([v - b for v in at_units], b))
     *principal, (last, b_last) = rows
     det = _det([a for a, _ in principal])
     if det == 0:
         raise SolverError(f"singular linear system for ({names})")
-    # Cramer's rule: column j of the matrix replaced by the negated constants
-    x = [_det([a[:j] + [-b] + a[j + 1:] for a, b in principal]) / det for j in range(n - 1)]
-    if sum(a * xj for a, xj in zip(last, x)) + b_last != 0:
+    # Cramer's rule: x_j = det_j / det, column j replaced by the negated constants
+    dets = [_det([a[:j] + [-b] + a[j + 1:] for a, b in principal]) for j in range(n - 1)]
+    if sum(a * dj for a, dj in zip(last, dets)) + b_last * det != 0:
         raise SolverError(f"inconsistent twist constraints for ({names})")
-    return ChernVector.of(ring, rank, c1_coefficient, *x)
+    return ChernVector.of(ring, rank, c1_coefficient, *(quotient(dj, det) for dj in dets))
 
 
-def _det(matrix: list) -> Fraction:
-    """Exact determinant of the solver's principal system: 1x1 on P^3,
-    2x2 on P^4, the only sizes it builds."""
+def _det(matrix: list) -> int:
+    """Determinant of an int matrix of the solver: 1x1 on P^3, 2x2 on P^4,
+    the only sizes it builds."""
     if len(matrix) == 1:
         return matrix[0][0]
     (a, b), (c, d) = matrix

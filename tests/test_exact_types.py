@@ -147,7 +147,8 @@ def test_splitting_oracle_classes_hold_ints_or_fractions(monkeypatch):
 def test_solver_chi_values_and_classes_are_fractions(monkeypatch):
     # the solver's point bundles and their twists hold ints and every chi of
     # them is a Fraction; the solution keeps its pinned c1 as an int class
-    # and holds the Cramer quotients c2, c3 as Fractions
+    # and each Cramer quotient c2, c3 as an int where it is integral and a
+    # Fraction otherwise
     seen = []
     for name in ("chi_surface", "chi_threefold_hypersurface"):
         chi = getattr(rr, name)
@@ -158,11 +159,16 @@ def test_solver_chi_values_and_classes_are_fractions(monkeypatch):
             return value
 
         monkeypatch.setattr(rr, name, recorded)
+    kinds = set()
     for model in (HypersurfaceP3, HypersurfaceP4):
         for d, r in ((3, 2), (4, 2), (5, 1), (5, 4)):
             E = solve_ulrich_chern(model(d), r)
             assert all(type(x) is int for x in _entries(E.c1))
-            assert all(_is_fraction(x) for c in (E.c2, E.c3) for x in _entries(c))
+            for x in (x for c in (E.c2, E.c3) for x in _entries(c)):
+                assert type(x) is (int if x.denominator == 1 else Fraction), (model, d, r, x)
+                kinds.add(type(x))
+    # P^4 at d = 3, r = 2 has c2 = (5/3) H^2; the P^3 solves are integral
+    assert kinds == {int, Fraction}
     assert len(seen) == 4 * (4 + 9)
     assert any(type(E.c2.value) is int for E, _ in seen)
     assert all(_is_fraction(value) for _, value in seen)

@@ -14,8 +14,10 @@ back raises it.
 
 Python 3.12 changed how ``fractions`` builds its objects: arithmetic makes
 its result through ``Fraction._from_coprime_ints`` and turns an ``int``
-operand into a ``Fraction`` first.  Both constructors are counted, and
-each of the two implementations has its own pinned totals.
+operand into a ``Fraction`` first.  Both constructors are counted.  A
+solve does no ``Fraction`` arithmetic, only ``Fraction(p, q)`` of ints (a
+chi, a ch_2 or ch_3 that 2 or 6 does not divide, a Cramer quotient), so
+one pinned total holds on every supported Python.
 
 The module needs no pytest, so it also runs as a plain script on any
 supported Python:
@@ -32,13 +34,9 @@ from projnorm.rr import HypersurfaceP3, HypersurfaceP4, parity_ok, solve_ulrich_
 MODELS = (HypersurfaceP3, HypersurfaceP4)
 
 #: Fractions per model that the 54 solves at d = 1..12, parity-valid
-#: r <= 6 build: 11 a solve on P^3 and 71.4 on P^4 before Python 3.12,
-#: 12 and 97.3 from 3.12 on, where each int operand costs one more.
-SOLVE_BUDGET = (
-    {"HypersurfaceP3": 594, "HypersurfaceP4": 3854}
-    if "_from_coprime_ints" not in vars(Fraction)
-    else {"HypersurfaceP3": 648, "HypersurfaceP4": 5252}
-)
+#: r <= 6 build: 4 a solve on P^3 (one per chi) and 19.1 on P^4 (one per
+#: chi, plus the ch_2 and ch_3 that are not ints and the c2, c3 that are not).
+SOLVE_BUDGET = {"HypersurfaceP3": 216, "HypersurfaceP4": 1029}
 
 
 def _cases(model):

@@ -114,6 +114,12 @@ def test_an_inexact_degree_or_gram_entry_raises_on_every_path(bad, path):
             _paths(LATTICE, gram=gram)[path]()
     with pytest.raises(TypeError):
         _paths(SURFACE, chi_o=bad)[path]()
+    # p_g is a nonnegative int: a Fraction raises too, even an integral one
+    for genus in (bad, Fraction(1), Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            _paths(SURFACE, geometric_genus=genus)[path]()
+    with pytest.raises(ValueError, match="nonnegative"):
+        _paths(SURFACE, geometric_genus=-1)[path]()
 
 
 @pytest.mark.parametrize("path", range(3), ids=["constructor", "_make", "_replace"])

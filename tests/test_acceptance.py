@@ -146,8 +146,8 @@ def test_04_dual_path_section_counts():
                 if not parity_ok(r, d):
                     continue
                 E = solve_ulrich_chern(V, r)
-                # c1 = (r/2)(K + 3H) holds on hypersurfaces, so the internal
-                # check against the specialized forms runs on every case
+                # c1 = (r/2)(K + 3H) holds on hypersurfaces, so the specialized
+                # forms apply on every case
                 assert numerically_equal(
                     E.c1, Fraction(r, 2) * (S.canonical + 3 * S.hyperplane)
                 )

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from projnorm import chern, cli, rr
+from projnorm import chern, cli
 from projnorm.chern import ChernVector, bundle_from_roots, chern_character, twist
 from projnorm.exactalg import (
     DivisorVector,
@@ -142,36 +142,6 @@ def test_splitting_oracle_classes_hold_ints_or_fractions(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the boundary: Fraction out of int-valued data
-
-
-def test_solver_chi_values_and_classes_are_fractions(monkeypatch):
-    # the solver's point bundles and their twists hold ints and every chi of
-    # them is a Fraction; the solution keeps its pinned c1 as an int class
-    # and each Cramer quotient c2, c3 as an int where it is integral and a
-    # Fraction otherwise
-    seen = []
-    for name in ("chi_surface", "chi_threefold_hypersurface"):
-        chi = getattr(rr, name)
-
-        def recorded(V, E, chi=chi):
-            value = chi(V, E)
-            seen.append((E, value))
-            return value
-
-        monkeypatch.setattr(rr, name, recorded)
-    kinds = set()
-    for model in (HypersurfaceP3, HypersurfaceP4):
-        for d, r in ((3, 2), (4, 2), (5, 1), (5, 4)):
-            E = solve_ulrich_chern(model(d), r)
-            assert all(type(x) is int for x in _entries(E.c1))
-            for x in (x for c in (E.c2, E.c3) for x in _entries(c)):
-                assert type(x) is (int if x.denominator == 1 else Fraction), (model, d, r, x)
-                kinds.add(type(x))
-    # P^4 at d = 3, r = 2 has c2 = (5/3) H^2; the P^3 solves are integral
-    assert kinds == {int, Fraction}
-    assert len(seen) == 4 * (4 + 9)
-    assert any(type(E.c2.value) is int for E, _ in seen)
-    assert all(_is_fraction(value) for _, value in seen)
 
 
 def test_chi_and_degrees_of_int_classes_are_fractions():

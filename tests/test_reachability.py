@@ -19,7 +19,7 @@ from test_golden_cli import REPORT_CASES, run_case
 
 SRC = Path(projnorm.__file__).resolve().parent
 
-_SURFACE_COUNTS = "surface section counts, to be wired into check surface; named in the cross-check ledger plan"
+_SURFACE_COUNTS = "surface section counts, to be wired into check surface (ROADMAP item 7)"
 _RANK_VANISHING = "the realizability gate on rank-1 hypersurface data"
 _REPR = "debugging output; no report prints a ring or class"
 _MODEL_VALUE = "a hypersurface model is an immutable value named by its degree; no report prints, compares, hashes or assigns one"
@@ -29,11 +29,11 @@ UNREACHED = {
     "chern.dual": "the tests check that every closed form commutes with duality",
     "chern.satisfies_rank_vanishing": _RANK_VANISHING,
     "chern.validate_rank_vanishing": _RANK_VANISHING,
-    "exactalg.numerically_equal": _SURFACE_COUNTS,
+    "exactalg.numerically_equal": "library API, tested: surface classes equal in every pairing (det E of the Ulrich dual)",
     "exactalg.DivisorVector.__neg__": "GradedClass.__neg__ and a - b of surface divisors need it",
     "ulrich.h0_powers_surface": _SURFACE_COUNTS,
     "ulrich.h0_powers_surface_det_special": _SURFACE_COUNTS,
-    "rr.Surface.hyperplane": "read by h0_powers_surface",
+    "rr.Surface.hyperplane": "library API, tested: a surface's hyperplane class; ROADMAP item 14 makes it a field",
     "report.ScanReport.from_json": "the README promises that a JSON report reads back into a ScanReport",
     "report._decode": "the cell decoder of ScanReport.from_json",
     "exactalg.GradedClass.__repr__": _REPR,

@@ -370,7 +370,10 @@ def test_solver_evaluates_integer_points_and_returns_fractions(model, chi_name, 
 
     def recorded_chi(V, E):
         evaluated.append(E)
-        return true_chi(V, E)
+        value = true_chi(V, E)
+        # every chi leaves the ring exactly a Fraction, never an int or a float
+        assert type(value) is Fraction, (V, E, value)
+        return value
 
     monkeypatch.setattr(rr, "twist", recorded_twist)
     monkeypatch.setattr(rr, chi_name, recorded_chi)

@@ -120,30 +120,6 @@ def test_surface_counts_match_chi_pipeline():
             assert counts == specialized
 
 
-def test_surface_counts_specialization_guard():
-    # c1 = (r/2)(K + 3H) holds for every hypersurface case, so the internal
-    # cross-check of the specialized forms runs and must pass
-    V = HypersurfaceP3(6)
-    E = solve_ulrich_chern(V, 2)
-    S = V.surface()
-    assert numerically_equal(E.c1, Fraction(2, 2) * (S.canonical + 3 * S.hyperplane))
-    h0_powers_surface(S, E)  # must not raise
-
-
-def test_surface_counts_specialization_guard_catches_a_miscounted_form(monkeypatch):
-    V = HypersurfaceP3(4)
-    S, E = V.surface(), solve_ulrich_chern(V, 2)
-    special = ulrich.h0_powers_surface_det_special
-
-    def miscounted(S, r):
-        tensor2, *rest = special(S, r)
-        return (tensor2 + 1, *rest)
-
-    monkeypatch.setattr(ulrich, "h0_powers_surface_det_special", miscounted)
-    with pytest.raises(DataError, match="disagree with their det E"):
-        h0_powers_surface(S, E)
-
-
 def test_p4_chi_guard_catches_odd_parity_past_the_gate(monkeypatch):
     monkeypatch.setattr(ulrich, "require_even", lambda r, d: None)
     with pytest.raises(DataError, match="Euler characteristics and c3 numbers of the powers must be integers"):
